@@ -150,6 +150,8 @@ def _graph_input(args):
 
 
 def cmd_hilbert(args):
+    if args.at is None:
+        raise InvalidInput("hilbert needs --at")
     at = _parse_vector(args.at)
     if args.curve:
         curve = Curve.from_json(_load_json(args.curve))

@@ -62,7 +62,7 @@ class Branch:
             coords = [
                 {int(e): Fraction(v) for e, v in coord} for coord in doc["coords"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInput("malformed branch document: %s" % exc) from exc
         return Branch(coords)
 
@@ -105,7 +105,7 @@ class Curve:
         try:
             dim = int(doc["ambient_dim"])
             branches = [Branch.from_json(b) for b in doc["branches"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed curve document: %s" % exc) from exc
         return Curve(dim, branches)
 

@@ -1,16 +1,32 @@
 """Closed formulas for filtration series in terms of resolution combinatorics.
 
-Every series here is a finite, exactly-windowed sum over combinatorial
-term indices: a choice of edge subset I, arrow subset K, and integer
-weights.  Enumeration is depth-first in a fixed order with componentwise
-bound pruning, so results are deterministic and exhaustive on the window.
+The paper writes the curve and divisorial series as finite sums over term
+indices: an edge subset I, an arrow subset K, and integer weights
+(n, n', n'', a~, b~).  ``enumerate_terms`` lists those terms one by one,
+depth-first in a fixed order with componentwise bound pruning; it is the
+reference the tests and ``verify`` check against.
+
+``curve_series`` and ``divisorial_series`` do not enumerate terms.  A
+summand depends on the weights only through nhat (the total weight on
+each vertex), |I|, |K| and b~, and two exact identities collapse the rest:
+
+* q^(f-|n|-|I|-|K|) (1-q)^(|I|+|K|) prod_i q^n_i sym_power_class(chi_i, n_i)
+  = q^codim(nhat) q^(sum b~) (L-1)^(|I|+|K|) prod_i sym_power_class(chi_i, n_i),
+  where codim(nhat) is term_codimension without its sum b~;
+* summing over the ways to split nhat_i into n_i plus r_i parts >= 1
+  gives sym_power_class(chi_i + r_i, nhat_i - r_i), and 0 when
+  r_i > nhat_i.  r_i counts the edges of I and the arrows of K at i,
+  so chi_i + r_i <= 2 always holds.
+
+So the sums run over the nhat in the window, the subsets I of the forest
+of edges inside the support of nhat, and (curve mode) the subsets K.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -20,10 +36,10 @@ from .graph import (
     chi_bullet,
     chi_open,
 )
-from .laurent import LaurentPoly, qgeom, sym_power_class
+from .laurent import ONE, ZERO, LaurentPoly, qgeom, sym_power_class
 from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
 
-ONE_MINUS_Q = LaurentPoly({0: 1, -1: -1})
+L_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
 
 
 @dataclass(frozen=True)
@@ -54,14 +70,12 @@ class TermIndex:
         return tuple(out)
 
 
-def term_codimension(t: TermIndex, d: IntersectionData, g: DualGraph) -> int:
-    """Codimension of the stratum of functions with initial data t.
-
-    (sum m_ij nhat_i nhat_j + sum_i nhat_i (sum_j m_ij chi(E_j minus
-    other components) + 1)) / 2, plus the arrow contact orders.
+def nhat_codimension(nhat, d: IntersectionData, g: DualGraph) -> int:
+    """Codimension of the stratum with total vertex weights nhat, before
+    the arrow contact orders: (sum m_ij nhat_i nhat_j + sum_i nhat_i
+    (sum_j m_ij chi(E_j minus other components) + 1)) / 2.
     """
     s = g.nvertices
-    nhat = t.nhat(g)
     chi_b = [chi_bullet(g, j) for j in range(s)]
     quad = sum(d.M[i][j] * nhat[i] * nhat[j] for i in range(s) for j in range(s))
     lin = sum(
@@ -69,7 +83,13 @@ def term_codimension(t: TermIndex, d: IntersectionData, g: DualGraph) -> int:
     )
     if (quad + lin) % 2:
         raise InternalInconsistency("codimension half-sum is odd")
-    return (quad + lin) // 2 + sum(t.btilde)
+    return (quad + lin) // 2
+
+
+def term_codimension(t: TermIndex, d: IntersectionData, g: DualGraph) -> int:
+    """Codimension of the stratum of functions with initial data t:
+    nhat_codimension of t's nhat plus the arrow contact orders."""
+    return nhat_codimension(t.nhat(g), d, g) + sum(t.btilde)
 
 
 def term_w(t: TermIndex, d: IntersectionData, g: DualGraph) -> tuple:
@@ -172,6 +192,26 @@ def _group_terms(g, d, hi, mode, I, K):
         yield from dfs(0, zero_vec(s))
 
 
+def _checked_bound(g: DualGraph, hi, mode: str) -> tuple:
+    """The window bound as a tuple, with one nonnegative entry per arrow
+    (curve mode) or per vertex (divisorial mode)."""
+    hi = tuple(hi)
+    if any(h < 0 for h in hi):
+        raise InvalidInput("window bound must be nonnegative")
+    if mode == "curve":
+        if len(hi) != len(g.arrows):
+            raise InvalidInput(
+                "curve-mode bound has %d entries, the graph has %d arrows"
+                % (len(hi), len(g.arrows))
+            )
+    elif len(hi) != g.nvertices:
+        raise InvalidInput(
+            "divisorial-mode bound has %d entries, the graph has %d vertices"
+            % (len(hi), g.nvertices)
+        )
+    return hi
+
+
 def enumerate_terms(g: DualGraph, d: IntersectionData, hi, mode: str):
     """Every TermIndex with valuation vector <= hi, each exactly once.
 
@@ -180,14 +220,7 @@ def enumerate_terms(g: DualGraph, d: IntersectionData, hi, mode: str):
     """
     if mode not in ("curve", "divisorial"):
         raise InvalidInput("mode must be 'curve' or 'divisorial'")
-    hi = tuple(hi)
-    if any(h < 0 for h in hi):
-        raise InvalidInput("window bound must be nonnegative")
-    if mode == "curve":
-        if len(hi) != len(g.arrows):
-            raise InvalidInput("curve-mode bound must have one entry per arrow")
-    elif len(hi) != g.nvertices:
-        raise InvalidInput("divisorial-mode bound must have one entry per vertex")
+    hi = _checked_bound(g, hi, mode)
     for I in _subsets(len(g.edges)):
         if mode == "curve":
             for K in _subsets(len(g.arrows)):
@@ -196,114 +229,155 @@ def enumerate_terms(g: DualGraph, d: IntersectionData, hi, mode: str):
             yield from _group_terms(g, d, hi, mode, I, ())
 
 
-def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("MOTIVE_SERIES_THREADS", "1")))
+@lru_cache(maxsize=4096)
+def _sym(chi, n):
+    """sym_power_class(chi, n), and zero when n < 0 (no room for the parts)."""
+    return sym_power_class(chi, n) if n >= 0 else ZERO
 
 
-def _summed_groups(g, d, hi, mode, evaluate, threads):
-    """Accumulate evaluate(term) -> (exponent, coeff) over all (I, K) groups.
+def _nhats(d: IntersectionData, caps):
+    """Every (nhat, w(nhat)) with w[j] <= caps[j] for each capped column j.
 
-    Groups may be processed by a thread pool; merging coefficient maps is
-    associative and commutative, so the result does not depend on order.
+    Depth-first over the vertices in order; every entry of M is positive,
+    so raising any nhat_i raises every w_j and the bound prunes soundly.
     """
-    groups = []
-    for I in _subsets(len(g.edges)):
-        if mode == "curve":
-            groups.extend((I, K) for K in _subsets(len(g.arrows)))
-        else:
-            groups.append((I, ()))
+    s = d.size
+    rows = d.M
+    nhat = [0] * s
 
-    def work(group):
-        I, K = group
-        local = {}
-        for term in _group_terms(g, d, hi, mode, I, K):
-            e, c = evaluate(term)
-            s = local.get(e, LaurentPoly.zero()) + c
-            if s:
-                local[e] = s
-            else:
-                local.pop(e, None)
-        return local
+    def fits(w):
+        return all(w[j] <= cap for j, cap in caps.items())
 
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            partials = list(pool.map(work, groups))
-    else:
-        partials = [work(group) for group in groups]
-    total = {}
-    for part in partials:
-        for e, c in part.items():
-            s = total.get(e, LaurentPoly.zero()) + c
-            if s:
-                total[e] = s
-            else:
-                total.pop(e, None)
-    return total
+    def dfs(i, w):
+        if i == s:
+            yield tuple(nhat), w
+            return
+        while fits(w):
+            yield from dfs(i + 1, w)
+            nhat[i] += 1
+            w = vec_add(w, rows[i])
+        nhat[i] = 0
+
+    yield from dfs(0, zero_vec(s))
 
 
-def _bracket(chi, n):
-    """q^n * [S^n of the punctured line]: the alternating-binomial factor."""
-    return LaurentPoly.q_power(n) * sym_power_class(chi, n)
+@lru_cache(maxsize=4096)
+def _l_minus_one_power(k):
+    return L_MINUS_ONE ** k
 
 
-def curve_series(g: DualGraph, hi, data=None, threads=None) -> MSeries:
+def _vertex_sum(g, chi, nhat, arrows_at):
+    """sum over I in the support forest of (L-1)^(|I|+|K|) prod_i
+    sym_power_class(chi_i + r_i, nhat_i - r_i), where r_i counts the edges
+    of I at i plus the ``arrows_at[i]`` arrows of K at i."""
+    support = [i for i, x in enumerate(nhat) if x]
+    forest = [(i, j) for (i, j) in g.edges if nhat[i] and nhat[j]]
+    by_size = [ZERO] * (len(forest) + 1)
+    nk = sum(arrows_at)
+    for I in _subsets(len(forest)):
+        r = list(arrows_at)
+        for pos in I:
+            i, j = forest[pos]
+            r[i] += 1
+            r[j] += 1
+        c = ONE
+        for i in support:
+            c = c * _sym(chi[i] + r[i], nhat[i] - r[i])
+            if not c:
+                break
+        if c:
+            by_size[len(I)] = by_size[len(I)] + c
+    out = ZERO
+    for size, c in enumerate(by_size):
+        if c:
+            out = out + c * _l_minus_one_power(size + nk)
+    return out
+
+
+def _check_coeffs(coeffs, label):
+    for e, c in coeffs.items():
+        if not c.only_nonpos_powers():
+            raise InternalInconsistency(
+                "%s coefficient at %r is not a polynomial in q" % (label, e)
+            )
+
+
+def curve_series(g: DualGraph, hi, data=None) -> MSeries:
     """Generalized Poincare series of the branch filtration, from a resolution.
 
-    The graph must carry one arrow per branch.  Coefficients come out as
-    polynomials in q (nonpositive L-powers), which is asserted.
+    The graph must carry one arrow per branch; ``hi`` has one entry per
+    arrow.  The sum runs over nhat, then I and K, with the identities of
+    the module docstring: a term's summand is q^codim(nhat) q^(sum b~)
+    (L-1)^(|I|+|K|) prod_i sym_power_class(chi_i, n_i), and its splits at
+    vertex i sum to sym_power_class(chi_i + r_i, nhat_i - r_i), where
+    chi_i is the Euler characteristic of E_i minus the edge and arrow
+    points and r_i counts the edges of I and the arrows of K at i (so
+    chi_i + r_i <= 2).  The (nhat, K) sum lands at v_k = w(nhat)[attach_k]
+    + b~_k with the factor q^(sum b~), for each b~ >= 1 on K in the window.
+    Coefficients come out as polynomials in q (nonpositive L-powers),
+    which is asserted.
     """
     if not g.arrows:
         raise InvalidInput("curve series needs at least one arrow")
+    hi = _checked_bound(g, hi, "curve")
     d = data if data is not None else build_intersection(g)
-    hi = tuple(hi)
-    chi_o = [chi_open(g, i) for i in range(g.nvertices)]
-
-    def evaluate(term):
-        f = term_codimension(term, d, g)
-        expo = f - sum(term.n) - len(term.edges) - len(term.arrows)
-        c = LaurentPoly.q_power(expo) * ONE_MINUS_Q ** (
-            len(term.edges) + len(term.arrows)
-        )
-        for i, ni in enumerate(term.n):
-            c = c * _bracket(chi_o[i], ni)
-        return term_v(term, d, g), c
-
-    coeffs = _summed_groups(g, d, hi, "curve", evaluate, threads)
-    for e, c in coeffs.items():
-        if not c.only_nonpos_powers():
-            raise InternalInconsistency(
-                "curve-series coefficient at %r is not a polynomial in q" % (e,)
-            )
+    s, attach = g.nvertices, g.arrows
+    chi = [chi_open(g, i) for i in range(s)]
+    caps = {}
+    for k, j in enumerate(attach):
+        caps[j] = min(hi[k], caps.get(j, hi[k]))
+    coeffs = {}
+    for nhat, w in _nhats(d, caps):
+        floor = tuple(w[j] for j in attach)
+        base = LaurentPoly.q_power(nhat_codimension(nhat, d, g))
+        # an arrow joins K only if its vertex is in the support and b~ >= 1 fits
+        live = [k for k, j in enumerate(attach) if nhat[j] and floor[k] < hi[k]]
+        for K in _subsets(len(live)):
+            K = [live[pos] for pos in K]
+            arrows_at = [0] * s
+            for k in K:
+                arrows_at[attach[k]] += 1
+            c = _vertex_sum(g, chi, nhat, arrows_at)
+            if not c:
+                continue
+            c = base * c
+            shifted = {}
+            for bt in product(*(range(1, hi[k] - floor[k] + 1) for k in K)):
+                v = list(floor)
+                for k, b in zip(K, bt):
+                    v[k] += b
+                shift = sum(bt)
+                if shift not in shifted:
+                    shifted[shift] = c * LaurentPoly.q_power(shift)
+                v = tuple(v)
+                coeffs[v] = coeffs.get(v, ZERO) + shifted[shift]
+    _check_coeffs(coeffs, "curve-series")
+    # MSeries drops the coefficients that cancelled to zero
     return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
 
 
-def divisorial_series(g: DualGraph, hi, data=None, threads=None) -> MSeries:
+def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     """Generalized Poincare series of the divisorial filtration.
 
     Arrows on the graph are ignored; the series lives in one t-variable
-    per exceptional component.
+    per exceptional component, and ``hi`` has one entry per vertex.  As in
+    curve_series, the sum over terms (I, n, n', n'') is taken per nhat:
+    its coefficient at w(nhat) is q^codim(nhat) sum_I (L-1)^|I|
+    prod_i sym_power_class(chi_i + r_i, nhat_i - r_i), with chi_i the
+    Euler characteristic of E_i minus the other components and r_i the
+    edges of I at i, so again chi_i + r_i <= 2.
     """
+    hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
-    hi = tuple(hi)
-    chi_b = [chi_bullet(g, i) for i in range(g.nvertices)]
-
-    def evaluate(term):
-        f = term_codimension(term, d, g)
-        expo = f - sum(term.n) - len(term.edges)
-        c = LaurentPoly.q_power(expo) * ONE_MINUS_Q ** len(term.edges)
-        for i, ni in enumerate(term.n):
-            c = c * _bracket(chi_b[i], ni)
-        return term_w(term, d, g), c
-
-    coeffs = _summed_groups(g, d, hi, "divisorial", evaluate, threads)
-    for e, c in coeffs.items():
-        if not c.only_nonpos_powers():
-            raise InternalInconsistency(
-                "divisorial-series coefficient at %r is not a polynomial in q" % (e,)
-            )
+    s = g.nvertices
+    chi = [chi_bullet(g, i) for i in range(s)]
+    coeffs = {}
+    for nhat, w in _nhats(d, dict(enumerate(hi))):
+        # w(nhat) is one-to-one, M being invertible
+        c = _vertex_sum(g, chi, nhat, [0] * s)
+        if c:
+            coeffs[w] = LaurentPoly.q_power(nhat_codimension(nhat, d, g)) * c
+    _check_coeffs(coeffs, "divisorial-series")
     return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
 
 

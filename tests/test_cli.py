@@ -192,3 +192,46 @@ def test_verify_reports_known_defect(capsys):
     # the only red checks are the multi-branch class-series product identity
     assert failing
     assert all("product-identity-Phat" in l for l in failing)
+
+
+TWO_ARROW_GRAPH = {
+    "vertices": [{"self_int": -1}],
+    "edges": [],
+    "arrows": [{"attach": 1}, {"attach": 1}],
+}
+
+
+@pytest.mark.parametrize(
+    "filtration, bound",
+    [("curve", "3"), ("curve", "3,3,3"), ("divisorial", "3,3"), ("curve", "3,-1")],
+)
+def test_bound_length_must_match_graph(tmp_path, capsys, filtration, bound):
+    g = tmp_path / "two_arrows.json"
+    g.write_text(json.dumps(TWO_ARROW_GRAPH))
+    argv = ["poincare", "--graph", str(g), "--filtration", filtration]
+    code, out, err = run(capsys, argv + ["--kind", "Pg", "--bound", bound])
+    assert code == 2
+    assert out == ""
+    assert "bound" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ambient_dim": 2, "branches": [{"coords": [[[2, "1/0"]], [[3, "1"]]]}]},
+        {"ambient_dim": "two", "branches": CUSP_CURVE["branches"]},
+    ],
+)
+def test_malformed_curve_numbers(tmp_path, capsys, doc):
+    bad = tmp_path / "bad_curve.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["resolve"], ["hilbert", "--at", "2"]):
+        code, _, err = run(capsys, argv + ["--curve", str(bad)])
+        assert code == 2
+        assert "malformed" in err
+
+
+def test_hilbert_needs_at(files, capsys):
+    code, _, err = run(capsys, ["hilbert", "--curve", files["cusp_curve.json"]])
+    assert code == 2
+    assert "--at" in err

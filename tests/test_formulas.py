@@ -1,5 +1,12 @@
-import pytest
+from fractions import Fraction
+from math import gcd
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from motive_series import Branch, Curve
+from motive_series.blowup import auto_resolve, run_script
 from motive_series.errors import InvalidInput
 from motive_series.formulas import (
     TermIndex,
@@ -12,9 +19,10 @@ from motive_series.formulas import (
     semigroup_class_series,
     term_codimension,
     term_v,
+    term_w,
 )
-from motive_series.graph import DualGraph, build_intersection
-from motive_series.laurent import LaurentPoly
+from motive_series.graph import DualGraph, build_intersection, chi_bullet, chi_open
+from motive_series.laurent import LaurentPoly, sym_power_class
 from motive_series.mseries import first_mismatch
 
 ONE = LaurentPoly.one()
@@ -25,6 +33,10 @@ SINGLE = DualGraph((-1,), ())
 TWO_ARROWS = DualGraph((-1,), (), (0, 0))
 CUSP_ARROW = DualGraph((-3, -2, -1), ((0, 2), (1, 2)), (2,))
 CHAIN = DualGraph((-2, -1), ((0, 1),))
+# the cusp graph with a free point of its last component blown up: vertex 2
+# has degree 3; two arrows on it, or one on it and one on the new vertex
+CUSP_EXTRA_TWO_ARROWS = DualGraph((-3, -2, -2, -1), ((0, 2), (1, 2), (2, 3)), (2, 2))
+CUSP_EXTRA_ARROWS = DualGraph((-3, -2, -2, -1), ((0, 2), (1, 2), (2, 3)), (2, 3))
 
 
 def terms_list(g, hi, mode):
@@ -165,10 +177,124 @@ def test_ie_series_from_hilbert_function():
     assert first_mismatch(s, divisorial_series(SINGLE, (5,)), (0,), (5,)) is None
 
 
-def test_thread_partitioning_is_deterministic(monkeypatch):
-    base = curve_series(CUSP_ARROW, (8,))
-    monkeypatch.setenv("MOTIVE_SERIES_THREADS", "3")
-    threaded = curve_series(CUSP_ARROW, (8,))
-    assert base == threaded
-    explicit = divisorial_series(CHAIN, (5, 5), threads=2)
-    assert explicit == divisorial_series(CHAIN, (5, 5), threads=1)
+# -- the compressed sums against the term-by-term reference -------------------
+
+
+def reference_coeffs(g, hi, mode):
+    """Sum the paper's summand over every term of enumerate_terms, one by one:
+    q^(f-|n|-|I|-|K|) (1-q)^(|I|+|K|) prod_i q^n_i [S^n_i of E_i minus points]."""
+    d = build_intersection(g)
+    chi = chi_open if mode == "curve" else chi_bullet
+    chis = [chi(g, i) for i in range(g.nvertices)]
+    exponent = term_v if mode == "curve" else term_w
+    coeffs = {}
+    for t in enumerate_terms(g, d, hi, mode):
+        opened = len(t.edges) + len(t.arrows)
+        c = Q ** (term_codimension(t, d, g) - sum(t.n) - opened) * (ONE - Q) ** opened
+        for i, ni in enumerate(t.n):
+            c = c * Q ** ni * sym_power_class(chis[i], ni)
+        e = exponent(t, d, g)
+        coeffs[e] = coeffs.get(e, LaurentPoly.zero()) + c
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def assert_matches_reference(g, curve_hi=None, div_hi=None):
+    if curve_hi is not None:
+        assert curve_series(g, curve_hi).coeffs == reference_coeffs(g, curve_hi, "curve")
+    if div_hi is not None:
+        assert divisorial_series(g, div_hi).coeffs == reference_coeffs(
+            g, div_hi, "divisorial"
+        )
+
+
+@pytest.mark.parametrize(
+    "g, curve_hi, div_hi",
+    [
+        (SINGLE, None, (7,)),
+        (CHAIN, None, (6, 6)),
+        (TWO_ARROWS, (6, 5), (6,)),
+        (DualGraph((-1,), (), (0, 0, 0)), (3, 4, 3), None),
+        (CUSP_ARROW, (16,), (8, 8, 8)),
+        (DualGraph((-3, -2, -1), ((0, 2), (1, 2)), (2, 0, 1)), (6, 5, 7), None),
+        (CUSP_EXTRA_TWO_ARROWS, (14, 13), (6, 6, 6, 9)),
+        (CUSP_EXTRA_ARROWS, (12, 13), (4, 4, 4, 4)),
+    ],
+)
+def test_compressed_sums_match_reference_on_fixtures(g, curve_hi, div_hi):
+    assert_matches_reference(g, curve_hi, div_hi)
+
+
+def test_compressed_sums_match_reference_on_resolved_fixtures():
+    from motive_series import verify
+
+    for name, (curve, hi) in verify.curve_fixtures().items():
+        if curve.ambient_dim == 2:
+            _, g, _ = verify.resolved(name)
+            assert_matches_reference(g, curve_hi=hi)
+    for m, hi in verify.modification_fixtures().values():
+        assert_matches_reference(m.graph(), div_hi=hi)
+
+
+PARAMS = ("1", "-1", "2", "1/2", "-3")
+ONE_Q = Fraction(1)
+
+
+@st.composite
+def blowup_scripts(draw):
+    """2-5 point blow-ups: each at a corner or at a fresh free point."""
+    nsteps = draw(st.integers(2, 5))
+    steps = [{"center": "origin"}]
+    edges, used = [], set()
+    while len(steps) < nsteps:
+        new = len(steps) + 1
+        if edges and draw(st.booleans()):
+            i, j = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            steps.append({"center": {"corner": [i, j]}})
+            edges += [(i, new), (j, new)]
+        else:
+            comp = draw(st.integers(1, len(steps)))
+            param = draw(st.sampled_from([p for p in PARAMS if (comp, p) not in used]))
+            used.add((comp, param))
+            steps.append({"center": {"on": comp, "param": param}})
+            edges.append((comp, new))
+    return {"steps": steps}
+
+
+@st.composite
+def plane_branches(draw):
+    """(tau^a, tau^b + c tau^(b+1)) with gcd(a, b) = 1, either way round."""
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, 5).filter(lambda b: gcd(a, b) == 1))
+    c = Fraction(draw(st.sampled_from(PARAMS)))
+    coords = [{a: ONE_Q}, {b: ONE_Q, b + 1: c}]
+    return Branch(coords[::-1] if draw(st.booleans()) else coords)
+
+
+DIFFERENTIAL = settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@DIFFERENTIAL
+@given(blowup_scripts(), st.data())
+def test_compressed_sums_match_reference_on_random_scripts(script, data):
+    g = run_script(script).graph()
+    s = g.nvertices
+    div_hi = tuple(data.draw(st.integers(2, 7)) for _ in range(s))
+    arrows = tuple(sorted(data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=2))))
+    curve_hi = tuple(data.draw(st.integers(2, 6)) for _ in arrows)
+    assert_matches_reference(g, div_hi=div_hi)
+    assert_matches_reference(DualGraph(g.self_ints, g.edges, arrows), curve_hi=curve_hi)
+
+
+@DIFFERENTIAL
+@given(st.lists(plane_branches(), min_size=1, max_size=3, unique=True), st.data())
+def test_compressed_sums_match_reference_on_random_curves(branches, data):
+    _, g, _ = auto_resolve(Curve(2, branches))
+    top = {1: 16, 2: 11, 3: 8}[len(branches)]
+    curve_hi = tuple(data.draw(st.integers(3, top)) for _ in branches)
+    assert_matches_reference(g, curve_hi=curve_hi)
