@@ -36,7 +36,7 @@ from .jets import (
     series,
     subsystem_series,
 )
-from .laurent import LaurentPoly, lpoly_eval_one, projective_class, qgeom, sym_power_class
+from .laurent import LaurentPoly, projective_class, qgeom, sym_power_class
 from .mseries import MSeries, expand_rational, first_mismatch, mseries_mul
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "first_mismatch",
     "hilbert_ie_series",
     "hoskin_deligne",
-    "lpoly_eval_one",
     "mseries_mul",
     "projective_class",
     "qgeom",

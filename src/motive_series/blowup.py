@@ -29,7 +29,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .graph import DualGraph, build_intersection
-from .polys import RatFun, pclean, pmul, poly2_compose, u_order_in_first
+from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
 from .mseries import vec_clamp0
 
 
@@ -51,7 +51,7 @@ def _shifted_subst(p, pu, pv, first, second):
     vmap = dict(second)
     if pv:
         vmap[(0, 0)] = vmap.get((0, 0), Fraction(0)) + pv
-    return poly2_compose(p, pclean(umap), pclean(vmap))
+    return poly2_compose(p, clean(umap), clean(vmap))
 
 
 _S = {(1, 0): Fraction(1)}
@@ -197,7 +197,7 @@ class Modification:
 
     def multiplicity(self, comp, g) -> int:
         """Vanishing order of the lift of g along the component."""
-        g = pclean({tuple(e): Fraction(c) for e, c in g.items()})
+        g = clean({tuple(e): Fraction(c) for e, c in g.items()})
         if not g:
             raise InvalidInput("the zero polynomial has no multiplicity")
         if not (0 <= comp < self.ncomponents):

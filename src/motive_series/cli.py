@@ -45,20 +45,33 @@ def _parse_vector(text):
 def _parse_poly(text):
     """Polynomial in x, y: either JSON terms or an expression like y^2-x^3."""
     text = text.strip()
+    try:
+        out = {}
+        for e, c in _poly_terms(text):
+            a, b = e
+            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+                raise ValueError("exponent %r is not two nonnegative integers" % (e,))
+            out[(a, b)] = Fraction(c)
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            "bad polynomial %r (%s: %s)" % (text, type(exc).__name__, exc)
+        ) from exc
+    return out
+
+
+def _poly_terms(text):
+    """(exponent, coefficient) pairs; parse errors raise ValueError and kin."""
     if text.startswith("{"):
-        doc = json.loads(text)
-        return {
-            tuple(t["exp"]): Fraction(t["coeff"]) for t in doc["terms"]
-        }
+        return [(t["exp"], t["coeff"]) for t in json.loads(text)["terms"]]
     import sympy
 
     x, y = sympy.symbols("x y")
     expr = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
-    poly = sympy.Poly(sympy.expand(expr), x, y)
-    out = {}
-    for (a, b), c in poly.terms():
-        out[(int(a), int(b))] = Fraction(str(c))
-    return out
+    try:
+        poly = sympy.Poly(sympy.expand(expr), x, y)
+    except sympy.PolynomialError as exc:
+        raise ValueError(exc) from exc
+    return [((int(a), int(b)), str(c)) for (a, b), c in poly.terms()]
 
 
 def _emit(doc, pretty_text, fmt, out=None):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import InvalidInput, UndefinedValuation
-from .polys import pcompose_univariate, uclean, ulead, uorder
+from .polys import clean, pcompose_univariate, ulead, uorder
 
 
 class Branch:
@@ -21,7 +21,7 @@ class Branch:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(uclean(dict(c)) for c in coords)
+        self.coords = tuple(clean(dict(c)) for c in coords)
         if not any(self.coords):
             raise InvalidInput("branch must have a nonzero coordinate")
         for c in self.coords:
@@ -32,10 +32,6 @@ class Branch:
     @property
     def ambient_dim(self):
         return len(self.coords)
-
-    def min_order(self):
-        orders = [uorder(c) for c in self.coords if c]
-        return min(orders)
 
     def coordinate_order(self, j):
         """Order of the j-th coordinate; None when it vanishes identically."""

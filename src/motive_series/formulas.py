@@ -381,12 +381,6 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
 
 
-def _t_monomial(nvars, expo, coeff=None):
-    return MSeries.polynomial(
-        nvars, {tuple(expo): coeff if coeff is not None else LaurentPoly.one()}
-    )
-
-
 def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
     """Motivic class series of the projectivized extended divisorial semigroup.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .curves import Curve
-from .errors import InvalidInput, PrecisionExhausted, VerificationFailure
+from .errors import InvalidInput, PrecisionExhausted
 from .formulas import _subsets, hilbert_ie_coeff
 from .laurent import LaurentPoly, projective_class, qgeom
 from .mseries import (
@@ -387,11 +387,3 @@ def remark_identity_check(curve: Curve, hi):
     if mismatch is None:
         return True, None
     return False, mismatch
-
-
-def require_identity(name, mismatch):
-    if mismatch is not None:
-        e, a, b = mismatch
-        raise VerificationFailure(
-            "%s: first mismatch at %r: %s != %s" % (name, e, a.format(), b.format())
-        )

@@ -11,12 +11,16 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InvalidInput
+from .polys import add, mul, scale
 
 
 class LaurentPoly:
     """Integer Laurent polynomial in L, stored as {power: coefficient}.
 
-    Instances are immutable; no stored coefficient is zero.
+    Instances are immutable; no stored coefficient is zero.  The results
+    of +, -, * and ** are built by `_trusted`, without the conversion pass
+    of the constructor: the kernel keeps int keys and values and drops
+    zeros.
     """
 
     __slots__ = ("terms",)
@@ -25,6 +29,13 @@ class LaurentPoly:
         if terms is None:
             terms = {}
         self.terms = {int(k): int(v) for k, v in terms.items() if v != 0}
+
+    @staticmethod
+    def _trusted(terms):
+        """Wrap a dict that already has int keys and nonzero int values."""
+        p = object.__new__(LaurentPoly)
+        p.terms = terms
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -41,10 +52,6 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def monomial(power, coeff=1):
-        return LaurentPoly({power: coeff})
-
-    @staticmethod
     def l_power(n):
         """L^n (use negative n for powers of q)."""
         return LaurentPoly({n: 1})
@@ -59,17 +66,10 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(add(self.terms, other.terms))
 
     def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.terms.items()})
+        return LaurentPoly._trusted(scale(self.terms, -1))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -78,19 +78,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({k: v * other for k, v in self.terms.items()})
+            return LaurentPoly._trusted(scale(self.terms, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -124,9 +115,6 @@ class LaurentPoly:
     def eval_one(self):
         """Sum of all coefficients (the value at L = 1, a ring map to Z)."""
         return sum(self.terms.values())
-
-    def min_power(self):
-        return min(self.terms) if self.terms else None
 
     def max_power(self):
         return max(self.terms) if self.terms else None
@@ -174,11 +162,6 @@ class LaurentPoly:
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 L = LaurentPoly.l_power(1)
-
-
-def lpoly_eval_one(p: LaurentPoly) -> int:
-    """Sum of the coefficients of p."""
-    return p.eval_one()
 
 
 def qgeom(a: int, b: int) -> LaurentPoly:

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from .laurent import LaurentPoly
+from .polys import add, pmul
 
 # -- exponent-vector helpers (plain int tuples) ---------------------------
 
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_min(a, b):
@@ -133,9 +130,6 @@ class MSeries:
     def support(self):
         return sorted(self.coeffs)
 
-    def is_zero_on_window(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         if not isinstance(other, MSeries):
             return NotImplemented
@@ -172,14 +166,7 @@ class MSeries:
         if self.nvars != other.nvars:
             raise InvalidInput("cannot add series in different variable counts")
         if self.exact and other.exact:
-            terms = dict(self.coeffs)
-            for e, c in other.coeffs.items():
-                s = terms.get(e, LaurentPoly.zero()) + c
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-            return MSeries.polynomial(self.nvars, terms)
+            return MSeries.polynomial(self.nvars, add(self.coeffs, other.coeffs))
         # known region of the sum: intersection of the known boxes, with the
         # below-floor escape only when every operand supplies it there
         lo = vec_max(self.lo, other.lo) if not self.exact and not other.exact else (
@@ -189,13 +176,11 @@ class MSeries:
             other.hi if self.exact else self.hi
         )
         floored = self._floor_covers(lo) and other._floor_covers(lo)
-        terms = {}
-        for e in set(self.coeffs) | set(other.coeffs):
-            if not (vec_leq(lo, e) and vec_leq(e, hi)):
-                continue
-            s = self.coeffs.get(e, LaurentPoly.zero()) + other.coeffs.get(e, LaurentPoly.zero())
-            if s:
-                terms[e] = s
+        terms = {
+            e: c
+            for e, c in add(self.coeffs, other.coeffs).items()
+            if vec_leq(lo, e) and vec_leq(e, hi)
+        }
         return MSeries(self.nvars, lo, hi, terms, floored=floored)
 
     def _floor_covers(self, lo):
@@ -325,16 +310,7 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
         raise InvalidInput("cannot multiply series in different variable counts")
     n = f.nvars
     if f.exact and g.exact:
-        out = {}
-        for e1, c1 in f.coeffs.items():
-            for e2, c2 in g.coeffs.items():
-                e = vec_add(e1, e2)
-                s = out.get(e, LaurentPoly.zero()) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MSeries.polynomial(n, out)
+        return MSeries.polynomial(n, pmul(f.coeffs, g.coeffs))
     if f.exact or g.exact:
         ex, w = (f, g) if f.exact else (g, f)
         if not ex.coeffs:

@@ -1,67 +1,113 @@
-"""Dictionary polynomials over Q and exact rational functions in one variable.
+"""Sparse-dict arithmetic, and exact rational functions in one variable.
 
-Univariate polynomials are {exponent: Fraction}; multivariate ones are
-{exponent tuple: Fraction}.  Zero coefficients are never stored.  These
-are deliberately minimal: the library only composes, multiplies and
-reads off orders, always exactly.
+Every exact value of the library is a sparse dict {exponent: coefficient}
+that stores no zero coefficient: univariate polynomials {int: Fraction}
+in a branch parameter, polynomials {tuple: Fraction} in x, y (chart
+maps), Laurent polynomials {int: int} in L (`laurent`), and exact
+series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
+
+* `clean`, `add` and `scale` never look at the keys;
+* `mul` is the one unwindowed convolution loop, for int exponents
+  (`umul` is its name for polynomials in the parameter);
+* `pmul` packs exponent tuples into ints and calls `mul`.
+
+The coefficients only need +, * and truth; the kernel never adds a
+coefficient to an int 0, so LaurentPoly coefficients work as well.
+The windowed product of box-truncated series is `mseries._convolve`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import lshift
 
 from .errors import InvalidInput
 
-# -- univariate ------------------------------------------------------------
+# -- the kernel ------------------------------------------------------------
 
 
-def uclean(p):
+def clean(p):
     return {e: c for e, c in p.items() if c}
 
 
-def uadd(p, q):
+def add(p, q):
+    """p + q; the one add loop.  A key missing from p takes q's value as
+    it is, so no coefficient is ever added to an int 0 default."""
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
+        s = out.get(e)
+        if s is not None:
+            c = s + c
+        if c:
+            out[e] = c
         else:
             out.pop(e, None)
     return out
 
 
-def uneg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def uscale(p, c):
+def scale(p, c):
     if not c:
         return {}
     return {e: v * c for e, v in p.items()}
 
 
-def umul(p, q):
+def mul(p, q):
+    """p * q for int exponents; the one unwindowed convolution loop."""
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
+            c = c1 * c2
+            s = out.get(e)
+            if s is not None:
+                c = s + c
+            if c:
+                out[e] = c
             else:
                 out.pop(e, None)
     return out
 
 
-def upow(p, n):
-    out = {0: Fraction(1)}
-    base = p
-    while n:
-        if n & 1:
-            out = umul(out, base)
-        base = umul(base, base)
-        n >>= 1
+umul = mul
+
+
+def pmul(p, q):
+    """p * q for exponent tuples of one length, by Kronecker substitution.
+
+    Each exponent vector e is packed into the int sum_i e_i 2^(k i), with
+    k bits per entry, enough that no entry of a product exponent can carry
+    into its neighbour (entries may be negative: the digits are balanced).
+    Packing is a bijection that turns vector addition into int addition,
+    so `mul` does the convolution and its keys are unpacked afterwards.
+    """
+    if not p or not q:
+        return {}
+    top = max(map(abs, chain.from_iterable(chain(p, q))), default=0)
+    k = (2 * top).bit_length() + 1
+    shifts = range(0, k * len(next(iter(p))), k)
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    packed = ({sum(map(lshift, e, shifts)): c for e, c in d.items()} for d in (p, q))
+    out = {}
+    for key, c in mul(*packed).items():
+        e = []
+        for _ in shifts:
+            x = ((key + half) & mask) - half
+            e.append(x)
+            key = (key - x) >> k
+        out[tuple(e)] = c
     return out
+
+
+def _power(powers, base, k, times):
+    """base^k from the list powers = [base^0, base^1, ...], extended as
+    needed with one product each (a loop, so any k is safe)."""
+    while len(powers) <= k:
+        powers.append(times(powers[-1], base))
+    return powers[k]
+
+
+# -- univariate polynomials --------------------------------------------------
 
 
 def uorder(p):
@@ -85,107 +131,36 @@ def uconst(p):
     return p.get(0, Fraction(0))
 
 
-# -- multivariate ----------------------------------------------------------
-
-
-def pclean(p):
-    return {e: c for e, c in p.items() if c}
-
-
-def padd(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def pneg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def pscale(p, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
-def pmul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def ppow(p, n, nvars):
-    out = {(0,) * nvars: Fraction(1)}
-    base = p
-    while n:
-        if n & 1:
-            out = pmul(out, base)
-        base = pmul(base, base)
-        n >>= 1
-    return out
+# -- multivariate polynomials --------------------------------------------------
 
 
 def pcompose_univariate(g, parts):
     """Substitute univariate polynomials parts[j] for the variables of g."""
-    cache = {}
-
-    def var_power(j, k):
-        if k == 0:
-            return {0: Fraction(1)}
-        if (j, k) not in cache:
-            cache[(j, k)] = umul(var_power(j, k - 1), parts[j])
-        return cache[(j, k)]
-
+    powers = [[{0: Fraction(1)}] for _ in parts]
     out = {}
     for expo, c in g.items():
         term = {0: c}
         for j, k in enumerate(expo):
             if k:
-                term = umul(term, var_power(j, k))
-        out = uadd(out, term)
+                term = umul(term, _power(powers[j], parts[j], k, umul))
+        out = add(out, term)
     return out
 
 
 def poly2_compose(g, xmap, ymap):
     """g(x, y) with x, y replaced by two-variable polynomials."""
-    xpows = {0: {(0, 0): Fraction(1)}}
-    ypows = {0: {(0, 0): Fraction(1)}}
-
-    def powers(cache, base, k):
-        if k not in cache:
-            cache[k] = pmul(powers(cache, base, k - 1), base)
-        return cache[k]
-
+    xpows = [{(0, 0): Fraction(1)}]
+    ypows = [{(0, 0): Fraction(1)}]
     out = {}
     for (a, b), c in g.items():
-        term = pmul(powers(xpows, xmap, a), powers(ypows, ymap, b))
-        out = padd(out, pscale(term, c))
+        term = pmul(_power(xpows, xmap, a, pmul), _power(ypows, ymap, b, pmul))
+        out = add(out, scale(term, c))
     return out
 
 
 def u_order_in_first(p):
     """Order of a two-variable polynomial along {first variable = 0}."""
     return min(e[0] for e in p) if p else None
-
-
-def u_order_in_second(p):
-    return min(e[1] for e in p) if p else None
-
-
-def parse_fraction(s):
-    return Fraction(s) if isinstance(s, str) else Fraction(s)
 
 
 # -- exact rational functions in one variable ------------------------------
@@ -204,8 +179,8 @@ class RatFun:
     def __init__(self, num, den=None):
         if den is None:
             den = {0: Fraction(1)}
-        num = uclean(num)
-        den = uclean(den)
+        num = clean(num)
+        den = clean(den)
         if uorder(den) != 0:
             raise InvalidInput("rational function denominator vanishes at 0")
         self.num = num
@@ -226,7 +201,7 @@ class RatFun:
         return uconst(self.num) / uconst(self.den)
 
     def sub_const(self, c):
-        return RatFun(uadd(self.num, uscale(self.den, -c)), dict(self.den))
+        return RatFun(add(self.num, scale(self.den, -c)), dict(self.den))
 
     def div_exact(self, other, cancel):
         """self / other after cancelling tau^cancel from both.

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import blowup, curves, formulas, graph, jets, laurent
 from . import mseries as mser
+from .polys import pmul
 
 ONE = Fraction(1)
 
@@ -455,7 +456,7 @@ def check_valuation_additivity():
             return {k: v for k, v in p.items() if v} or {(1, 0): ONE}
 
         f, h = rand_poly(), rand_poly()
-        fh = _poly_mul(f, h)
+        fh = pmul(f, h)
         wf = m.multiplicity_vector(f)
         wh = m.multiplicity_vector(h)
         wfh = m.multiplicity_vector(fh)
@@ -463,12 +464,6 @@ def check_valuation_additivity():
             bad = (f, h)
             break
     return [("valuation-additivity/cusp-mod", bad is None, repr(bad))]
-
-
-def _poly_mul(f, h):
-    from .polys import pmul
-
-    return pmul(f, h)
 
 
 def check_resolve_reorder():

@@ -235,3 +235,32 @@ def test_hilbert_needs_at(files, capsys):
     code, _, err = run(capsys, ["hilbert", "--curve", files["cusp_curve.json"]])
     assert code == 2
     assert "--at" in err
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "y^2-z^3",
+        "{bad",
+        '{"x": [{"exp": [1, 0], "coeff": "1"}]}',
+        '{"terms": [{"exp": [1, 0, 2], "coeff": "1"}]}',
+    ],
+)
+def test_malformed_poly(files, capsys, poly):
+    argv = ["multiplicity", "--script", files["cusp_script.json"], "--poly", poly]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "bad polynomial %r" % poly in err
+
+
+def test_multiplicity_of_high_powers(files, capsys):
+    def vector(poly):
+        argv = ["multiplicity", "--script", files["cusp_script.json"], "--poly", poly]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        return json.loads(out)["value"]
+
+    x = vector("x")
+    assert vector("x^1500") == [1500 * w for w in x]
+    assert vector("y^1200+x^3") == [3 * w for w in x]

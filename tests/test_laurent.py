@@ -5,7 +5,6 @@ import pytest
 from motive_series.errors import InvalidInput
 from motive_series.laurent import (
     LaurentPoly,
-    lpoly_eval_one,
     projective_class,
     qgeom,
     sym_power_class,
@@ -22,10 +21,10 @@ def rand_poly(rng, span=4, size=4):
 
 
 def test_eval_one_examples():
-    assert lpoly_eval_one(ONE + L + L * L) == 3  # Euler characteristic of P^2
-    assert lpoly_eval_one(LaurentPoly.zero()) == 0
+    assert (ONE + L + L * L).eval_one() == 3  # Euler characteristic of P^2
+    assert LaurentPoly.zero().eval_one() == 0
     # q - q^2 has coefficient sum 1 - 1
-    assert lpoly_eval_one(LaurentPoly.q_power(1) - LaurentPoly.q_power(2)) == 0
+    assert (LaurentPoly.q_power(1) - LaurentPoly.q_power(2)).eval_one() == 0
 
 
 def test_no_zero_coefficients_stored():
