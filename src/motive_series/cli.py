@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import blowup, formulas, graph, jets
 from .curves import Curve
@@ -74,15 +75,17 @@ def _poly_terms(text):
     return [((int(a), int(b)), str(c)) for (a, b), c in poly.terms()]
 
 
-def _emit(doc, pretty_text, fmt, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(fmt, doc, pretty):
+    """Write the output in format fmt; doc() builds the JSON document and
+    pretty() the text, and only the one asked for is built."""
     if fmt == "json":
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1))
-        out.write("\n")
+        sys.stdout.write(json.dumps(doc(), sort_keys=True, separators=(",", ": "), indent=1))
+        sys.stdout.write("\n")
     else:
-        out.write(pretty_text)
+        pretty_text = pretty()
+        sys.stdout.write(pretty_text)
         if not pretty_text.endswith("\n"):
-            out.write("\n")
+            sys.stdout.write("\n")
 
 
 def _series_pretty(series, symbol):
@@ -104,20 +107,22 @@ def _modification_from_args(args):
 def cmd_resolve(args):
     curve = Curve.from_json(_load_json(args.curve))
     _, g, attach = blowup.auto_resolve(curve, max_steps=args.max_steps)
-    doc = g.to_json()
-    pretty = "self-intersections: %s\nedges: %s\narrows: %s" % (
-        list(g.self_ints),
-        [list(map(lambda i: i + 1, e)) for e in g.edges],
-        [a + 1 for a in attach],
-    )
-    _emit(doc, pretty, args.format)
+
+    def pretty():
+        return "self-intersections: %s\nedges: %s\narrows: %s" % (
+            list(g.self_ints),
+            [list(map(lambda i: i + 1, e)) for e in g.edges],
+            [a + 1 for a in attach],
+        )
+
+    _emit(args.format, g.to_json, pretty)
     return EXIT_OK
 
 
 def cmd_graph(args):
     m = _modification_from_args(args)
     g = m.graph()
-    _emit(g.to_json(), json.dumps(g.to_json(), sort_keys=True), args.format)
+    _emit(args.format, g.to_json, lambda: json.dumps(g.to_json(), sort_keys=True))
     return EXIT_OK
 
 
@@ -150,7 +155,7 @@ def cmd_poincare(args):
     else:
         g = _graph_input(args)
         series, symbol = _graph_series(args, g)
-    _emit(series.to_json(), _series_pretty(series, symbol), args.format)
+    _emit(args.format, series.to_json, lambda: _series_pretty(series, symbol))
     return EXIT_OK
 
 
@@ -174,7 +179,7 @@ def cmd_hilbert(args):
         value = blowup.DivisorialOracle(m, max_jet=args.max_jet).hilbert(at)
     else:
         raise InvalidInput("need --curve or --script")
-    _emit({"value": value}, str(value), args.format)
+    _emit(args.format, lambda: {"value": value}, lambda: str(value))
     return EXIT_OK
 
 
@@ -184,10 +189,10 @@ def cmd_multiplicity(args):
     if args.at:
         comp = int(args.at) - 1
         value = m.multiplicity(comp, poly)
-        _emit({"value": value}, str(value), args.format)
+        _emit(args.format, lambda: {"value": value}, lambda: str(value))
     else:
         vec = m.multiplicity_vector(poly)
-        _emit({"value": list(vec)}, ",".join(map(str, vec)), args.format)
+        _emit(args.format, lambda: {"value": list(vec)}, lambda: ",".join(map(str, vec)))
     return EXIT_OK
 
 
@@ -207,7 +212,9 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser; built once, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="motive-series",
         description="Exact Poincare series of multi-index filtrations on curve germs",
@@ -260,8 +267,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrecisionExhausted as exc:

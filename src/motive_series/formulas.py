@@ -20,6 +20,18 @@ each vertex), |I|, |K| and b~, and two exact identities collapse the rest:
 
 So the sums run over the nhat in the window, the subsets I of the forest
 of edges inside the support of nhat, and (curve mode) the subsets K.
+
+The divisorial Phat and P are series F(x) in x_i = t^m_i.  M is
+invertible with positive entries, so x^nhat lands at the one w = nhat M,
+and the nhat with w in the window form a downward closed set; on it,
+with c = 0 off it:
+
+* Phat: F = prod_edges (1 - x_i - x_j + L x_i x_j) / prod_i (1 - x_i)
+  (1 - L x_i), so c(nhat) starts at prod_i [P^nhat_i], and each edge
+  adds L c(nhat - e_i - e_j) - c(nhat - e_i) - c(nhat - e_j) to it, in
+  reverse lex order so that the right-hand side is still the old c;
+* P: c(nhat) = prod_i [x^nhat_i] (1 - x)^(-chi_i), an integer that is 0
+  once nhat_i > -chi_i >= 0.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -38,6 +51,7 @@ from .graph import (
 )
 from .laurent import ONE, ZERO, LaurentPoly, qgeom, sym_power_class
 from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
+from .polys import add, scale
 
 L_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
 
@@ -235,30 +249,32 @@ def _sym(chi, n):
     return sym_power_class(chi, n) if n >= 0 else ZERO
 
 
-def _nhats(d: IntersectionData, caps):
-    """Every (nhat, w(nhat)) with w[j] <= caps[j] for each capped column j.
-
-    Depth-first over the vertices in order; every entry of M is positive,
-    so raising any nhat_i raises every w_j and the bound prunes soundly.
+def _nhats(d: IntersectionData, caps, limits=None):
+    """Every (nhat, w(nhat)) with w[j] <= caps[j] for each capped column j
+    and nhat_i <= limits[i] where given, in lex order (an odometer, the
+    last vertex turning fastest).  Every entry of M is positive, so raising
+    any nhat_i raises every w_j: the bound prunes soundly and the window
+    is downward closed.
     """
-    s = d.size
-    rows = d.M
+    s, rows = d.size, d.M
+    caps = sorted(caps.items())
+    limits = limits or [None] * s
     nhat = [0] * s
-
-    def fits(w):
-        return all(w[j] <= cap for j, cap in caps.items())
-
-    def dfs(i, w):
-        if i == s:
-            yield tuple(nhat), w
+    ws = [zero_vec(s)] * s  # ws[i]: w of nhat with the entries after i set to 0
+    while True:
+        yield tuple(nhat), ws[-1]
+        i = s - 1
+        while i >= 0:
+            if limits[i] is None or nhat[i] < limits[i]:
+                w = vec_add(ws[i], rows[i])
+                if all(w[j] <= cap for j, cap in caps):
+                    nhat[i] += 1
+                    ws[i:] = [w] * (s - i)
+                    break
+            nhat[i] = 0
+            i -= 1
+        else:
             return
-        while fits(w):
-            yield from dfs(i + 1, w)
-            nhat[i] += 1
-            w = vec_add(w, rows[i])
-        nhat[i] = 0
-
-    yield from dfs(0, zero_vec(s))
 
 
 @lru_cache(maxsize=4096)
@@ -382,42 +398,56 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
 
 
 def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
-    """Motivic class series of the projectivized extended divisorial semigroup.
-
-    Windowed expansion of
-      prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j))
-      / prod_i (1 - t^m_i)(1 - L t^m_i).
-    Coefficients are polynomials in L (nonnegative powers), asserted.
+    """Motivic class series of the projectivized extended divisorial semigroup,
+    prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j)) / prod_i (1 - t^m_i)(1 - L t^m_i),
+    computed in nhat space (module docstring).  Coefficients are
+    polynomials in L (nonnegative powers), which is asserted.
     """
+    hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
-    hi = tuple(hi)
     s = g.nvertices
-    if len(hi) != s:
-        raise InvalidInput("bound must have one entry per vertex")
-    num = MSeries.one(s)
-    for (i, j) in g.edges:
-        mi, mj = d.row(i), d.row(j)
-        factor = MSeries.polynomial(
-            s,
-            {
-                zero_vec(s): LaurentPoly.one(),
-                mi: LaurentPoly.const(-1),
-                mj: LaurentPoly.const(-1),
-                vec_add(mi, mj): LaurentPoly.l_power(1),
-            },
-        )
-        num = num * factor
-    factors = []
-    for i in range(s):
-        factors.append((LaurentPoly.one(), d.row(i)))
-        factors.append((LaurentPoly.l_power(1), d.row(i)))
-    out = expand_rational(num, factors, hi)
-    for e, c in out.coeffs.items():
-        if not c.only_nonneg_powers():
+    # coefficients are {L-power: int} dicts of the polys kernel
+    index, ws, coeffs = {}, [], []
+    pred = [[] for _ in range(s)]  # pred[i][n]: index of nhat - e_i, or None
+    for nhat, w in _nhats(d, dict(enumerate(hi))):
+        for i, x in enumerate(nhat):
+            # the window is downward closed and nhat - e_i comes earlier
+            pred[i].append(index[nhat[:i] + (x - 1,) + nhat[i + 1:]] if x else None)
+        index[nhat] = n = len(ws)
+        ws.append(w)
+        k = max((i for i, x in enumerate(nhat) if x), default=None)
+        if k is None:
+            coeffs.append({0: 1})
+            continue
+        # prod_i [P^nhat_i], by [P^m] = [P^(m-1)] + L^m
+        rest = index[nhat[:k] + (0,) * (s - k)]
+        coeffs.append(add(coeffs[pred[k][n]], _shift(coeffs[rest], nhat[k])))
+    for i, j in g.edges:
+        pi, pj = pred[i], pred[j]
+        # nhat - e_i, nhat - e_j come later in reverse lex order: still unchanged
+        for n in range(len(ws) - 1, -1, -1):
+            a, b = pi[n], pj[n]
+            if a is not None and b is not None:
+                coeffs[n] = add(coeffs[n], _shift(coeffs[pj[a]], 1))
+                minus = add(coeffs[a], coeffs[b])
+            elif a is not None or b is not None:
+                minus = coeffs[a if b is None else b]
+            else:
+                continue
+            coeffs[n] = add(coeffs[n], scale(minus, -1))
+    out = {}
+    for w, c in zip(ws, coeffs):
+        if any(e < 0 for e in c):
             raise InternalInconsistency(
-                "semigroup-class coefficient at %r is not a polynomial in L" % (e,)
+                "semigroup-class coefficient at %r is not a polynomial in L" % (w,)
             )
-    return out
+        out[w] = LaurentPoly(c)
+    return MSeries(s, zero_vec(s), hi, out, floored=True)
+
+
+def _shift(p, k):
+    """L^k p for a kernel dict p."""
+    return {e + k: c for e, c in p.items()}
 
 
 def divisorial_poincare_product(g: DualGraph, hi, data=None) -> MSeries:
@@ -425,46 +455,33 @@ def divisorial_poincare_product(g: DualGraph, hi, data=None) -> MSeries:
 
     chi_i is the Euler characteristic of E_i minus the other components;
     negative chi_i contributes polynomial factors, positive chi_i
-    geometric ones.
+    geometric ones.  Computed in nhat space (module docstring).
     """
+    hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
-    hi = tuple(hi)
     s = g.nvertices
-    if len(hi) != s:
-        raise InvalidInput("bound must have one entry per vertex")
-    num = MSeries.one(s)
-    factors = []
-    for i in range(s):
-        chi = chi_bullet(g, i)
-        one_minus = MSeries.polynomial(
-            s, {zero_vec(s): LaurentPoly.one(), d.row(i): LaurentPoly.const(-1)}
-        )
-        if chi < 0:
-            for _ in range(-chi):
-                num = num * one_minus
-        else:
-            factors.extend((LaurentPoly.one(), d.row(i)) for _ in range(chi))
-    return expand_rational(num, factors, hi)
+    chi = [chi_bullet(g, i) for i in range(s)]
+    limits = [-x if x <= 0 else None for x in chi]
+    out = {}
+    for nhat, w in _nhats(d, dict(enumerate(hi)), limits):
+        c = 1
+        for x, n in zip(chi, nhat):  # times [t^n] (1 - t)^(-x)
+            c *= comb(x + n - 1, n) if x > 0 else (-1) ** n * comb(-x, n)
+        out[w] = LaurentPoly.const(c)
+    return MSeries(s, zero_vec(s), hi, out, floored=True)
 
 
 def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
     """Same series written through edges: prod_edges (1-t^m_i)(1-t^m_j)
     over prod_i (1-t^m_i)^2."""
+    hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
-    hi = tuple(hi)
     s = g.nvertices
-    if len(hi) != s:
-        raise InvalidInput("bound must have one entry per vertex")
     num = MSeries.one(s)
     for (i, j) in g.edges:
         for row in (d.row(i), d.row(j)):
-            num = num * MSeries.polynomial(
-                s, {zero_vec(s): LaurentPoly.one(), row: LaurentPoly.const(-1)}
-            )
-    factors = []
-    for i in range(s):
-        factors.append((LaurentPoly.one(), d.row(i)))
-        factors.append((LaurentPoly.one(), d.row(i)))
+            num = num * MSeries.polynomial(s, {zero_vec(s): ONE, row: -ONE})
+    factors = [(ONE, d.row(i)) for i in range(s) for _ in range(2)]
     return expand_rational(num, factors, hi)
 
 

@@ -17,6 +17,8 @@ library are therefore exact, never approximate.
 
 from __future__ import annotations
 
+from operator import add as add_int
+
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from .laurent import LaurentPoly
 from .polys import add, pmul
@@ -25,7 +27,7 @@ from .polys import add, pmul
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add_int, a, b))
 
 
 def vec_min(a, b):
@@ -127,9 +129,6 @@ class MSeries:
             raise OutsideWindow("coefficient at %r is not determined" % (e,))
         return self.coeffs.get(e, LaurentPoly.zero())
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, MSeries):
             return NotImplemented
@@ -156,9 +155,6 @@ class MSeries:
             exact=self.exact,
             floored=self.floored,
         )
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __add__(self, other):
         if not isinstance(other, MSeries):
@@ -188,9 +184,6 @@ class MSeries:
         if self.exact:
             return all(vec_leq(lo, e) for e in self.coeffs)
         return self.floored and vec_leq(lo, self.lo)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def shift(self, delta):
         """Multiply by t^delta (delta >= 0): exponents move up by delta."""

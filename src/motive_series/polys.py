@@ -99,11 +99,22 @@ def pmul(p, q):
     return out
 
 
-def _power(powers, base, k, times):
-    """base^k from the list powers = [base^0, base^1, ...], extended as
-    needed with one product each (a loop, so any k is safe)."""
-    while len(powers) <= k:
-        powers.append(times(powers[-1], base))
+def _power(powers, k, times):
+    """base^k from the cache powers = {0: base^0, 1: base, ...}, which it
+    extends: one product from a cached base^(k-1), else square-and-multiply
+    over the cached base^(2^i), about 2 log2(k) products for a lone power."""
+    if k not in powers:
+        if k - 1 in powers:
+            powers[k] = times(powers[k - 1], powers[1])
+        else:
+            out, e = None, 1
+            while e <= k:
+                if e not in powers:
+                    powers[e] = times(powers[e >> 1], powers[e >> 1])
+                if k & e:
+                    out = powers[e] if out is None else times(out, powers[e])
+                e <<= 1
+            powers[k] = out
     return powers[k]
 
 
@@ -136,24 +147,24 @@ def uconst(p):
 
 def pcompose_univariate(g, parts):
     """Substitute univariate polynomials parts[j] for the variables of g."""
-    powers = [[{0: Fraction(1)}] for _ in parts]
+    powers = [{0: {0: Fraction(1)}, 1: part} for part in parts]
     out = {}
     for expo, c in g.items():
         term = {0: c}
         for j, k in enumerate(expo):
             if k:
-                term = umul(term, _power(powers[j], parts[j], k, umul))
+                term = umul(term, _power(powers[j], k, umul))
         out = add(out, term)
     return out
 
 
 def poly2_compose(g, xmap, ymap):
     """g(x, y) with x, y replaced by two-variable polynomials."""
-    xpows = [{(0, 0): Fraction(1)}]
-    ypows = [{(0, 0): Fraction(1)}]
+    xpows = {0: {(0, 0): Fraction(1)}, 1: xmap}
+    ypows = {0: {(0, 0): Fraction(1)}, 1: ymap}
     out = {}
     for (a, b), c in g.items():
-        term = pmul(_power(xpows, xmap, a, pmul), _power(ypows, ymap, b, pmul))
+        term = pmul(_power(xpows, a, pmul), _power(ypows, b, pmul))
         out = add(out, scale(term, c))
     return out
 

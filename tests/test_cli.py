@@ -202,14 +202,23 @@ TWO_ARROW_GRAPH = {
 
 
 @pytest.mark.parametrize(
-    "filtration, bound",
-    [("curve", "3"), ("curve", "3,3,3"), ("divisorial", "3,3"), ("curve", "3,-1")],
+    "filtration, bound, kind",
+    [
+        pytest.param("curve", "3", "Pg", id="curve-3"),
+        pytest.param("curve", "3,3,3", "Pg", id="curve-3,3,3"),
+        pytest.param("divisorial", "3,3", "Pg", id="divisorial-3,3"),
+        pytest.param("curve", "3,-1", "Pg", id="curve-3,-1"),
+        pytest.param("divisorial", "3,3", "Phat", id="Phat-3,3"),
+        pytest.param("divisorial", "-1", "Phat", id="Phat--1"),
+        pytest.param("divisorial", "3,3", "P", id="P-3,3"),
+        pytest.param("divisorial", "-1", "P", id="P--1"),
+    ],
 )
-def test_bound_length_must_match_graph(tmp_path, capsys, filtration, bound):
+def test_bound_length_must_match_graph(tmp_path, capsys, filtration, bound, kind):
     g = tmp_path / "two_arrows.json"
     g.write_text(json.dumps(TWO_ARROW_GRAPH))
     argv = ["poincare", "--graph", str(g), "--filtration", filtration]
-    code, out, err = run(capsys, argv + ["--kind", "Pg", "--bound", bound])
+    code, out, err = run(capsys, argv + ["--kind", kind, "--bound", bound])
     assert code == 2
     assert out == ""
     assert "bound" in err
@@ -264,3 +273,27 @@ def test_multiplicity_of_high_powers(files, capsys):
     x = vector("x")
     assert vector("x^1500") == [1500 * w for w in x]
     assert vector("y^1200+x^3") == [3 * w for w in x]
+
+
+def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
+    from motive_series import polys
+
+    calls = []
+    pmul = polys.pmul
+
+    def counting(p, q):
+        calls.append(1)
+        return pmul(p, q)
+
+    monkeypatch.setattr(polys, "pmul", counting)
+    argv = ["multiplicity", "--script", files["cusp_script.json"], "--poly"]
+    code, out, _ = run(capsys, argv + ["x"])
+    assert code == 0
+    x = json.loads(out)["value"]
+    calls.clear()
+    code, out, _ = run(capsys, argv + ["x^100000"])
+    assert code == 0
+    assert json.loads(out)["value"] == [100000 * w for w in x]
+    # per component: one product of the x- and y-powers, and about
+    # 2 log2(100000) products for x^100000
+    assert len(calls) <= len(x) * (2 * (100000).bit_length() + 1)

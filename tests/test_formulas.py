@@ -10,6 +10,7 @@ from motive_series.blowup import auto_resolve, run_script
 from motive_series.errors import InvalidInput
 from motive_series.formulas import (
     TermIndex,
+    _nhats,
     curve_series,
     divisorial_poincare_product,
     divisorial_poincare_product_edges,
@@ -23,7 +24,14 @@ from motive_series.formulas import (
 )
 from motive_series.graph import DualGraph, build_intersection, chi_bullet, chi_open
 from motive_series.laurent import LaurentPoly, sym_power_class
-from motive_series.mseries import first_mismatch
+from motive_series.mseries import (
+    MSeries,
+    box,
+    expand_rational,
+    first_mismatch,
+    vec_add,
+    zero_vec,
+)
 
 ONE = LaurentPoly.one()
 L = LaurentPoly.l_power(1)
@@ -147,8 +155,6 @@ def test_product_cusp_drops_valency_two_factor():
     g = DualGraph((-3, -2, -1), ((0, 2), (1, 2)))
     d = build_intersection(g)
     hi = (8, 8, 8)
-    from motive_series.mseries import MSeries, expand_rational
-
     direct = expand_rational(
         MSeries.one(3), [(ONE, d.row(0)), (ONE, d.row(1))], hi
     )
@@ -298,3 +304,102 @@ def test_compressed_sums_match_reference_on_random_curves(branches, data):
     top = {1: 16, 2: 11, 3: 8}[len(branches)]
     curve_hi = tuple(data.draw(st.integers(3, top)) for _ in branches)
     assert_matches_reference(g, curve_hi=curve_hi)
+
+
+# -- the nhat-space Phat and P against their windowed rational expansions ----
+
+
+def reference_class_series(g, hi):
+    """prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j))
+    / prod_i (1 - t^m_i)(1 - L t^m_i), by windowed series products."""
+    d = build_intersection(g)
+    s = g.nvertices
+    num = MSeries.one(s)
+    for (i, j) in g.edges:
+        mi, mj = d.row(i), d.row(j)
+        num = num * MSeries.polynomial(
+            s, {zero_vec(s): ONE, mi: -ONE, mj: -ONE, vec_add(mi, mj): L}
+        )
+    factors = []
+    for i in range(s):
+        factors += [(ONE, d.row(i)), (L, d.row(i))]
+    return expand_rational(num, factors, hi)
+
+
+def reference_poincare_product(g, hi):
+    """prod_i (1 - t^m_i)^(-chi_i), by windowed series products."""
+    d = build_intersection(g)
+    s = g.nvertices
+    num = MSeries.one(s)
+    factors = []
+    for i in range(s):
+        chi = chi_bullet(g, i)
+        one_minus = MSeries.polynomial(s, {zero_vec(s): ONE, d.row(i): -ONE})
+        for _ in range(-chi):
+            num = num * one_minus
+        factors += [(ONE, d.row(i))] * max(chi, 0)
+    return expand_rational(num, factors, hi)
+
+
+def assert_products_match_reference(g, hi):
+    for fast, slow in (
+        (semigroup_class_series, reference_class_series),
+        (divisorial_poincare_product, reference_poincare_product),
+    ):
+        got, want = fast(g, hi), slow(g, hi)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize(
+    "g, hi",
+    [
+        (SINGLE, (7,)),
+        (CHAIN, (0, 0)),
+        (CHAIN, (7, 6)),
+        (CUSP_ARROW, (8, 8, 8)),
+        (CUSP_ARROW, (6, 9, 12)),
+        (CUSP_EXTRA_ARROWS, (6, 6, 6, 9)),
+    ],
+)
+def test_nhat_products_match_reference_on_fixtures(g, hi):
+    assert_products_match_reference(g, hi)
+
+
+def test_nhat_products_match_reference_on_modification_fixtures():
+    from motive_series import verify
+
+    for m, hi in verify.modification_fixtures().values():
+        assert_products_match_reference(m.graph(), hi)
+
+
+@DIFFERENTIAL
+@given(blowup_scripts(), st.data())
+def test_nhat_products_match_reference_on_random_scripts(script, data):
+    g = run_script(script).graph()
+    hi = tuple(data.draw(st.integers(0, 7)) for _ in range(g.nvertices))
+    assert_products_match_reference(g, hi)
+
+
+@DIFFERENTIAL
+@given(blowup_scripts(), st.data())
+def test_nhats_walks_the_window_in_lex_order(script, data):
+    g = run_script(script).graph()
+    d = build_intersection(g)
+    s = g.nvertices
+    cols = data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True))
+    caps = {j: data.draw(st.integers(0, 9)) for j in cols}
+    limits = data.draw(
+        st.none() | st.lists(st.none() | st.integers(0, 3), min_size=s, max_size=s)
+    )
+    # the box holds the window: nhat_i * M[i][j] <= w_j for every capped j
+    top = tuple(min(cap // d.M[i][j] for j, cap in caps.items()) for i in range(s))
+    brute = []
+    for nhat in box(zero_vec(s), top):
+        w = tuple(sum(nhat[i] * d.M[i][j] for i in range(s)) for j in range(s))
+        if all(w[j] <= cap for j, cap in caps.items()) and all(
+            limits is None or limits[i] is None or x <= limits[i]
+            for i, x in enumerate(nhat)
+        ):
+            brute.append((nhat, w))
+    assert list(_nhats(d, caps, limits)) == brute
