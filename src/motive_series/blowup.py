@@ -22,11 +22,7 @@ from math import inf
 from . import linalg
 from .curves import Curve
 from .errors import (
-    CenterNotFound,
-    CornerAmbiguous,
-    InvalidInput,
-    NonreducedInput,
-    PrecisionExhausted,
+    CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted
 )
 from .graph import DualGraph, build_intersection
 from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
@@ -162,13 +158,18 @@ class Modification:
             if self.nsteps != 0:
                 raise CenterNotFound("origin center is only valid as the first step")
             return self.blow_up_at(0, (Fraction(0), Fraction(0)))
-        if not isinstance(center, dict):
-            raise InvalidInput("malformed center %r" % (center,))
-        if "on" in center:
-            comp = int(center["on"]) - 1
+        try:
+            on = "on" in center
+            if on:
+                comp, param = int(center["on"]) - 1, Fraction(center["param"])
+            else:
+                i, j = center["corner"]
+                pair = tuple(sorted((int(i) - 1, int(j) - 1)))
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput("malformed center %r (%s)" % (center, exc)) from exc
+        if on:
             if not (0 <= comp < self.ncomponents):
                 raise CenterNotFound("no component %s" % center["on"])
-            param = Fraction(center["param"])
             host = self.hosts[comp]
             for other, axis in self.charts[host].divisors.items():
                 if other != comp and axis == "v" and param == 0:
@@ -177,13 +178,9 @@ class Modification:
                         % (comp + 1, other + 1)
                     )
             return self.blow_up_at(host, (Fraction(0), param))
-        if "corner" in center:
-            i, j = center["corner"]
-            pair = tuple(sorted((int(i) - 1, int(j) - 1)))
-            if pair not in self.corners:
-                raise CenterNotFound("no corner %r" % (center["corner"],))
-            return self.blow_up_at(self.corners[pair], (Fraction(0), Fraction(0)))
-        raise InvalidInput("malformed center %r" % (center,))
+        if pair not in self.corners:
+            raise CenterNotFound("no corner %r" % (center["corner"],))
+        return self.blow_up_at(self.corners[pair], (Fraction(0), Fraction(0)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -215,7 +212,7 @@ class Modification:
 def run_script(doc) -> Modification:
     """Execute a blow-up script document {"steps": [{"center": ...}, ...]}."""
     try:
-        steps = doc["steps"]
+        steps = list(doc["steps"])
     except (TypeError, KeyError) as exc:
         raise InvalidInput("malformed script document: %s" % exc) from exc
     m = Modification.base()

@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import blowup, formulas, graph, jets
 from .curves import Curve
-from .errors import (
-    InvalidInput,
-    MotiveSeriesError,
-    PrecisionExhausted,
-    VerificationFailure,
-)
+from .errors import InvalidInput, MotiveSeriesError, PrecisionExhausted, VerificationFailure
+from .polys import add, clean, pmul, power, scale
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,43 +41,148 @@ def _parse_vector(text):
         raise InvalidInput("bad vector %r" % text) from exc
 
 
+# bounds on --poly expressions; each product is checked before it is formed
+MAX_DEGREE = 100_000  # of any product, so of x^k too
+MAX_PRODUCTS = 10**5  # coefficient products in one product of polynomials
+MAX_BITS = 1 << 14  # numerator and denominator bits of the two factors' coefficients
+
+
 def _parse_poly(text):
     """Polynomial in x, y: either JSON terms or an expression like y^2-x^3."""
     text = text.strip()
     try:
+        if not text.startswith("{"):
+            return _expand(text)
         out = {}
-        for e, c in _poly_terms(text):
+        for t in json.loads(text)["terms"]:
+            e, c = t["exp"], t["coeff"]
             a, b = e
             if type(a) is not int or type(b) is not int or a < 0 or b < 0:
                 raise ValueError("exponent %r is not two nonnegative integers" % (e,))
             out[(a, b)] = Fraction(c)
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        return out
+    except (ArithmeticError, LookupError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidInput(
             "bad polynomial %r (%s: %s)" % (text, type(exc).__name__, exc)
         ) from exc
+
+
+def _bits(p):
+    """The most numerator plus denominator bits of a coefficient of p."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length() for c in p.values()),
+               default=0)
+
+
+def _times(p, q):
+    """p * q by the polys kernel, refused before it is formed if it would
+    pass MAX_DEGREE, MAX_BITS or MAX_PRODUCTS."""
+    deg = max(map(sum, p), default=0) + max(map(sum, q), default=0)
+    bits, products = _bits(p) + _bits(q), len(p) * len(q)
+    if deg > MAX_DEGREE or bits > MAX_BITS or products > MAX_PRODUCTS:
+        raise ValueError("product of degree %d, %d coefficient bits and %d term products "
+                         "passes a bound" % (deg, bits, products))
+    return pmul(p, q)
+
+
+def _expand(text):
+    """The exact polynomial {(a, b): Fraction} of an expression in x, y.
+
+    Recursive descent over this grammar, where '/' must divide by a
+    nonzero constant and an exponent is an integer literal:
+      expr := term (('+' | '-') term)*
+      term := unary (('*' | '/') unary)*
+      unary := ('+' | '-') unary | atom [('^' | '**') integer]
+      atom := integer | 'x' | 'y' | '(' expr ')'
+    """
+    tokens = re.findall(r"[0-9]+|\*\*|\S", text)[::-1]  # a stack: the next token last
+
+    def take(*ops):
+        return tokens.pop() if tokens and tokens[-1] in ops else None
+
+    def integer(what):
+        if not (tokens and tokens[-1].isascii() and tokens[-1].isdigit()):
+            raise ValueError("expected %s at %r" % (what, tokens[-1] if tokens else "the end"))
+        return int(tokens.pop())
+
+    def expr():
+        out = term()
+        while op := take("+", "-"):
+            t = term()
+            out = add(out, t if op == "+" else scale(t, -1))
+        return out
+
+    def term():
+        out = unary()
+        while op := take("*", "/"):
+            t = unary()
+            if op == "*":
+                out = _times(out, t)
+            elif len(t) == 1 and (0, 0) in t:
+                out = scale(out, 1 / t[(0, 0)])
+            else:
+                raise ValueError("'/' needs a nonzero constant divisor")
+        return out
+
+    def unary():
+        op = take("+", "-")
+        if op:
+            t = unary()
+            return t if op == "+" else scale(t, -1)
+        if take("("):
+            out = expr()
+            if not take(")"):
+                raise ValueError("missing ')'")
+        elif var := take("x", "y"):
+            out = {(1, 0) if var == "x" else (0, 1): Fraction(1)}
+        else:
+            out = clean({(0, 0): Fraction(integer("x, y, an integer or '('"))})
+        if not take("^", "**"):
+            return out
+        k = integer("an integer exponent")
+        return power({0: {(0, 0): Fraction(1)}, 1: out}, k, _times)
+
+    out = expr()
+    if tokens:
+        raise ValueError("unexpected %r" % tokens[-1])
     return out
 
 
-def _poly_terms(text):
-    """(exponent, coefficient) pairs; parse errors raise ValueError and kin."""
-    if text.startswith("{"):
-        return [(t["exp"], t["coeff"]) for t in json.loads(text)["terms"]]
-    import sympy
+def _json_text(value, pad="\n"):
+    """json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1),
+    byte for byte; ``pad`` is a newline and the indent of value's level.
 
-    x, y = sympy.symbols("x y")
-    expr = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
-    try:
-        poly = sympy.Poly(sympy.expand(expr), x, y)
-    except sympy.PolynomialError as exc:
-        raise ValueError(exc) from exc
-    return [((int(a), int(b)), str(c)) for (a, b), c in poly.terms()]
+    Lists, tuples and dicts with str keys are written here, with their
+    str and int items inline; every other value goes to json.dumps, whose
+    text needs only its newlines re-indented (JSON strings hold none).
+    """
+    kind, inner = type(value), pad + " "
+    if kind is list or kind is tuple:
+        parts = [
+            _encode_str(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _json_text(v, inner)
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]" if parts else "[]"
+    if kind is dict and all(type(k) is str for k in value):
+        parts = [
+            _encode_str(k) + ": " + (
+                _encode_str(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json_text(v, inner)
+            )
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}" if parts else "{}"
+    text = json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+    return text.replace("\n", pad)
 
 
 def _emit(fmt, doc, pretty):
     """Write the output in format fmt; doc() builds the JSON document and
     pretty() the text, and only the one asked for is built."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc(), sort_keys=True, separators=(",", ": "), indent=1))
+        sys.stdout.write(_json_text(doc()))
         sys.stdout.write("\n")
     else:
         pretty_text = pretty()
@@ -187,8 +290,10 @@ def cmd_multiplicity(args):
     m = _modification_from_args(args)
     poly = _parse_poly(args.poly)
     if args.at:
-        comp = int(args.at) - 1
-        value = m.multiplicity(comp, poly)
+        at = _parse_vector(args.at)
+        if len(at) != 1:
+            raise InvalidInput("multiplicity --at takes one component, not %r" % args.at)
+        value = m.multiplicity(at[0] - 1, poly)
         _emit(args.format, lambda: {"value": value}, lambda: str(value))
     else:
         vec = m.multiplicity_vector(poly)

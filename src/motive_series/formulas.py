@@ -20,6 +20,10 @@ each vertex), |I|, |K| and b~, and two exact identities collapse the rest:
 
 So the sums run over the nhat in the window, the subsets I of the forest
 of edges inside the support of nhat, and (curve mode) the subsets K.
+``_nhats`` yields w = nhat M with each nhat, and sum_ij m_ij nhat_i nhat_j
+= nhat.w, so codim(nhat) = (nhat.w + nhat.lin) / 2, with lin_i = sum_j m_ij
+chi_bullet(j) + 1 per graph: O(s) per nhat (``nhat_codimension``, O(s^2),
+is the reference).
 
 The divisorial Phat and P are series F(x) in x_i = t^m_i.  M is
 invertible with positive entries, so x^nhat lands at the one w = nhat M,
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import mul
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -48,6 +53,7 @@ from .graph import (
     build_intersection,
     chi_bullet,
     chi_open,
+    w_of_nhat,
 )
 from .laurent import ONE, ZERO, LaurentPoly, qgeom, sym_power_class
 from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
@@ -100,6 +106,20 @@ def nhat_codimension(nhat, d: IntersectionData, g: DualGraph) -> int:
     return (quad + lin) // 2
 
 
+def _codim_lin(d: IntersectionData, g: DualGraph) -> list:
+    """lin_i = sum_j m_ij chi_bullet(j) + 1, the linear part of codim."""
+    chi_b = [chi_bullet(g, j) for j in range(g.nvertices)]
+    return [sum(map(mul, row, chi_b)) + 1 for row in d.M]
+
+
+def _codim(nhat, w, lin) -> int:
+    """nhat_codimension as (nhat.w + nhat.lin) / 2, with w = nhat M."""
+    twice = sum(map(mul, nhat, w)) + sum(map(mul, nhat, lin))
+    if twice % 2:
+        raise InternalInconsistency("codimension half-sum is odd")
+    return twice // 2
+
+
 def term_codimension(t: TermIndex, d: IntersectionData, g: DualGraph) -> int:
     """Codimension of the stratum of functions with initial data t:
     nhat_codimension of t's nhat plus the arrow contact orders."""
@@ -107,9 +127,7 @@ def term_codimension(t: TermIndex, d: IntersectionData, g: DualGraph) -> int:
 
 
 def term_w(t: TermIndex, d: IntersectionData, g: DualGraph) -> tuple:
-    nhat = t.nhat(g)
-    s = d.size
-    return tuple(sum(nhat[i] * d.M[i][j] for i in range(s)) for j in range(s))
+    return w_of_nhat(d, t.nhat(g))
 
 
 def term_v(t: TermIndex, d: IntersectionData, g: DualGraph) -> tuple:
@@ -342,10 +360,11 @@ def curve_series(g: DualGraph, hi, data=None) -> MSeries:
     caps = {}
     for k, j in enumerate(attach):
         caps[j] = min(hi[k], caps.get(j, hi[k]))
+    lin = _codim_lin(d, g)
     coeffs = {}
     for nhat, w in _nhats(d, caps):
         floor = tuple(w[j] for j in attach)
-        base = LaurentPoly.q_power(nhat_codimension(nhat, d, g))
+        base = LaurentPoly.q_power(_codim(nhat, w, lin))
         # an arrow joins K only if its vertex is in the support and b~ >= 1 fits
         live = [k for k, j in enumerate(attach) if nhat[j] and floor[k] < hi[k]]
         for K in _subsets(len(live)):
@@ -387,12 +406,13 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     d = data if data is not None else build_intersection(g)
     s = g.nvertices
     chi = [chi_bullet(g, i) for i in range(s)]
+    lin = _codim_lin(d, g)
     coeffs = {}
     for nhat, w in _nhats(d, dict(enumerate(hi))):
         # w(nhat) is one-to-one, M being invertible
         c = _vertex_sum(g, chi, nhat, [0] * s)
         if c:
-            coeffs[w] = LaurentPoly.q_power(nhat_codimension(nhat, d, g)) * c
+            coeffs[w] = LaurentPoly.q_power(_codim(nhat, w, lin)) * c
     _check_coeffs(coeffs, "divisorial-series")
     return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
 

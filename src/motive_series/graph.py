@@ -4,13 +4,14 @@ A dual graph is a tree of exceptional components with negative
 self-intersections, plus optional arrows marking where strict transforms
 of curve branches attach.  Intersection data is the matrix A together
 with M = -A^{-1}, whose rows are the exponent vectors driving every
-closed formula downstream.
+closed formula downstream.  ``build_intersection`` certifies M in
+integer arithmetic: |det A| = 1, M = -det(A) adj(A), every entry
+positive, M symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import InternalInconsistency, InvalidInput, NotBlowupGraph, NotUnimodular
@@ -103,7 +104,14 @@ class IntersectionData:
 
 
 def build_intersection(g: DualGraph) -> IntersectionData:
-    """Intersection matrix and its certified positive integral -inverse."""
+    """Intersection matrix and its certified positive integral -inverse.
+
+    The certificate is integer arithmetic only: ``linalg.det_and_adjugate``
+    gives det A and adj A, and A must have |det A| = 1, so A^-1 = det A
+    adj A and M = -det A adj A.  M is then an integer matrix by
+    construction (there is no integrality check left to fail); it must
+    also be positive and symmetric.
+    """
     s = g.nvertices
     A = [[0] * s for _ in range(s)]
     for i in range(s):
@@ -111,25 +119,19 @@ def build_intersection(g: DualGraph) -> IntersectionData:
     for (i, j) in g.edges:
         A[i][j] = 1
         A[j][i] = 1
-    det, inv = linalg.det_and_inverse(A)
-    if inv is None or abs(det) != 1:
+    det, adj = linalg.det_and_adjugate(A)
+    if adj is None or abs(det) != 1:
         raise NotUnimodular("intersection determinant is %s, not +-1" % det)
-    M = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            x = -inv[i][j]
-            if x.denominator != 1:
-                raise NotBlowupGraph("entry m[%d][%d] = %s not integral" % (i, j, x))
+    M = tuple(tuple(-det * x for x in row) for row in adj)
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
             if x <= 0:
                 raise NotBlowupGraph("entry m[%d][%d] = %s not positive" % (i, j, x))
-            row.append(int(x))
-        M.append(tuple(row))
     for i in range(s):
         for j in range(i):
             if M[i][j] != M[j][i]:
                 raise NotBlowupGraph("inverse not symmetric")
-    return IntersectionData(tuple(tuple(r) for r in A), tuple(M))
+    return IntersectionData(tuple(tuple(r) for r in A), M)
 
 
 def chi_open(g: DualGraph, i: int) -> int:
@@ -154,22 +156,13 @@ def hoskin_deligne(d: IntersectionData, g: DualGraph, nhat) -> int:
     """Codimension of the divisorial subspace at the semigroup point w(nhat).
 
     Computed as -(D.D + D.K)/2 with D = -sum nhat_i E*_i and K the
-    canonical divisor, using E*_i . E*_j = -m_ij.
+    canonical divisor, using E*_i . E*_j = -m_ij.  With w = w(nhat) that
+    is sum_j w_j (nhat_j + 2 + E_j.E_j) / 2.
     """
-    s = d.size
-    if len(nhat) != s:
-        raise InvalidInput("nhat must have length %d" % s)
-    quad = sum(
-        d.M[i][j] * nhat[i] * nhat[j] for i in range(s) for j in range(s)
-    )
-    lin = sum(
-        nhat[i] * sum(d.M[i][j] * (2 + g.self_ints[j]) for j in range(s))
-        for i in range(s)
-    )
-    total = Fraction(quad + lin, 2)
-    if total.denominator != 1:
-        raise InternalInconsistency("half-sum %s is not an integer" % total)
-    value = int(total)
-    if value < 0:
-        raise InternalInconsistency("negative codimension %d" % value)
-    return value
+    w = w_of_nhat(d, nhat)
+    twice = sum(x * (n + 2 + e) for x, n, e in zip(w, nhat, g.self_ints))
+    if twice % 2:
+        raise InternalInconsistency("half-sum %d/2 is not an integer" % twice)
+    if twice < 0:
+        raise InternalInconsistency("negative codimension %d" % (twice // 2))
+    return twice // 2

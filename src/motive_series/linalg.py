@@ -1,8 +1,9 @@
-"""Exact rational Gaussian elimination: rank and inverse over Q.
+"""Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
 
-Pivots are chosen by smallest combined bit-length of numerator and
-denominator, which keeps intermediate fractions small on the sparse
-integer matrices this library produces.
+``rank`` chooses pivots by smallest combined bit-length of numerator
+and denominator, which keeps intermediate fractions small on the sparse
+integer matrices this library produces.  ``det_and_adjugate`` never
+leaves the integers.
 """
 
 from __future__ import annotations
@@ -45,34 +46,31 @@ def rank(rows) -> int:
     return r
 
 
-def det_and_inverse(matrix):
-    """(determinant, inverse) of a square integer/Fraction matrix.
+def det_and_adjugate(matrix):
+    """(determinant, adjugate) of a square integer matrix, in integers.
 
-    Returns (det, None) when the matrix is singular.
+    Fraction-free Gauss-Jordan elimination (Bareiss's method) on [A | I]:
+    each step replaces every other row r by (p r - r[k] row_k) / prev,
+    with p the new pivot and prev the one before it.  Every entry is then
+    a minor of [A | I] up to sign, so each division is exact.  At the end
+    the left half is p I and the right half p A^-1, with p = det A after
+    the row swaps, so the adjugate det(A) A^-1 is the right half times
+    the sign of the swaps.  Returns (0, None) when A is singular.
     """
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        best = None
-        for i in range(col, n):
-            if a[i][col]:
-                if best is None or _pivot_weight(a[i][col]) < _pivot_weight(a[best][col]):
-                    best = i
+    rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    sign, prev = 1, 1
+    for k in range(n):
+        best = next((i for i in range(k, n) if rows[i][k]), None)
         if best is None:
-            return Fraction(0), None
-        if best != col:
-            a[col], a[best] = a[best], a[col]
-            inv[col], inv[best] = inv[best], inv[col]
-            det = -det
-        piv = a[col][col]
-        det *= piv
-        a[col] = [x / piv for x in a[col]]
-        inv[col] = [x / piv for x in inv[col]]
+            return 0, None
+        if best != k:
+            rows[k], rows[best] = rows[best], rows[k]
+            sign = -sign
+        pivot_row, p = rows[k], rows[k][k]
         for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return det, inv
+            if i != k:
+                row, f = rows[i], rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]

@@ -99,7 +99,7 @@ def pmul(p, q):
     return out
 
 
-def _power(powers, k, times):
+def power(powers, k, times):
     """base^k from the cache powers = {0: base^0, 1: base, ...}, which it
     extends: one product from a cached base^(k-1), else square-and-multiply
     over the cached base^(2^i), about 2 log2(k) products for a lone power."""
@@ -153,7 +153,7 @@ def pcompose_univariate(g, parts):
         term = {0: c}
         for j, k in enumerate(expo):
             if k:
-                term = umul(term, _power(powers[j], k, umul))
+                term = umul(term, power(powers[j], k, umul))
         out = add(out, term)
     return out
 
@@ -164,7 +164,7 @@ def poly2_compose(g, xmap, ymap):
     ypows = {0: {(0, 0): Fraction(1)}, 1: ymap}
     out = {}
     for (a, b), c in g.items():
-        term = pmul(_power(xpows, a, pmul), _power(ypows, b, pmul))
+        term = pmul(power(xpows, a, pmul), power(ypows, b, pmul))
         out = add(out, scale(term, c))
     return out
 

@@ -46,64 +46,28 @@ def resolved(name):
 # -- fixtures ---------------------------------------------------------------
 
 
+def _branch(*orders):
+    """The branch with coordinates tau^k, one per order k (0: the zero coordinate)."""
+    return curves.Branch([{k: ONE} if k else {} for k in orders])
+
+
 def curve_fixtures():
     """Named curves: (curve, comparison window)."""
     return {
-        "smooth-branch": (
-            curves.Curve(2, [curves.Branch([{1: ONE}, {}])]),
-            (6,),
-        ),
-        "transverse-lines": (
-            curves.Curve(
-                2,
-                [curves.Branch([{1: ONE}, {}]), curves.Branch([{}, {1: ONE}])],
-            ),
-            (4, 4),
-        ),
+        "smooth-branch": (curves.Curve(2, [_branch(1, 0)]), (6,)),
+        "transverse-lines": (curves.Curve(2, [_branch(1, 0), _branch(0, 1)]), (4, 4)),
         "three-lines": (
-            curves.Curve(
-                2,
-                [
-                    curves.Branch([{1: ONE}, {}]),
-                    curves.Branch([{}, {1: ONE}]),
-                    curves.Branch([{1: ONE}, {1: ONE}]),
-                ],
-            ),
+            curves.Curve(2, [_branch(1, 0), _branch(0, 1), _branch(1, 1)]),
             (3, 3, 3),
         ),
-        "cusp": (
-            curves.Curve(2, [curves.Branch([{2: ONE}, {3: ONE}])]),
-            (8,),
-        ),
-        "tangent-pair": (
-            curves.Curve(
-                2,
-                [curves.Branch([{1: ONE}, {}]), curves.Branch([{1: ONE}, {2: ONE}])],
-            ),
-            (4, 4),
-        ),
+        "cusp": (curves.Curve(2, [_branch(2, 3)]), (8,)),
+        "tangent-pair": (curves.Curve(2, [_branch(1, 0), _branch(1, 2)]), (4, 4)),
         "space-curve-C": (
-            curves.Curve(
-                5,
-                [
-                    curves.Branch([{2: ONE}, {3: ONE}, {2: ONE}, {4: ONE}, {5: ONE}]),
-                    curves.Branch([{2: ONE}, {3: ONE}, {4: ONE}, {2: ONE}, {6: ONE}]),
-                ],
-            ),
+            curves.Curve(5, [_branch(2, 3, 2, 4, 5), _branch(2, 3, 4, 2, 6)]),
             (6, 6),
         ),
         "space-curve-Cprime": (
-            curves.Curve(
-                6,
-                [
-                    curves.Branch(
-                        [{3: ONE}, {4: ONE}, {5: ONE}, {4: ONE}, {5: ONE}, {6: ONE}]
-                    ),
-                    curves.Branch(
-                        [{3: ONE}, {4: ONE}, {5: ONE}, {5: ONE}, {6: ONE}, {7: ONE}]
-                    ),
-                ],
-            ),
+            curves.Curve(6, [_branch(3, 4, 5, 4, 5, 6), _branch(3, 4, 5, 5, 6, 7)]),
             (6, 6),
         ),
     }

@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_series import cli
 
@@ -297,3 +300,155 @@ def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
     # per component: one product of the x- and y-powers, and about
     # 2 log2(100000) products for x^100000
     assert len(calls) <= len(x) * (2 * (100000).bit_length() + 1)
+
+
+# -- malformed input: exit 2 or 3 with a message, never a traceback ------------
+
+BAD_DOCS = {
+    "non-unimodular.json": {"vertices": [{"self_int": -2}], "edges": [], "arrows": []},
+    "det-0.json": {
+        "vertices": [{"self_int": -1}, {"self_int": -1}],
+        "edges": [[1, 2]],
+        "arrows": [],
+    },
+    "cycle.json": {
+        "vertices": [{"self_int": -1}] * 3,
+        "edges": [[1, 2], [2, 3], [1, 3]],
+        "arrows": [],
+    },
+    "steps-not-a-list.json": {"steps": 5},
+    "step-not-a-dict.json": {"steps": ["origin"]},
+    "origin-twice.json": {"steps": [{"center": "origin"}, {"center": "origin"}]},
+}
+for name, center in (
+    ("param-1-0", {"on": 1, "param": "1/0"}),
+    ("param-abc", {"on": 1, "param": "abc"}),
+    ("param-missing", {"on": 1}),
+    ("param-list", {"on": 1, "param": [1]}),
+    ("on-x", {"on": "x", "param": "0"}),
+    ("on-9", {"on": 9, "param": "0"}),
+    ("corner-1", {"corner": [1]}),
+    ("corner-int", {"corner": 5}),
+    ("corner-absent", {"corner": [1, 2]}),
+    ("center-int", 3),
+):
+    BAD_DOCS[name + ".json"] = {"steps": [{"center": "origin"}, {"center": center}]}
+
+MULT = ["multiplicity", "--script", "@cusp_script.json", "--poly"]
+MALFORMED = [
+    pytest.param(MULT + [poly], id="poly " + poly[:20])
+    for poly in (
+        "x**(10**10)",
+        "x^-1",
+        "1/0*x",
+        "{bad",
+        "",
+        "z",
+        "x^100001",
+        "(x+y+1)^2000",
+        "2^10000*(2^10000)",
+        "x^2^3",
+        "x/y",
+        "(x",
+        "(" * 3000 + "x" + ")" * 3000,
+    )
+] + [
+    pytest.param(["poincare", "--graph", "@non-unimodular.json", "--bound", "3"], id="non-unimodular"),
+    pytest.param(["poincare", "--graph", "@det-0.json", "--bound", "3,3"], id="det-0"),
+    pytest.param(["poincare", "--graph", "@cycle.json", "--bound", "3,3,3"], id="cycle"),
+    pytest.param(["poincare", "--graph", "@single.json", "--bound", "3,a"], id="vector 3,a"),
+    pytest.param(["poincare", "--graph", "@single.json", "--bound", ""], id="vector empty"),
+    pytest.param(["hilbert", "--curve", "@cusp_curve.json", "--at", "1,,2"], id="vector 1,,2"),
+    pytest.param(["hilbert", "--curve", "@cusp_curve.json", "--at", "1,2"], id="vector length"),
+    pytest.param(MULT + ["x", "--at", "a"], id="component a"),
+    pytest.param(MULT + ["x", "--at", "1,2"], id="component 1,2"),
+    pytest.param(MULT + ["x", "--at", "9"], id="component 9"),
+] + [
+    pytest.param(["graph", "--script", "@" + name], id="script " + name[: -len(".json")])
+    for name in BAD_DOCS
+    if "steps" in BAD_DOCS[name]
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_exits_cleanly(files, tmp_path, capsys, argv):
+    for name, doc in BAD_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [files.get(a[1:], str(tmp_path / a[1:])) if a.startswith("@") else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (2, 3)
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+
+WRITER = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers(-3, 3)
+    | st.integers(-(10**30), 10**30)
+    | st.text(max_size=6)
+    | st.sampled_from(["", "\u00e9t\u00e9", "\x00\n\t\"\\", "\U0001f600", "\u2028"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+    max_leaves=15,
+)
+
+
+@WRITER
+@given(json_values)
+def test_json_text_matches_json_dumps(value):
+    want = json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+    assert cli._json_text(value) == want
+
+
+def test_json_text_of_series_documents(files, capsys):
+    argv = ["poincare", "--curve", files["C.json"], "--kind", "Pg", "--bound", "4,4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    assert cli._json_text({}) == "{}" and cli._json_text([[], {}]) == "[\n []," + "\n {}\n]"
+
+
+# -- the --poly parser against sympy --------------------------------------------
+
+POLY_ATOMS = st.sampled_from(["x", "y", "0", "1", "2", "7", "1/2", "3/4", "10/6"]) | st.builds(
+    "{}{}{}".format, st.sampled_from(["x", "y"]), st.sampled_from(["^", "**"]), st.integers(0, 6)
+)
+
+
+def _poly_ops(inner):
+    return (
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", " + ", "*-"]), inner)
+        | st.builds("-{}".format, inner)
+        | st.builds("({}){}{}".format, inner, st.sampled_from(["^", "**"]), st.integers(0, 3))
+        | st.builds("({})".format, inner)
+        | st.builds("({})/{}".format, inner, st.integers(1, 6))
+    )
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.recursive(POLY_ATOMS, _poly_ops, max_leaves=6))
+def test_poly_parser_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    expr = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
+    want = {
+        (int(a), int(b)): Fraction(str(c))
+        for (a, b), c in sympy.Poly(sympy.expand(expr), x, y).terms()
+        if c
+    }
+    assert cli._parse_poly(text) == want

@@ -10,6 +10,8 @@ from motive_series.blowup import auto_resolve, run_script
 from motive_series.errors import InvalidInput
 from motive_series.formulas import (
     TermIndex,
+    _codim,
+    _codim_lin,
     _nhats,
     curve_series,
     divisorial_poincare_product,
@@ -17,12 +19,19 @@ from motive_series.formulas import (
     divisorial_series,
     enumerate_terms,
     hilbert_ie_series,
+    nhat_codimension,
     semigroup_class_series,
     term_codimension,
     term_v,
     term_w,
 )
-from motive_series.graph import DualGraph, build_intersection, chi_bullet, chi_open
+from motive_series.graph import (
+    DualGraph,
+    build_intersection,
+    chi_bullet,
+    chi_open,
+    hoskin_deligne,
+)
 from motive_series.laurent import LaurentPoly, sym_power_class
 from motive_series.mseries import (
     MSeries,
@@ -213,19 +222,19 @@ def assert_matches_reference(g, curve_hi=None, div_hi=None):
         )
 
 
-@pytest.mark.parametrize(
-    "g, curve_hi, div_hi",
-    [
-        (SINGLE, None, (7,)),
-        (CHAIN, None, (6, 6)),
-        (TWO_ARROWS, (6, 5), (6,)),
-        (DualGraph((-1,), (), (0, 0, 0)), (3, 4, 3), None),
-        (CUSP_ARROW, (16,), (8, 8, 8)),
-        (DualGraph((-3, -2, -1), ((0, 2), (1, 2)), (2, 0, 1)), (6, 5, 7), None),
-        (CUSP_EXTRA_TWO_ARROWS, (14, 13), (6, 6, 6, 9)),
-        (CUSP_EXTRA_ARROWS, (12, 13), (4, 4, 4, 4)),
-    ],
-)
+SUM_FIXTURES = [
+    (SINGLE, None, (7,)),
+    (CHAIN, None, (6, 6)),
+    (TWO_ARROWS, (6, 5), (6,)),
+    (DualGraph((-1,), (), (0, 0, 0)), (3, 4, 3), None),
+    (CUSP_ARROW, (16,), (8, 8, 8)),
+    (DualGraph((-3, -2, -1), ((0, 2), (1, 2)), (2, 0, 1)), (6, 5, 7), None),
+    (CUSP_EXTRA_TWO_ARROWS, (14, 13), (6, 6, 6, 9)),
+    (CUSP_EXTRA_ARROWS, (12, 13), (4, 4, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("g, curve_hi, div_hi", SUM_FIXTURES)
 def test_compressed_sums_match_reference_on_fixtures(g, curve_hi, div_hi):
     assert_matches_reference(g, curve_hi, div_hi)
 
@@ -239,6 +248,40 @@ def test_compressed_sums_match_reference_on_resolved_fixtures():
             assert_matches_reference(g, curve_hi=hi)
     for m, hi in verify.modification_fixtures().values():
         assert_matches_reference(m.graph(), div_hi=hi)
+
+
+def fixture_windows():
+    """(graph, caps) of every fixture window above, as curve_series and
+    divisorial_series cap w: per arrow vertex, or per vertex."""
+    from motive_series import verify
+
+    fixtures = list(SUM_FIXTURES)
+    for name, (curve, hi) in verify.curve_fixtures().items():
+        if curve.ambient_dim == 2:
+            fixtures.append((verify.resolved(name)[1], hi, None))
+    fixtures += [(m.graph(), None, hi) for m, hi in verify.modification_fixtures().values()]
+    for g, curve_hi, div_hi in fixtures:
+        if curve_hi is not None:
+            caps = {}
+            for k, j in enumerate(g.arrows):
+                caps[j] = min(curve_hi[k], caps.get(j, curve_hi[k]))
+            yield g, caps
+        if div_hi is not None:
+            yield g, dict(enumerate(div_hi))
+
+
+def test_codimension_from_w_matches_reference_on_fixture_windows():
+    # sum m_ij nhat_i nhat_j = nhat.w, so codim is (nhat.w + nhat.lin) / 2
+    visited = 0
+    for g, caps in fixture_windows():
+        d = build_intersection(g)
+        lin = _codim_lin(d, g)
+        for nhat, w in _nhats(d, caps):
+            codim = nhat_codimension(nhat, d, g)
+            assert _codim(nhat, w, lin) == codim
+            assert hoskin_deligne(d, g, nhat) == codim - sum(nhat)
+            visited += 1
+    assert visited > 200  # the loop is not vacuous
 
 
 PARAMS = ("1", "-1", "2", "1/2", "-3")

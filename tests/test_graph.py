@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motive_series.errors import InvalidInput, NotBlowupGraph, NotUnimodular
 from motive_series.graph import (
@@ -9,6 +13,7 @@ from motive_series.graph import (
     hoskin_deligne,
     w_of_nhat,
 )
+from motive_series.linalg import det_and_adjugate
 
 SINGLE = DualGraph((-1,), ())
 CHAIN = DualGraph((-2, -1), ((0, 1),))
@@ -117,3 +122,73 @@ def test_json_round_trip():
     assert DualGraph.from_json(doc) == CUSP
     with pytest.raises(InvalidInput):
         DualGraph.from_json({"vertices": "nope"})
+
+
+# -- the integer certificate against a Fraction inverse ------------------------
+
+
+def det_and_inverse(matrix):
+    """Reference: (determinant, inverse) by Gauss-Jordan elimination over
+    Fraction, pivoting on the first nonzero entry; (0, None) if singular."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(n):
+        best = next((i for i in range(col, n) if a[i][col]), None)
+        if best is None:
+            return Fraction(0), None
+        if best != col:
+            a[col], a[best] = a[best], a[col]
+            det = -det
+        piv = a[col][col]
+        det *= piv
+        a[col] = [x / piv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det, [row[n:] for row in a]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 8x8; in about half of them one row is a
+    combination of two others, so singular matrices come up often."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        others = [i for i in range(n) if i != k]
+        i, j = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(integer_matrices())
+@example([[0, 1], [1, 0]])  # needs a row swap: det -1
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[1, 2], [2, 4]])  # singular
+@example([[0, 1], [0, 1]])  # singular, no pivot in column 0
+def test_det_and_adjugate_matches_fraction_inverse(rows):
+    det, adj = det_and_adjugate(rows)
+    ref_det, inv = det_and_inverse(rows)
+    assert type(det) is int and det == ref_det
+    if inv is None:
+        assert adj is None
+    else:
+        assert adj == [[ref_det * x for x in row] for row in inv]
+        assert all(type(x) is int for row in adj for x in row)
+
+
+def test_intersection_inverse_is_certified():
+    # A M = -I on the fixtures, M from the adjugate
+    for g in (SINGLE, CHAIN, CUSP):
+        d = build_intersection(g)
+        s = g.nvertices
+        for i in range(s):
+            for j in range(s):
+                assert sum(d.A[i][k] * d.M[k][j] for k in range(s)) == -(i == j)
