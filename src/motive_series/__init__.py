@@ -4,7 +4,6 @@ from .blowup import (
     DivisorialOracle,
     Modification,
     auto_resolve,
-    divisorial_hilbert,
     run_script,
 )
 from .curves import Branch, Curve, valuation
@@ -56,7 +55,6 @@ __all__ = [
     "chi_bullet",
     "chi_open",
     "curve_series",
-    "divisorial_hilbert",
     "divisorial_poincare_product",
     "divisorial_poincare_product_edges",
     "divisorial_series",

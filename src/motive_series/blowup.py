@@ -55,6 +55,13 @@ _ST = {(1, 1): Fraction(1)}
 _T = {(0, 1): Fraction(1)}
 
 
+def _component(x):
+    """The 0-based index of a component named 1-based by a JSON int (no float or bool)."""
+    if type(x) is not int:
+        raise TypeError("component %r is not an integer" % (x,))
+    return x - 1
+
+
 class Modification:
     """Immutable snapshot of a blow-up sequence."""
 
@@ -161,10 +168,10 @@ class Modification:
         try:
             on = "on" in center
             if on:
-                comp, param = int(center["on"]) - 1, Fraction(center["param"])
+                comp, param = _component(center["on"]), Fraction(center["param"])
             else:
                 i, j = center["corner"]
-                pair = tuple(sorted((int(i) - 1, int(j) - 1)))
+                pair = tuple(sorted((_component(i), _component(j))))
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed center %r (%s)" % (center, exc)) from exc
         if on:
@@ -198,7 +205,7 @@ class Modification:
         if not g:
             raise InvalidInput("the zero polynomial has no multiplicity")
         if not (0 <= comp < self.ncomponents):
-            raise CenterNotFound("no component %d" % comp)
+            raise CenterNotFound("no component %d" % (comp + 1))
         lifted = self.lift_to_host(comp, g)
         order = u_order_in_first(lifted)
         if order is None:
@@ -241,34 +248,35 @@ class DivisorialOracle:
         self.m = m
         self.max_jet = max_jet
         self._ranks = {}
-        self._lifts = [dict() for _ in range(m.ncomponents)]
+        self._lifts = [{(0, 0): {(0, 0): Fraction(1)}} for _ in range(m.ncomponents)]
         self.wx = [m.multiplicity(i, {(1, 0): 1}) for i in range(m.ncomponents)]
         self.wy = [m.multiplicity(i, {(0, 1): 1}) for i in range(m.ncomponents)]
 
     def _lift(self, comp, a, b):
+        """x^a y^b lifted to the host chart, by a loop up the path y, y^2,
+        ..., y^b, x y^b, ..., x^a y^b of cached lifts."""
         cache = self._lifts[comp]
         if (a, b) not in cache:
             chart = self.m.charts[self.m.hosts[comp]]
-            if a == 0 and b == 0:
-                cache[(a, b)] = {(0, 0): Fraction(1)}
-            elif a > 0:
-                cache[(a, b)] = pmul(self._lift(comp, a - 1, b), chart.xmap)
-            else:
-                cache[(a, b)] = pmul(self._lift(comp, a, b - 1), chart.ymap)
+            for i, j in [(0, j) for j in range(1, b + 1)] + [(i, b) for i in range(1, a + 1)]:
+                if (i, j) not in cache:
+                    prev, factor = ((i - 1, j), chart.xmap) if i else ((0, j - 1), chart.ymap)
+                    cache[(i, j)] = pmul(cache[prev], factor)
         return cache[(a, b)]
 
-    def _candidates(self, w, jet_cap):
+    def _candidates(self, w):
+        """Monomials (a, b) with a wx_i + b wy_i < w_i for some i, in lex
+        order; wx_i, wy_i >= 1, so all have a + b < max(w)."""
         s = self.m.ncomponents
         out = []
-        for a in range(jet_cap + 1):
-            if all(a * self.wx[i] >= w[i] for i in range(s)):
-                break
-            for b in range(jet_cap + 1 - a):
-                if any(a * self.wx[i] + b * self.wy[i] < w[i] for i in range(s)):
-                    out.append((a, b))
-                else:
-                    break
-        return sorted(out)
+        a = 0
+        while any(a * self.wx[i] < w[i] for i in range(s)):
+            b = 0
+            while any(a * self.wx[i] + b * self.wy[i] < w[i] for i in range(s)):
+                out.append((a, b))
+                b += 1
+            a += 1
+        return out
 
     def _row(self, mono, w):
         a, b = mono
@@ -282,20 +290,8 @@ class DivisorialOracle:
                     entries[(i, ue, ve)] = c
         return entries
 
-    def _rank(self, w, jet_cap):
-        monos = self._candidates(w, jet_cap)
-        rows = [self._row(mn, w) for mn in monos]
-        keys = sorted({k for row in rows for k in row})
-        pos = {k: idx for idx, k in enumerate(keys)}
-        dense = []
-        for row in rows:
-            vec = [Fraction(0)] * len(keys)
-            for k, c in row.items():
-                vec[pos[k]] = c
-            dense.append(vec)
-        return linalg.rank(dense), monos
-
     def hilbert(self, w) -> int:
+        """h(w): the rank on the candidates, which are complete at jet order max(w)."""
         w = vec_clamp0(tuple(w))
         if len(w) != self.m.ncomponents:
             raise InvalidInput("query length != number of components")
@@ -304,29 +300,19 @@ class DivisorialOracle:
         if all(x == 0 for x in w):
             self._ranks[w] = 0
             return 0
-        n0 = max(1, max(w))
-        if n0 > self.max_jet:
-            raise PrecisionExhausted("jet order %d needed, cap is %d" % (n0, self.max_jet))
-        r_prev, monos = self._rank(w, n0)
-        stable = 0
-        jet = n0
-        while stable < 2:
-            jet *= 2
-            nxt = self._candidates(w, jet)
-            if nxt == monos:
-                r = r_prev
-            else:
-                r, _ = self._rank(w, jet)
-            stable = stable + 1 if r == r_prev else 0
-            monos, r_prev = nxt, r
-            if stable < 2 and jet > self.max_jet:
-                raise PrecisionExhausted("rank not stable within jet cap %d" % self.max_jet)
-        self._ranks[w] = r_prev
-        return r_prev
-
-
-def divisorial_hilbert(m: Modification, w, max_jet: int = 64) -> int:
-    return DivisorialOracle(m, max_jet).hilbert(w)
+        if max(w) > self.max_jet:
+            raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
+        rows = [self._row(mn, w) for mn in self._candidates(w)]
+        keys = sorted({k for row in rows for k in row})
+        pos = {k: idx for idx, k in enumerate(keys)}
+        dense = []
+        for row in rows:
+            vec = [Fraction(0)] * len(keys)
+            for k, c in row.items():
+                vec[pos[k]] = c
+            dense.append(vec)
+        self._ranks[w] = r = linalg.rank(dense)
+        return r
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

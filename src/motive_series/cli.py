@@ -43,7 +43,7 @@ def _parse_vector(text):
 
 # bounds on --poly expressions; each product is checked before it is formed
 MAX_DEGREE = 100_000  # of any product, so of x^k too
-MAX_PRODUCTS = 10**5  # coefficient products in one product of polynomials
+MAX_PRODUCTS = 10**5  # coefficient products in one product of polynomials, in words (_times)
 MAX_BITS = 1 << 14  # numerator and denominator bits of the two factors' coefficients
 
 
@@ -67,20 +67,26 @@ def _parse_poly(text):
         ) from exc
 
 
-def _bits(p):
-    """The most numerator plus denominator bits of a coefficient of p."""
-    return max((c.numerator.bit_length() + c.denominator.bit_length() for c in p.values()),
-               default=0)
+def _size(p):
+    """(The most numerator plus denominator bits of a coefficient of p,
+    the machine words of all its coefficients: one per 64 bits begun.)"""
+    bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in p.values()]
+    return max(bits, default=0), sum(1 + b // 64 for b in bits)
 
 
 def _times(p, q):
     """p * q by the polys kernel, refused before it is formed if it would
-    pass MAX_DEGREE, MAX_BITS or MAX_PRODUCTS."""
+    pass MAX_DEGREE, MAX_BITS or MAX_PRODUCTS.
+
+    Each term product is charged the words of its coefficient, w + w' - 1
+    for factors of w and w' words, so one word when both fit in one."""
     deg = max(map(sum, p), default=0) + max(map(sum, q), default=0)
-    bits, products = _bits(p) + _bits(q), len(p) * len(q)
+    (bits_p, words_p), (bits_q, words_q) = _size(p), _size(q)
+    bits = bits_p + bits_q
+    products = len(q) * words_p + len(p) * words_q - len(p) * len(q)
     if deg > MAX_DEGREE or bits > MAX_BITS or products > MAX_PRODUCTS:
-        raise ValueError("product of degree %d, %d coefficient bits and %d term products "
-                         "passes a bound" % (deg, bits, products))
+        raise ValueError("product of degree %d, %d coefficient bits and %d words of term "
+                         "products passes a bound" % (deg, bits, products))
     return pmul(p, q)
 
 

@@ -3,9 +3,10 @@
 The Hilbert function h(v) is the rank of the linear map sending a
 polynomial jet g to the truncated coefficient vectors of g composed with
 every branch.  Only monomials whose composition can be nonzero below the
-truncation orders enter the matrix; since every branch coordinate has
-order >= 1 this candidate set saturates once the jet order reaches the
-largest component of v, which is how rank stability is certified.
+truncation orders enter the matrix.  Every branch coordinate has order
+>= 1, so this candidate set is complete at jet order max(v): its rank is
+h(v) exactly, with no search for a stable rank, and `max_jet` caps
+max(v).
 """
 
 from __future__ import annotations
@@ -36,15 +37,17 @@ SERIES_KINDS = ("P", "Pg", "Phat", "L", "Lg", "H")
 class HilbertOracle:
     """Memoizing jet-rank computer for one curve.
 
-    Queries clamp negative components to zero; the cache may be filled
-    concurrently since recomputation is idempotent.
+    Queries clamp negative components to zero.  The truncated
+    compositions of monomials with each branch are kept in a table per
+    branch across queries (see `_rows`).
     """
 
     def __init__(self, curve: Curve, max_jet: int = 64):
         self.curve = curve
         self.max_jet = max_jet
         self._ranks = {}
-        self._powers = [dict() for _ in curve.branches]
+        self._tables = [{} for _ in curve.branches]  # alpha -> truncated x^alpha
+        self._tops = [0] * curve.nbranches  # the order each table is truncated at
         # order of coordinate j on branch k; None means identically zero
         self.orders = [
             [b.coordinate_order(j) for j in range(curve.ambient_dim)]
@@ -57,11 +60,13 @@ class HilbertOracle:
 
     # -- candidate monomials ------------------------------------------------
 
-    def _candidates(self, v, jet_cap):
-        """Monomials of degree <= jet_cap whose image can be nonzero.
+    def _candidates(self, v):
+        """Monomials whose image can be nonzero, in lex order.
 
         A monomial x^alpha maps to zero unless its exact order
-        sum_j alpha_j ord_jk is below v_k for some branch k.
+        sum_j alpha_j ord_jk is below v_k for some branch k.  Every order
+        is at least 1, so the set is finite (of degree below max(v)) and
+        down-closed.
         """
         n = self.curve.ambient_dim
         r = self.nbranches
@@ -71,54 +76,64 @@ class HilbertOracle:
         def qualifies(acc):
             return any(acc[k] < v[k] for k in range(r))
 
-        def dfs(j, acc, deg):
+        def dfs(j, acc):
             if j == n:
-                if qualifies(acc):
-                    out.append(tuple(alpha))
+                out.append(tuple(alpha))
                 return
-            dfs(j + 1, acc, deg)  # alpha_j = 0
+            dfs(j + 1, acc)  # alpha_j = 0
             ords = [self.orders[k][j] for k in range(r)]
             cur = list(acc)
-            d = deg
-            while d < jet_cap:
+            while True:
                 alpha[j] += 1
-                d += 1
                 for k in range(r):
                     # an identically-zero coordinate kills branch k for good:
                     # saturate its accumulated order at the bound
                     cur[k] = cur[k] + ords[k] if ords[k] is not None else v[k]
                 if not qualifies(cur):
                     break  # orders only grow from here
-                dfs(j + 1, tuple(cur), d)
+                dfs(j + 1, tuple(cur))
             alpha[j] = 0
 
-        dfs(0, tuple(0 for _ in range(r)), 0)
+        dfs(0, tuple(0 for _ in range(r)))
         return sorted(out)
 
-    def _monomial_row(self, alpha, v):
-        """Concatenated truncated coefficient vectors of x^alpha on the curve."""
-        row = []
-        for k, branch in enumerate(self.curve.branches):
-            comp = {0: Fraction(1)}
-            for j, e in enumerate(alpha):
-                if e:
-                    comp = umul(comp, self._coord_power(k, j, e))
-            row.extend(comp.get(t, Fraction(0)) for t in range(v[k]))
-        return row
+    def _rows(self, cands, v):
+        """The candidates' coefficient vectors on the curve, below v_k on branch k.
 
-    def _coord_power(self, k, j, e):
-        cache = self._powers[k]
-        key = (j, e)
-        if key not in cache:
-            if e == 1:
-                cache[key] = dict(self.curve.branches[k].coords[j])
-            else:
-                cache[key] = umul(self._coord_power(k, j, e - 1), self.curve.branches[k].coords[j])
-        return cache[key]
+        Branch k's table holds x^alpha on the branch truncated at an order
+        >= v_k, else is rebuilt at max(v_k, twice its order).  cands is sorted
+        and down-closed, so alpha - e_j (j the last nonzero index of alpha)
+        is in the table before alpha, and one product extends it."""
+        tables = []
+        for k, branch in enumerate(self.curve.branches):
+            if not v[k]:
+                continue
+            if v[k] > self._tops[k]:
+                self._tops[k] = max(v[k], 2 * self._tops[k])
+                self._tables[k] = {(0,) * len(branch.coords): {0: Fraction(1)}}
+            table, top = self._tables[k], self._tops[k]
+            for alpha in cands:
+                if alpha not in table:
+                    j = len(alpha) - 1
+                    while not alpha[j]:
+                        j -= 1
+                    prev = table[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+                    comp = umul(prev, branch.coords[j])
+                    table[alpha] = {t: c for t, c in comp.items() if t < top}
+            tables.append((table, range(v[k])))
+        zero, rows = Fraction(0), []
+        for alpha in cands:
+            row = []
+            for table, ts in tables:
+                comp = table[alpha]
+                row.extend(comp.get(t, zero) for t in ts)
+            rows.append(row)
+        return rows
 
     # -- the Hilbert function ------------------------------------------------
 
     def hilbert(self, v) -> int:
+        """h(v): the rank on the candidates, which are complete at jet order max(v)."""
         v = vec_clamp0(tuple(v))
         if len(v) != self.nbranches:
             raise InvalidInput("query length != number of branches")
@@ -127,30 +142,13 @@ class HilbertOracle:
         if all(x == 0 for x in v):
             self._ranks[v] = 0
             return 0
-        n0 = max(1, max(v))
-        if n0 > self.max_jet:
+        if max(v) > self.max_jet:
             raise PrecisionExhausted(
-                "jet order %d needed, cap is %d" % (n0, self.max_jet)
+                "jet order %d needed, cap is %d" % (max(v), self.max_jet)
             )
-        cands = self._candidates(v, n0)
-        r_prev = linalg.rank([self._monomial_row(a, v) for a in cands])
-        stable = 0
-        jet = n0
-        while stable < 2:
-            jet *= 2
-            nxt = self._candidates(v, jet)
-            if nxt == cands:
-                r = r_prev
-            else:
-                r = linalg.rank([self._monomial_row(a, v) for a in nxt])
-            stable = stable + 1 if r == r_prev else 0
-            cands, r_prev = nxt, r
-            if stable < 2 and jet > self.max_jet:
-                raise PrecisionExhausted(
-                    "rank not stable within jet cap %d" % self.max_jet
-                )
-        self._ranks[v] = r_prev
-        return r_prev
+        cands = self._candidates(v)
+        self._ranks[v] = r = linalg.rank(self._rows(cands, v))
+        return r
 
     # -- coefficientwise series data ------------------------------------------
 

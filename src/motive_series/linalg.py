@@ -16,7 +16,10 @@ def _pivot_weight(x: Fraction) -> int:
 
 
 def rank(rows) -> int:
-    """Rank of a matrix given as a list of equal-length Fraction rows."""
+    """Rank of a matrix given as a list of equal-length Fraction rows.
+
+    Rows below the pivot are updated only on the pivot row's nonzero
+    columns right of the pivot, listed when a row first needs them."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
@@ -27,18 +30,22 @@ def rank(rows) -> int:
         for i in range(r, len(rows)):
             x = rows[i][col]
             if x:
-                if best is None or _pivot_weight(x) < _pivot_weight(rows[best][col]):
-                    best = i
+                w = _pivot_weight(x)
+                if best is None or w < best_w:
+                    best, best_w = i, w
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
+        row_r = rows[r]
+        piv, support = row_r[col], None
         for i in range(r + 1, len(rows)):
-            x = rows[i][col]
+            row_i = rows[i]
+            x = row_i[col]
             if x:
+                if support is None:
+                    support = [j for j in range(col + 1, ncols) if row_r[j]]
                 factor = x / piv
-                row_i, row_r = rows[i], rows[r]
-                for j in range(col, ncols):
+                for j in support:
                     row_i[j] -= factor * row_r[j]
         r += 1
         if r == len(rows):

@@ -8,13 +8,13 @@ from motive_series.blowup import (
     DivisorialOracle,
     Modification,
     auto_resolve,
-    divisorial_hilbert,
     run_script,
 )
 from motive_series.errors import (
     CenterNotFound,
     CornerAmbiguous,
     InvalidInput,
+    PrecisionExhausted,
 )
 from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
 from motive_series.polys import pmul
@@ -83,8 +83,8 @@ def test_multiplicity_additive():
 def test_divisorial_hilbert_single():
     m = run_script(SINGLE_SCRIPT)
     for n in range(7):
-        assert divisorial_hilbert(m, (n,)) == n * (n + 1) // 2
-    assert divisorial_hilbert(m, (0,)) == 0
+        assert DivisorialOracle(m).hilbert((n,)) == n * (n + 1) // 2
+    assert DivisorialOracle(m).hilbert((0,)) == 0
 
 
 def test_divisorial_hilbert_matches_closed_form():
@@ -94,6 +94,16 @@ def test_divisorial_hilbert_matches_closed_form():
     oracle = DivisorialOracle(m)
     assert oracle.hilbert(w_of_nhat(d, (0, 0, 1))) == hoskin_deligne(d, g, (0, 0, 1))
     assert oracle.hilbert((2, 3, 6)) == 5
+
+
+def test_divisorial_jet_cap_and_kept_lifts():
+    m = run_script(CUSP_SCRIPT)
+    assert DivisorialOracle(m, max_jet=6).hilbert((2, 3, 6)) == 5
+    with pytest.raises(PrecisionExhausted, match="jet order 7 needed, cap is 6"):
+        DivisorialOracle(m, max_jet=6).hilbert((2, 3, 7))
+    kept = DivisorialOracle(m)
+    for w in ((4, 6, 12), (1, 1, 1), (3, 5, 9), (5, 7, 3)):
+        assert kept.hilbert(w) == DivisorialOracle(m).hilbert(w), w
 
 
 def test_divisorial_hilbert_monotone():

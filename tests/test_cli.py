@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_series import cli
+from motive_series.errors import InvalidInput
 
 C_DOC = {
     "ambient_dim": 5,
@@ -187,6 +188,16 @@ def test_precision_exit_code(files, capsys):
     assert "precision" in err
 
 
+def test_jet_cap_bounds_the_query_only(files, capsys):
+    argv = ["hilbert", "--curve", files["cusp_curve.json"], "--at", "40"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert run(capsys, argv + ["--max-jet", "128"]) == (0, out, "")
+    assert run(capsys, argv + ["--max-jet", "40"]) == (0, out, "")
+    code, out, err = run(capsys, argv + ["--max-jet", "39"])
+    assert code == 3 and out == "" and "jet order 40 needed, cap is 39" in err
+
+
 def test_verify_reports_known_defect(capsys):
     code = cli.main(["verify"])
     out = capsys.readouterr().out
@@ -302,6 +313,21 @@ def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
     assert len(calls) <= len(x) * (2 * (100000).bit_length() + 1)
 
 
+def test_poly_products_are_charged_coefficient_words():
+    # 301 x 301 term products, each of two 7,300-bit coefficients: inside
+    # the degree, bit and term-product bounds, refused for its words
+    big = "(x+y)^300*2^7000"
+    assert len(cli._parse_poly(big)) == 301
+    with pytest.raises(InvalidInput, match="words of term products"):
+        cli._parse_poly("(%s)*(%s)" % (big, big))
+    # one word per coefficient: charged one word per term product
+    assert cli._times({(i, 0): Fraction(1) for i in range(100)},
+                      {(0, j): Fraction(1) for j in range(1000)})
+    with pytest.raises(ValueError):
+        cli._times({(i, 0): Fraction(1) for i in range(100)},
+                   {(0, j): Fraction(1) for j in range(1001)})
+
+
 # -- malformed input: exit 2 or 3 with a message, never a traceback ------------
 
 BAD_DOCS = {
@@ -331,8 +357,23 @@ for name, center in (
     ("corner-int", {"corner": 5}),
     ("corner-absent", {"corner": [1, 2]}),
     ("center-int", 3),
+    ("on-float", {"on": 1.5, "param": "0"}),
+    ("on-true", {"on": True, "param": "0"}),
+    ("on-str", {"on": "1", "param": "0"}),
+    ("corner-float", {"corner": [1.0, 2]}),
+    ("corner-false", {"corner": [2, False]}),
 ):
     BAD_DOCS[name + ".json"] = {"steps": [{"center": "origin"}, {"center": center}]}
+# the words the message must hold, where more than "error" is asserted
+CULPRITS = {
+    "component 9": "no component 9",
+    "component 0": "no component 0",
+    "script on-float": "{'on': 1.5, 'param': '0'}",
+    "script on-true": "{'on': True, 'param': '0'}",
+    "script on-str": "{'on': '1', 'param': '0'}",
+    "script corner-float": "{'corner': [1.0, 2]}",
+    "script corner-false": "{'corner': [2, False]}",
+}
 
 MULT = ["multiplicity", "--script", "@cusp_script.json", "--poly"]
 MALFORMED = [
@@ -351,6 +392,7 @@ MALFORMED = [
         "x/y",
         "(x",
         "(" * 3000 + "x" + ")" * 3000,
+        "((x+y)^300*2^7000)*((x+y)^300*2^7000)",
     )
 ] + [
     pytest.param(["poincare", "--graph", "@non-unimodular.json", "--bound", "3"], id="non-unimodular"),
@@ -363,6 +405,7 @@ MALFORMED = [
     pytest.param(MULT + ["x", "--at", "a"], id="component a"),
     pytest.param(MULT + ["x", "--at", "1,2"], id="component 1,2"),
     pytest.param(MULT + ["x", "--at", "9"], id="component 9"),
+    pytest.param(MULT + ["x", "--at", "0"], id="component 0"),
 ] + [
     pytest.param(["graph", "--script", "@" + name], id="script " + name[: -len(".json")])
     for name in BAD_DOCS
@@ -371,7 +414,7 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("argv", MALFORMED)
-def test_malformed_input_exits_cleanly(files, tmp_path, capsys, argv):
+def test_malformed_input_exits_cleanly(files, tmp_path, capsys, argv, request):
     for name, doc in BAD_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argv = [files.get(a[1:], str(tmp_path / a[1:])) if a.startswith("@") else a for a in argv]
@@ -383,6 +426,7 @@ def test_malformed_input_exits_cleanly(files, tmp_path, capsys, argv):
     assert code in (2, 3)
     assert out == ""
     assert "error" in err and "Traceback" not in err
+    assert CULPRITS.get(request.node.callspec.id, "error") in err
 
 
 # -- the JSON writer against json.dumps ----------------------------------------

@@ -76,6 +76,22 @@ def test_precision_cap():
         HilbertOracle(curve, max_jet=4).hilbert((9,))
 
 
+def test_jet_cap_is_exact(cusp_curve):
+    assert HilbertOracle(cusp_curve, max_jet=9).hilbert((9,)) == 8  # values 0, 2, 3, ..., 8
+    with pytest.raises(PrecisionExhausted, match="jet order 10 needed, cap is 9"):
+        HilbertOracle(cusp_curve, max_jet=9).hilbert((10,))
+
+
+def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
+    # one oracle asked in a scrambled order, so that its tables are
+    # rebuilt at doubled orders and reused below them
+    for curve, hi in ((curve_c, (9, 9)), (transverse_lines, (6, 6))):
+        kept = HilbertOracle(curve)
+        points = sorted(box((0, 0), hi), key=lambda v: (v[0] * 7 + v[1] * 3) % 11)
+        for v in points:
+            assert kept.hilbert(v) == HilbertOracle(curve).hilbert(v), v
+
+
 def test_poincare_coeff_lines(transverse_lines):
     oracle = HilbertOracle(transverse_lines)
     assert oracle.poincare_coeff((0, 0)) == 1
