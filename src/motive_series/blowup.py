@@ -292,27 +292,26 @@ class DivisorialOracle:
 
     def hilbert(self, w) -> int:
         """h(w): the rank on the candidates, which are complete at jet order max(w)."""
-        w = vec_clamp0(tuple(w))
-        if len(w) != self.m.ncomponents:
-            raise InvalidInput("query length != number of components")
+        w = tuple(w)
         if w in self._ranks:
             return self._ranks[w]
-        if all(x == 0 for x in w):
-            self._ranks[w] = 0
-            return 0
-        if max(w) > self.max_jet:
-            raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
-        rows = [self._row(mn, w) for mn in self._candidates(w)]
-        keys = sorted({k for row in rows for k in row})
-        pos = {k: idx for idx, k in enumerate(keys)}
-        dense = []
-        for row in rows:
-            vec = [Fraction(0)] * len(keys)
-            for k, c in row.items():
-                vec[pos[k]] = c
-            dense.append(vec)
-        self._ranks[w] = r = linalg.rank(dense)
-        return r
+        v = vec_clamp0(w)
+        if len(v) != self.m.ncomponents:
+            raise InvalidInput("query length != number of components")
+        if v not in self._ranks:
+            if max(v) > self.max_jet:
+                raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(v), self.max_jet))
+            rows = [self._row(mn, v) for mn in self._candidates(v)]  # none at v = 0
+            keys = sorted({k for row in rows for k in row})
+            pos = {k: idx for idx, k in enumerate(keys)}
+            dense = []
+            for row in rows:
+                vec = [Fraction(0)] * len(keys)
+                for k, c in row.items():
+                    vec[pos[k]] = c
+                dense.append(vec)
+            self._ranks[v] = linalg.rank(dense)
+        return self._ranks[v]
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from operator import mul
+from operator import add as add_ints, mul
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -55,7 +55,7 @@ from .graph import (
     chi_open,
     w_of_nhat,
 )
-from .laurent import ONE, ZERO, LaurentPoly, qgeom, sym_power_class
+from .laurent import ONE, ZERO, LaurentPoly, signed_runs, sym_power_class
 from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
 from .polys import add, scale
 
@@ -505,21 +505,27 @@ def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
     return expand_rational(num, factors, hi)
 
 
-def hilbert_ie_coeff(hfun, nvars, v):
-    """Inclusion-exclusion coefficient of a generalized series at v.
+@lru_cache(maxsize=None)
+def _signed_masks(n):
+    """((-1)^|S|, the indicator of S) for every subset S of range(n)."""
+    return tuple(((-1) ** len(S), tuple(int(i in S) for i in range(n))) for S in _subsets(n))
 
-    ``hfun`` is any Hilbert function on nonnegative integer vectors; the
-    coefficient is sum over subsets S of the valuation indices of
-    (-1)^|S| qgeom(h(v + 1_S), h(v + 1) - h(v + 1_S)).
-    """
-    out = LaurentPoly.zero()
+
+def ie_ranks(hfun, nvars, v):
+    """h(v + 1), and ((-1)^|S|, h(v + 1_S)) for every subset S of range(nvars)."""
     hfull = hfun(tuple(x + 1 for x in v))
-    for S in _subsets(nvars):
-        bumped = tuple(v[i] + (1 if i in S else 0) for i in range(nvars))
-        hs = hfun(bumped)
-        piece = qgeom(hs, hfull - hs)
-        out = out + (piece if len(S) % 2 == 0 else -piece)
-    return out
+    return hfull, [
+        (sign, hfun(tuple(map(add_ints, v, bits)))) for sign, bits in _signed_masks(nvars)
+    ]
+
+
+def hilbert_ie_coeff(hfun, nvars, v):
+    """Inclusion-exclusion coefficient at v of a generalized series, for any Hilbert
+    function hfun: sum over S of (-1)^|S| qgeom(h(v + 1_S), h(v + 1) - h(v + 1_S))."""
+    hfull, ranks = ie_ranks(hfun, nvars, v)
+    if any(h > hfull for _, h in ranks):
+        raise InvalidInput("qgeom needs nonnegative arguments")
+    return signed_runs((sign, 1 - hfull, 1 - h) for sign, h in ranks)
 
 
 def hilbert_ie_series(hfun, nvars, hi) -> MSeries:

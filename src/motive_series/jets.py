@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import linalg
 from .curves import Curve
 from .errors import InvalidInput, PrecisionExhausted
-from .formulas import _subsets, hilbert_ie_coeff
-from .laurent import LaurentPoly, projective_class, qgeom
+from .formulas import _subsets, hilbert_ie_coeff, ie_ranks
+from .laurent import LaurentPoly, projective_class, qgeom, signed_runs
 from .mseries import (
     MSeries,
     box,
@@ -121,59 +121,40 @@ class HilbertOracle:
                     comp = umul(prev, branch.coords[j])
                     table[alpha] = {t: c for t, c in comp.items() if t < top}
             tables.append((table, range(v[k])))
-        zero, rows = Fraction(0), []
-        for alpha in cands:
-            row = []
-            for table, ts in tables:
-                comp = table[alpha]
-                row.extend(comp.get(t, zero) for t in ts)
-            rows.append(row)
-        return rows
+        zero = Fraction(0)
+        return [[table[alpha].get(t, zero) for table, ts in tables for t in ts] for alpha in cands]
 
     # -- the Hilbert function ------------------------------------------------
 
     def hilbert(self, v) -> int:
         """h(v): the rank on the candidates, which are complete at jet order max(v)."""
-        v = vec_clamp0(tuple(v))
-        if len(v) != self.nbranches:
-            raise InvalidInput("query length != number of branches")
+        v = tuple(v)
         if v in self._ranks:
             return self._ranks[v]
-        if all(x == 0 for x in v):
-            self._ranks[v] = 0
-            return 0
-        if max(v) > self.max_jet:
-            raise PrecisionExhausted(
-                "jet order %d needed, cap is %d" % (max(v), self.max_jet)
-            )
-        cands = self._candidates(v)
-        self._ranks[v] = r = linalg.rank(self._rows(cands, v))
-        return r
+        w = vec_clamp0(v)
+        if len(w) != self.nbranches:
+            raise InvalidInput("query length != number of branches")
+        if w not in self._ranks:
+            if max(w) > self.max_jet:
+                raise PrecisionExhausted(
+                    "jet order %d needed, cap is %d" % (max(w), self.max_jet)
+                )
+            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
+        return self._ranks[w]
 
     # -- coefficientwise series data ------------------------------------------
 
     def poincare_coeff(self, v) -> int:
         """- sum over subsets S of (-1)^|S| h(v + 1_S)."""
-        r = self.nbranches
-        out = 0
-        for S in _subsets(r):
-            bumped = tuple(v[i] + (1 if i in S else 0) for i in range(r))
-            out -= (-1) ** len(S) * self.hilbert(bumped)
-        return out
+        return -sum(sign * h for sign, h in ie_ranks(self.hilbert, self.nbranches, v)[1])
 
     def generalized_coeff(self, v) -> LaurentPoly:
         return hilbert_ie_coeff(self.hilbert, self.nbranches, v)
 
     def semigroup_coeff(self, v) -> LaurentPoly:
         """Class of the projectivized fibre over v, by inclusion-exclusion."""
-        r = self.nbranches
-        hfull = self.hilbert(tuple(x + 1 for x in v))
-        out = LaurentPoly.zero()
-        for S in _subsets(r):
-            bumped = tuple(v[i] + (1 if i in S else 0) for i in range(r))
-            piece = projective_class(hfull - self.hilbert(bumped))
-            out = out + (piece if len(S) % 2 == 0 else -piece)
-        return out
+        hfull, ranks = ie_ranks(self.hilbert, self.nbranches, v)
+        return signed_runs((sign, 0, hfull - h) for sign, h in ranks)  # projective classes
 
 
 def series(oracle: HilbertOracle, kind: str, hi) -> MSeries:

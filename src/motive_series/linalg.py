@@ -1,9 +1,9 @@
 """Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
 
 ``rank`` chooses pivots by smallest combined bit-length of numerator
-and denominator, which keeps intermediate fractions small on the sparse
-integer matrices this library produces.  ``det_and_adjugate`` never
-leaves the integers.
+and denominator, then fewest nonzeros, which keeps fractions small and
+fill-in low on the sparse integer matrices this library produces.
+``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def rank(rows) -> int:
     if not rows:
         return 0
     ncols = len(rows[0])
-    r = 0
+    r, nnz = 0, [None] * len(rows)  # nnz: nonzeros from the column counted at, None if stale
     for col in range(ncols):
         best = None
         for i in range(r, len(rows)):
@@ -33,9 +33,16 @@ def rank(rows) -> int:
                 w = _pivot_weight(x)
                 if best is None or w < best_w:
                     best, best_w = i, w
+                elif w == best_w:  # the tie goes to the sparser row
+                    for k in (best, i):
+                        if nnz[k] is None:
+                            nnz[k] = sum(map(bool, rows[k][col:]))
+                    if nnz[i] < nnz[best]:
+                        best = i
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
+        nnz[r], nnz[best] = nnz[best], nnz[r]
         row_r = rows[r]
         piv, support = row_r[col], None
         for i in range(r + 1, len(rows)):
@@ -47,6 +54,7 @@ def rank(rows) -> int:
                 factor = x / piv
                 for j in support:
                     row_i[j] -= factor * row_r[j]
+                nnz[i] = None
         r += 1
         if r == len(rows):
             break

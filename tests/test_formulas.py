@@ -18,6 +18,7 @@ from motive_series.formulas import (
     divisorial_poincare_product_edges,
     divisorial_series,
     enumerate_terms,
+    hilbert_ie_coeff,
     hilbert_ie_series,
     nhat_codimension,
     semigroup_class_series,
@@ -32,7 +33,7 @@ from motive_series.graph import (
     chi_open,
     hoskin_deligne,
 )
-from motive_series.laurent import LaurentPoly, sym_power_class
+from motive_series.laurent import LaurentPoly, qgeom, sym_power_class
 from motive_series.mseries import (
     MSeries,
     box,
@@ -190,6 +191,25 @@ def test_ie_series_from_hilbert_function():
     # closed form for vanishing order at a smooth point: h(w) = w(w+1)/2
     s = hilbert_ie_series(lambda w: w[0] * (w[0] + 1) // 2, 1, (5,))
     assert first_mismatch(s, divisorial_series(SINGLE, (5,)), (0,), (5,)) is None
+
+
+def test_ie_coeff_matches_subset_sum_of_qgeoms():
+    def h(w):  # nondecreasing in each argument, as Hilbert functions are
+        return min(w) + sum(max(x - min(w), 0) for x in w)
+
+    for v in box((0, 0), (4, 4)):
+        want = LaurentPoly.zero()
+        hfull = h((v[0] + 1, v[1] + 1))
+        for S in ((), (0,), (1,), (0, 1)):
+            hs = h(tuple(x + (i in S) for i, x in enumerate(v)))
+            piece = qgeom(hs, hfull - hs)
+            want = want + (piece if len(S) % 2 == 0 else -piece)
+        assert hilbert_ie_coeff(h, 2, v) == want
+
+
+def test_ie_coeff_rejects_a_decreasing_function():
+    with pytest.raises(InvalidInput):
+        hilbert_ie_coeff(lambda w: 5 - sum(w), 1, (0,))
 
 
 # -- the compressed sums against the term-by-term reference -------------------

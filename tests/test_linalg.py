@@ -1,8 +1,8 @@
 """`linalg.rank` against a plain dense elimination over Fraction.
 
-`rank` picks the pivot of smallest bit weight and updates each row below
-it on the pivot row's nonzero columns only; the reference takes the
-first nonzero pivot and updates every column.
+`rank` picks the pivot of smallest bit weight, the sparser row on a tie,
+and updates each row below it on the pivot row's nonzero columns only;
+the reference takes the first nonzero pivot and updates every column.
 """
 
 from fractions import Fraction
