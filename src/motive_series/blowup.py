@@ -7,6 +7,10 @@ points are visible; corners (pairwise intersections) record a chart in
 which both components are coordinate axes through the origin.  The dual
 graph is maintained incrementally and certified by unimodularity.
 
+`DivisorialOracle` is route B for the divisorial filtration: a
+`jets.JetRankOracle` whose rows are the monomials' lifts to the host
+charts of the components, so `jets.series` gives its P, Pg and Phat.
+
 Strict transforms of parametrized branches are carried as exact rational
 functions of the parameter, so the resolution loop never loses
 precision; the step budget exists to convert non-reduced or
@@ -19,14 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from . import linalg
 from .curves import Curve
 from .errors import (
     CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted
 )
 from .graph import DualGraph, build_intersection
+from .jets import JetRankOracle
 from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
-from .mseries import vec_clamp0
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,13 @@ def _shifted_subst(p, pu, pv, first, second):
 _S = {(1, 0): Fraction(1)}
 _ST = {(1, 1): Fraction(1)}
 _T = {(0, 1): Fraction(1)}
+
+
+def _param(x):
+    """A center's parameter from a JSON int or a "p/q" string (no float or bool)."""
+    if type(x) is not int and not isinstance(x, str):
+        raise TypeError("param %r is not an integer or a string" % (x,))
+    return Fraction(x)
 
 
 def _component(x):
@@ -168,7 +178,7 @@ class Modification:
         try:
             on = "on" in center
             if on:
-                comp, param = _component(center["on"]), Fraction(center["param"])
+                comp, param = _component(center["on"]), _param(center["param"])
             else:
                 i, j = center["corner"]
                 pair = tuple(sorted((_component(i), _component(j))))
@@ -235,22 +245,27 @@ def run_script(doc) -> Modification:
 # -- divisorial Hilbert oracle ------------------------------------------------
 
 
-class DivisorialOracle:
+class DivisorialOracle(JetRankOracle):
     """Jet-rank computer for the divisorial filtration of a modification.
 
     Conditions for w_i(g) >= w are linear in the jet of g: every
     coefficient of u^j (j < w_i) of the lift to the host chart of E_i
-    must vanish.  Monomial lifts are cached per component; a monomial
-    contributes only when its exact lift order is below the bound.
+    must vanish.  The orders of block i are (w_i(x), w_i(y)), so a
+    monomial x^a y^b is a candidate when its exact lift order
+    a w_i(x) + b w_i(y) is below w_i for some i.  Monomial lifts are
+    cached per component.
     """
 
+    _blocks = "components"
+    # a class attribute here too: perfbench/spans.py patches and restores it per class
+    hilbert = JetRankOracle.hilbert
+
     def __init__(self, m: Modification, max_jet: int = 64):
+        x, y = {(1, 0): 1}, {(0, 1): 1}
+        orders = [(m.multiplicity(i, x), m.multiplicity(i, y)) for i in range(m.ncomponents)]
+        super().__init__(orders, max_jet)
         self.m = m
-        self.max_jet = max_jet
-        self._ranks = {}
         self._lifts = [{(0, 0): {(0, 0): Fraction(1)}} for _ in range(m.ncomponents)]
-        self.wx = [m.multiplicity(i, {(1, 0): 1}) for i in range(m.ncomponents)]
-        self.wy = [m.multiplicity(i, {(0, 1): 1}) for i in range(m.ncomponents)]
 
     def _lift(self, comp, a, b):
         """x^a y^b lifted to the host chart, by a loop up the path y, y^2,
@@ -264,54 +279,27 @@ class DivisorialOracle:
                     cache[(i, j)] = pmul(cache[prev], factor)
         return cache[(a, b)]
 
-    def _candidates(self, w):
-        """Monomials (a, b) with a wx_i + b wy_i < w_i for some i, in lex
-        order; wx_i, wy_i >= 1, so all have a + b < max(w)."""
-        s = self.m.ncomponents
-        out = []
-        a = 0
-        while any(a * self.wx[i] < w[i] for i in range(s)):
-            b = 0
-            while any(a * self.wx[i] + b * self.wy[i] < w[i] for i in range(s)):
-                out.append((a, b))
-                b += 1
-            a += 1
-        return out
-
-    def _row(self, mono, w):
-        a, b = mono
-        entries = {}
-        for i in range(self.m.ncomponents):
-            if a * self.wx[i] + b * self.wy[i] >= w[i]:
-                continue
-            lift = self._lift(i, a, b)
-            for (ue, ve), c in lift.items():
-                if ue < w[i]:
-                    entries[(i, ue, ve)] = c
-        return entries
-
-    def hilbert(self, w) -> int:
-        """h(w): the rank on the candidates, which are complete at jet order max(w)."""
-        w = tuple(w)
-        if w in self._ranks:
-            return self._ranks[w]
-        v = vec_clamp0(w)
-        if len(v) != self.m.ncomponents:
-            raise InvalidInput("query length != number of components")
-        if v not in self._ranks:
-            if max(v) > self.max_jet:
-                raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(v), self.max_jet))
-            rows = [self._row(mn, v) for mn in self._candidates(v)]  # none at v = 0
-            keys = sorted({k for row in rows for k in row})
-            pos = {k: idx for idx, k in enumerate(keys)}
-            dense = []
-            for row in rows:
-                vec = [Fraction(0)] * len(keys)
-                for k, c in row.items():
-                    vec[pos[k]] = c
-                dense.append(vec)
-            self._ranks[v] = linalg.rank(dense)
-        return self._ranks[v]
+    def _rows(self, cands, w):
+        """The candidates' lift coefficients of u^ue v^ve with ue < w_i on
+        component i, as dense rows over the sorted keys (i, ue, ve)."""
+        rows = []
+        for a, b in cands:
+            entries = {}
+            for i, (wx, wy) in enumerate(self.orders):
+                if a * wx + b * wy < w[i]:
+                    for (ue, ve), c in self._lift(i, a, b).items():
+                        if ue < w[i]:
+                            entries[(i, ue, ve)] = c
+            rows.append(entries)
+        keys = sorted({k for row in rows for k in row})
+        pos = {k: idx for idx, k in enumerate(keys)}
+        dense = []
+        for row in rows:
+            vec = [Fraction(0)] * len(keys)
+            for k, c in row.items():
+                vec[pos[k]] = c
+            dense.append(vec)
+        return dense
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

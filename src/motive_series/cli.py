@@ -281,13 +281,12 @@ def cmd_hilbert(args):
         raise InvalidInput("hilbert needs --at")
     at = _parse_vector(args.at)
     if args.curve:
-        curve = Curve.from_json(_load_json(args.curve))
-        value = jets.HilbertOracle(curve, max_jet=args.max_jet).hilbert(at)
+        oracle = jets.HilbertOracle(Curve.from_json(_load_json(args.curve)), max_jet=args.max_jet)
     elif args.script:
-        m = _modification_from_args(args)
-        value = blowup.DivisorialOracle(m, max_jet=args.max_jet).hilbert(at)
+        oracle = blowup.DivisorialOracle(_modification_from_args(args), max_jet=args.max_jet)
     else:
         raise InvalidInput("need --curve or --script")
+    value = oracle.hilbert(at)
     _emit(args.format, lambda: {"value": value}, lambda: str(value))
     return EXIT_OK
 

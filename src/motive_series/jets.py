@@ -1,17 +1,21 @@
-"""Jet-rank Hilbert oracle and direct series of curve-valuation filtrations.
+"""Jet-rank Hilbert oracles and direct series of their filtrations.
 
-The Hilbert function h(v) is the rank of the linear map sending a
-polynomial jet g to the truncated coefficient vectors of g composed with
-every branch.  Only monomials whose composition can be nonzero below the
-truncation orders enter the matrix.  Every branch coordinate has order
->= 1, so this candidate set is complete at jet order max(v): its rank is
-h(v) exactly, with no search for a stable rank, and `max_jet` caps
-max(v).
+`JetRankOracle` is the shape both route-B oracles share.  The Hilbert
+function h(v) is the rank of the linear map sending a polynomial jet g
+to truncated coefficient vectors, one block of conditions per entry of
+v.  Only monomials whose image can be nonzero below the truncation
+orders enter the matrix.  Every coordinate order is >= 1, so this
+candidate set is complete at jet order max(v): its rank is h(v) exactly,
+with no search for a stable rank, and `max_jet` caps max(v).
+`HilbertOracle` composes g with the branches of a curve;
+`blowup.DivisorialOracle` lifts g to the components of a modification.
+`series` reads P, Pg, Phat, L, Lg and H off either oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, lt
 
 from . import linalg
 from .curves import Curve
@@ -34,68 +38,95 @@ from .polys import umul
 SERIES_KINDS = ("P", "Pg", "Phat", "L", "Lg", "H")
 
 
-class HilbertOracle:
-    """Memoizing jet-rank computer for one curve.
+class JetRankOracle:
+    """The shape both jet-rank oracles share.
 
-    Queries clamp negative components to zero.  The truncated
-    compositions of monomials with each branch are kept in a table per
-    branch across queries (see `_rows`).
+    `orders[k][j]` is the order of coordinate j on block k (a branch of a
+    curve, or a component of a modification); None means identically
+    zero.  A subclass gives `_rows(cands, v)`, the coefficient vectors of
+    the candidate monomials as equal-length rows, and `_blocks`, what its
+    blocks are called in error messages.  Queries clamp negative
+    components to zero, and ranks are kept per clamped point.
     """
 
-    def __init__(self, curve: Curve, max_jet: int = 64):
-        self.curve = curve
+    def __init__(self, orders, max_jet: int = 64):
+        self.orders = orders
+        self.nvars = len(orders)
         self.max_jet = max_jet
         self._ranks = {}
-        self._tables = [{} for _ in curve.branches]  # alpha -> truncated x^alpha
-        self._tops = [0] * curve.nbranches  # the order each table is truncated at
-        # order of coordinate j on branch k; None means identically zero
-        self.orders = [
-            [b.coordinate_order(j) for j in range(curve.ambient_dim)]
-            for b in curve.branches
-        ]
-
-    @property
-    def nbranches(self):
-        return self.curve.nbranches
-
-    # -- candidate monomials ------------------------------------------------
 
     def _candidates(self, v):
         """Monomials whose image can be nonzero, in lex order.
 
         A monomial x^alpha maps to zero unless its exact order
-        sum_j alpha_j ord_jk is below v_k for some branch k.  Every order
-        is at least 1, so the set is finite (of degree below max(v)) and
-        down-closed.
+        sum_j alpha_j orders[k][j] is below v_k for some block k.  Every
+        order is at least 1, so the set is finite (of degree below
+        max(v)) and down-closed.  Each qualifying prefix is extended one
+        exponent at a time; orders only grow along the way, so the first
+        failing exponent ends the prefix.
         """
-        n = self.curve.ambient_dim
-        r = self.nbranches
-        out = []
-        alpha = [0] * n
+        level = [((), (0,) * self.nvars)]
+        for j in range(len(self.orders[0])):
+            # an identically-zero coordinate kills block k for good: step by v_k
+            step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
+            nxt = []
+            for alpha, acc in level:
+                e = 0
+                while any(map(lt, acc, v)):
+                    nxt.append((alpha + (e,), acc))
+                    e += 1
+                    acc = tuple(map(add, acc, step))
+            level = nxt
+        return [alpha for alpha, _ in level]
 
-        def qualifies(acc):
-            return any(acc[k] < v[k] for k in range(r))
+    # -- the Hilbert function ------------------------------------------------
 
-        def dfs(j, acc):
-            if j == n:
-                out.append(tuple(alpha))
-                return
-            dfs(j + 1, acc)  # alpha_j = 0
-            ords = [self.orders[k][j] for k in range(r)]
-            cur = list(acc)
-            while True:
-                alpha[j] += 1
-                for k in range(r):
-                    # an identically-zero coordinate kills branch k for good:
-                    # saturate its accumulated order at the bound
-                    cur[k] = cur[k] + ords[k] if ords[k] is not None else v[k]
-                if not qualifies(cur):
-                    break  # orders only grow from here
-                dfs(j + 1, tuple(cur))
-            alpha[j] = 0
+    def hilbert(self, v) -> int:
+        """h(v): the rank on the candidates, which are complete at jet order max(v)."""
+        v = tuple(v)
+        if v in self._ranks:
+            return self._ranks[v]
+        w = vec_clamp0(v)
+        if len(w) != self.nvars:
+            raise InvalidInput("query length != number of %s" % self._blocks)
+        if w not in self._ranks:
+            if max(w) > self.max_jet:
+                raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
+            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
+        return self._ranks[w]
 
-        dfs(0, tuple(0 for _ in range(r)))
-        return sorted(out)
+    # -- coefficientwise series data ------------------------------------------
+
+    def poincare_coeff(self, v) -> int:
+        """- sum over subsets S of (-1)^|S| h(v + 1_S)."""
+        return -sum(sign * h for sign, h in ie_ranks(self.hilbert, self.nvars, v)[1])
+
+    def generalized_coeff(self, v) -> LaurentPoly:
+        return hilbert_ie_coeff(self.hilbert, self.nvars, v)
+
+    def semigroup_coeff(self, v) -> LaurentPoly:
+        """Class of the projectivized fibre over v, by inclusion-exclusion."""
+        hfull, ranks = ie_ranks(self.hilbert, self.nvars, v)
+        return signed_runs((sign, 0, hfull - h) for sign, h in ranks)  # projective classes
+
+
+class HilbertOracle(JetRankOracle):
+    """Memoizing jet-rank computer for one curve.
+
+    The truncated compositions of monomials with each branch are kept in
+    a table per branch across queries (see `_rows`).
+    """
+
+    _blocks = "branches"
+    # a class attribute here too: perfbench/spans.py patches and restores it per class
+    hilbert = JetRankOracle.hilbert
+
+    def __init__(self, curve: Curve, max_jet: int = 64):
+        orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
+        super().__init__(orders, max_jet)
+        self.curve = curve
+        self._tables = [{} for _ in curve.branches]  # alpha -> truncated x^alpha
+        self._tops = [0] * curve.nbranches  # the order each table is truncated at
 
     def _rows(self, cands, v):
         """The candidates' coefficient vectors on the curve, below v_k on branch k.
@@ -124,40 +155,8 @@ class HilbertOracle:
         zero = Fraction(0)
         return [[table[alpha].get(t, zero) for table, ts in tables for t in ts] for alpha in cands]
 
-    # -- the Hilbert function ------------------------------------------------
 
-    def hilbert(self, v) -> int:
-        """h(v): the rank on the candidates, which are complete at jet order max(v)."""
-        v = tuple(v)
-        if v in self._ranks:
-            return self._ranks[v]
-        w = vec_clamp0(v)
-        if len(w) != self.nbranches:
-            raise InvalidInput("query length != number of branches")
-        if w not in self._ranks:
-            if max(w) > self.max_jet:
-                raise PrecisionExhausted(
-                    "jet order %d needed, cap is %d" % (max(w), self.max_jet)
-                )
-            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
-        return self._ranks[w]
-
-    # -- coefficientwise series data ------------------------------------------
-
-    def poincare_coeff(self, v) -> int:
-        """- sum over subsets S of (-1)^|S| h(v + 1_S)."""
-        return -sum(sign * h for sign, h in ie_ranks(self.hilbert, self.nbranches, v)[1])
-
-    def generalized_coeff(self, v) -> LaurentPoly:
-        return hilbert_ie_coeff(self.hilbert, self.nbranches, v)
-
-    def semigroup_coeff(self, v) -> LaurentPoly:
-        """Class of the projectivized fibre over v, by inclusion-exclusion."""
-        hfull, ranks = ie_ranks(self.hilbert, self.nbranches, v)
-        return signed_runs((sign, 0, hfull - h) for sign, h in ranks)  # projective classes
-
-
-def series(oracle: HilbertOracle, kind: str, hi) -> MSeries:
+def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
     """Windowed series of the requested kind.
 
     P, Pg, Phat and H live on [0, hi]; L and Lg on [-1, hi] (their
@@ -165,10 +164,10 @@ def series(oracle: HilbertOracle, kind: str, hi) -> MSeries:
     """
     if kind not in SERIES_KINDS:
         raise InvalidInput("unknown series kind %r" % kind)
-    r = oracle.nbranches
+    r = oracle.nvars
     hi = tuple(hi)
     if len(hi) != r:
-        raise InvalidInput("bound length != number of branches")
+        raise InvalidInput("bound length != number of %s" % oracle._blocks)
     one = (1,) * r
     if kind in ("L", "Lg"):
         lo = (-1,) * r
@@ -209,11 +208,11 @@ def subsystem_series(curve: Curve, keep, kind: str, hi) -> MSeries:
     return series(HilbertOracle(sub), kind, hi)
 
 
-def semigroup_members(oracle: HilbertOracle, hi):
+def semigroup_members(oracle: JetRankOracle, hi):
     """Value vectors in [0, hi] whose fibre has nonzero class."""
     return {
         v
-        for v in box(zero_vec(oracle.nbranches), tuple(hi))
+        for v in box(zero_vec(oracle.nvars), tuple(hi))
         if oracle.semigroup_coeff(v)
     }
 
@@ -239,14 +238,14 @@ def _prod_tk_minus_one(r):
     return out
 
 
-def product_identity_mismatch(oracle: HilbertOracle, kind: str, hi):
+def product_identity_mismatch(oracle: JetRankOracle, kind: str, hi):
     """Check (t_1...t_r - 1) * S = T * prod_k (t_k - 1) on [0, hi].
 
     kind "P" pairs the classical series with L, "Pg" the generalized
     series with Lg, "Phat" the semigroup class series with the series of
     quotient-space classes.  Returns None or the first mismatch.
     """
-    r = oracle.nbranches
+    r = oracle.nvars
     hi = tuple(hi)
     one = (1,) * r
     lhs = mseries_mul(series(oracle, kind, hi), _tprod_minus_one(r))

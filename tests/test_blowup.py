@@ -16,8 +16,16 @@ from motive_series.errors import (
     InvalidInput,
     PrecisionExhausted,
 )
+from motive_series.formulas import (
+    divisorial_poincare_product,
+    divisorial_series,
+    semigroup_class_series,
+)
 from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
+from motive_series.jets import HilbertOracle, JetRankOracle, series
+from motive_series.mseries import first_mismatch, zero_vec
 from motive_series.polys import pmul
+from motive_series.verify import modification_fixtures
 
 ONE = Fraction(1)
 
@@ -104,6 +112,41 @@ def test_divisorial_jet_cap_and_kept_lifts():
     kept = DivisorialOracle(m)
     for w in ((4, 6, 12), (1, 1, 1), (3, 5, 9), (5, 7, 3)):
         assert kept.hilbert(w) == DivisorialOracle(m).hilbert(w), w
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda cap: HilbertOracle(Curve(2, [Branch([{2: ONE}, {3: ONE}])]), max_jet=cap),
+        lambda cap: DivisorialOracle(run_script(CUSP_SCRIPT), max_jet=cap),
+    ),
+    ids=("curve", "divisorial"),
+)
+def test_both_oracles_share_the_query_checks(make):
+    oracle = make(6)
+    assert type(oracle).hilbert is JetRankOracle.hilbert
+    n = oracle.nvars
+    with pytest.raises(InvalidInput, match="query length != number of"):
+        oracle.hilbert((1,) * (n + 1))
+    with pytest.raises(PrecisionExhausted, match="jet order 7 needed, cap is 6"):
+        oracle.hilbert((7,) * n)
+    assert oracle.hilbert((-1,) * n) == oracle.hilbert((0,) * n) == 0
+
+
+@pytest.mark.parametrize("name", sorted(modification_fixtures()))
+def test_divisorial_oracle_series_match_route_a(name):
+    # route B's P, Pg and Phat against the closed formulas; Phat is the
+    # fibre class series, checked here beyond its value at L = 1
+    m, hi = modification_fixtures()[name]
+    g = m.graph()
+    oracle = DivisorialOracle(m)
+    for kind, formula in (
+        ("P", divisorial_poincare_product),
+        ("Pg", divisorial_series),
+        ("Phat", semigroup_class_series),
+    ):
+        got = series(oracle, kind, hi)
+        assert first_mismatch(got, formula(g, hi), zero_vec(len(hi)), hi) is None, kind
 
 
 def test_divisorial_hilbert_monotone():

@@ -351,6 +351,8 @@ for name, center in (
     ("param-abc", {"on": 1, "param": "abc"}),
     ("param-missing", {"on": 1}),
     ("param-list", {"on": 1, "param": [1]}),
+    ("param-float", {"on": 1, "param": 0.1}),
+    ("param-true", {"on": 1, "param": True}),
     ("on-x", {"on": "x", "param": "0"}),
     ("on-9", {"on": 9, "param": "0"}),
     ("corner-1", {"corner": [1]}),
@@ -366,8 +368,11 @@ for name, center in (
     BAD_DOCS[name + ".json"] = {"steps": [{"center": "origin"}, {"center": center}]}
 # the words the message must hold, where more than "error" is asserted
 CULPRITS = {
+    "query length": "query length != number of components",
     "component 9": "no component 9",
     "component 0": "no component 0",
+    "script param-float": "{'on': 1, 'param': 0.1}",
+    "script param-true": "{'on': 1, 'param': True}",
     "script on-float": "{'on': 1.5, 'param': '0'}",
     "script on-true": "{'on': True, 'param': '0'}",
     "script on-str": "{'on': '1', 'param': '0'}",
@@ -402,6 +407,7 @@ MALFORMED = [
     pytest.param(["poincare", "--graph", "@single.json", "--bound", ""], id="vector empty"),
     pytest.param(["hilbert", "--curve", "@cusp_curve.json", "--at", "1,,2"], id="vector 1,,2"),
     pytest.param(["hilbert", "--curve", "@cusp_curve.json", "--at", "1,2"], id="vector length"),
+    pytest.param(["hilbert", "--script", "@cusp_script.json", "--at", "1,2"], id="query length"),
     pytest.param(MULT + ["x", "--at", "a"], id="component a"),
     pytest.param(MULT + ["x", "--at", "1,2"], id="component 1,2"),
     pytest.param(MULT + ["x", "--at", "9"], id="component 9"),

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import product
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_series import Branch, Curve, valuation
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
 from motive_series.jets import (
     HilbertOracle,
+    JetRankOracle,
     remark_identity_check,
     semigroup_members,
     series,
@@ -80,6 +84,35 @@ def test_jet_cap_is_exact(cusp_curve):
     assert HilbertOracle(cusp_curve, max_jet=9).hilbert((9,)) == 8  # values 0, 2, 3, ..., 8
     with pytest.raises(PrecisionExhausted, match="jet order 10 needed, cap is 9"):
         HilbertOracle(cusp_curve, max_jet=9).hilbert((10,))
+
+
+@st.composite
+def orders_and_point(draw):
+    """1-3 blocks of 1-3 coordinate orders in 1..5 or None, and a point."""
+    n = draw(st.integers(1, 3))
+    coords = st.lists(st.none() | st.integers(1, 5), min_size=n, max_size=n)
+    orders = draw(st.lists(coords, min_size=1, max_size=3))
+    v = draw(st.lists(st.integers(0, 7), min_size=len(orders), max_size=len(orders)))
+    return orders, tuple(v)
+
+
+def _exact_order(ords, alpha):
+    return sum(0 if not a else inf if o is None else a * o for o, a in zip(ords, alpha))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(orders_and_point())
+def test_candidates_match_brute_force(case):
+    orders, v = case
+    oracle = JetRankOracle(orders)
+    # every order is >= 1, so each exponent of a candidate is below max(v)
+    want = [
+        alpha
+        for alpha in product(range(max(v)), repeat=len(orders[0]))
+        if any(_exact_order(ords, alpha) < vk for ords, vk in zip(orders, v))
+    ]
+    assert oracle._candidates(v) == want
+    assert oracle._candidates((0,) * len(orders)) == []
 
 
 def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
