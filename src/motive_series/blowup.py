@@ -8,8 +8,8 @@ which both components are coordinate axes through the origin.  The dual
 graph is maintained incrementally and certified by unimodularity.
 
 `DivisorialOracle` is route B for the divisorial filtration: a
-`jets.JetRankOracle` whose rows are the monomials' lifts to the host
-charts of the components, so `jets.series` gives its P, Pg and Phat.
+`jets.JetRankOracle` whose sparse rows are the monomials' lifts to the
+host charts of the components, so `jets.series` gives its P, Pg and Phat.
 
 Strict transforms of parametrized branches are carried as exact rational
 functions of the parameter, so the resolution loop never loses
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .graph import DualGraph, build_intersection
 from .jets import JetRankOracle
+from .linalg import sparse_rank
 from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
 
 
@@ -253,10 +254,13 @@ class DivisorialOracle(JetRankOracle):
     must vanish.  The orders of block i are (w_i(x), w_i(y)), so a
     monomial x^a y^b is a candidate when its exact lift order
     a w_i(x) + b w_i(y) is below w_i for some i.  Monomial lifts are
-    cached per component.
+    kept per component, truncated in u, and the sparse dict rows are
+    ranked as they are by `linalg.sparse_rank`.
     """
 
     _blocks = "components"
+    _one = {(0, 0): Fraction(1)}
+    _rank = staticmethod(sparse_rank)
     # a class attribute here too: perfbench/spans.py patches and restores it per class
     hilbert = JetRankOracle.hilbert
 
@@ -265,41 +269,33 @@ class DivisorialOracle(JetRankOracle):
         orders = [(m.multiplicity(i, x), m.multiplicity(i, y)) for i in range(m.ncomponents)]
         super().__init__(orders, max_jet)
         self.m = m
-        self._lifts = [{(0, 0): {(0, 0): Fraction(1)}} for _ in range(m.ncomponents)]
-
-    def _lift(self, comp, a, b):
-        """x^a y^b lifted to the host chart, by a loop up the path y, y^2,
-        ..., y^b, x y^b, ..., x^a y^b of cached lifts."""
-        cache = self._lifts[comp]
-        if (a, b) not in cache:
-            chart = self.m.charts[self.m.hosts[comp]]
-            for i, j in [(0, j) for j in range(1, b + 1)] + [(i, b) for i in range(1, a + 1)]:
-                if (i, j) not in cache:
-                    prev, factor = ((i - 1, j), chart.xmap) if i else ((0, j - 1), chart.ymap)
-                    cache[(i, j)] = pmul(cache[prev], factor)
-        return cache[(a, b)]
 
     def _rows(self, cands, w):
         """The candidates' lift coefficients of u^ue v^ve with ue < w_i on
-        component i, as dense rows over the sorted keys (i, ue, ve)."""
-        rows = []
-        for a, b in cands:
-            entries = {}
-            for i, (wx, wy) in enumerate(self.orders):
+        component i, as dict rows keyed (i, ue, ve).
+
+        Component i's table holds x^a y^b lifted to the host chart,
+        truncated in u at an order >= w_i (see `_table`); that is exact, as
+        no chart map has a negative u exponent.  cands is sorted and
+        down-closed, so the lex predecessor x^(a-1) y^b (or y^(b-1)) is in
+        the table before x^a y^b, and one product extends it."""
+        rows = [{} for _ in cands]
+        for i, (wx, wy) in enumerate(self.orders):
+            if not w[i]:
+                continue
+            table, top = self._table(i, w[i])
+            chart = self.m.charts[self.m.hosts[i]]
+            for row, (a, b) in zip(rows, cands):
                 if a * wx + b * wy < w[i]:
-                    for (ue, ve), c in self._lift(i, a, b).items():
+                    lift = table.get((a, b))
+                    if lift is None:
+                        prev, factor = ((a - 1, b), chart.xmap) if a else ((0, b - 1), chart.ymap)
+                        lift = pmul(table[prev], factor)
+                        lift = table[(a, b)] = {e: c for e, c in lift.items() if e[0] < top}
+                    for (ue, ve), c in lift.items():
                         if ue < w[i]:
-                            entries[(i, ue, ve)] = c
-            rows.append(entries)
-        keys = sorted({k for row in rows for k in row})
-        pos = {k: idx for idx, k in enumerate(keys)}
-        dense = []
-        for row in rows:
-            vec = [Fraction(0)] * len(keys)
-            for k, c in row.items():
-                vec[pos[k]] = c
-            dense.append(vec)
-        return dense
+                            row[(i, ue, ve)] = c
+        return rows
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

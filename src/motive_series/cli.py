@@ -41,6 +41,13 @@ def _parse_vector(text):
         raise InvalidInput("bad vector %r" % text) from exc
 
 
+def _budget(text):
+    """A budget option's value: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return int(text)
+
+
 # bounds on --poly expressions; each product is checked before it is formed
 MAX_DEGREE = 100_000  # of any product, so of x^k too
 MAX_PRODUCTS = 10**5  # coefficient products in one product of polynomials, in words (_times)
@@ -336,8 +343,8 @@ def build_parser():
         p.add_argument("--graph", help="dual graph JSON file")
         p.add_argument("--script", help="blow-up script JSON file")
         p.add_argument("--format", choices=("json", "pretty"), default="json")
-        p.add_argument("--max-jet", type=int, default=64, help="jet order cap")
-        p.add_argument("--max-steps", type=int, default=64, help="blow-up budget")
+        p.add_argument("--max-jet", type=_budget, default=64, help="jet order cap")
+        p.add_argument("--max-steps", type=_budget, default=64, help="blow-up budget")
         if bound:
             p.add_argument("--bound", required=True, help="window, e.g. 6,6")
             p.add_argument("--kind", choices=jets.SERIES_KINDS)

@@ -44,9 +44,11 @@ class JetRankOracle:
     `orders[k][j]` is the order of coordinate j on block k (a branch of a
     curve, or a component of a modification); None means identically
     zero.  A subclass gives `_rows(cands, v)`, the coefficient vectors of
-    the candidate monomials as equal-length rows, and `_blocks`, what its
-    blocks are called in error messages.  Queries clamp negative
-    components to zero, and ranks are kept per clamped point.
+    the candidate monomials from one table of truncated images per block
+    (see `_table`), `_one`, the image of x^0, and `_blocks`, what its
+    blocks are called in error messages.  The hook `_rank(rows)` is the
+    dense `linalg.rank` here.  Queries clamp negative components to
+    zero, and ranks are kept per clamped point.
     """
 
     def __init__(self, orders, max_jet: int = 64):
@@ -54,6 +56,16 @@ class JetRankOracle:
         self.nvars = len(orders)
         self.max_jet = max_jet
         self._ranks = {}
+        self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
+        self._tops = [0] * len(orders)  # the order each table is truncated at
+
+    def _table(self, k, order):
+        """(table, its order) of block k with order >= `order`: kept if it is,
+        else restarted from x^0 -> `_one` at max(order, twice its order)."""
+        if order > self._tops[k]:
+            self._tops[k] = max(order, 2 * self._tops[k])
+            self._tables[k] = {(0,) * len(self.orders[k]): self._one}
+        return self._tables[k], self._tops[k]
 
     def _candidates(self, v):
         """Monomials whose image can be nonzero, in lex order.
@@ -92,8 +104,11 @@ class JetRankOracle:
         if w not in self._ranks:
             if max(w) > self.max_jet:
                 raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
-            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
+            self._ranks[w] = self._rank(self._rows(self._candidates(w), w)) if any(w) else 0
         return self._ranks[w]
+
+    def _rank(self, rows):
+        return linalg.rank(rows)
 
     # -- coefficientwise series data ------------------------------------------
 
@@ -114,10 +129,11 @@ class HilbertOracle(JetRankOracle):
     """Memoizing jet-rank computer for one curve.
 
     The truncated compositions of monomials with each branch are kept in
-    a table per branch across queries (see `_rows`).
+    a table per branch across queries (see `_rows`), and ranked densely.
     """
 
     _blocks = "branches"
+    _one = {0: Fraction(1)}
     # a class attribute here too: perfbench/spans.py patches and restores it per class
     hilbert = JetRankOracle.hilbert
 
@@ -125,24 +141,19 @@ class HilbertOracle(JetRankOracle):
         orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
         super().__init__(orders, max_jet)
         self.curve = curve
-        self._tables = [{} for _ in curve.branches]  # alpha -> truncated x^alpha
-        self._tops = [0] * curve.nbranches  # the order each table is truncated at
 
     def _rows(self, cands, v):
         """The candidates' coefficient vectors on the curve, below v_k on branch k.
 
         Branch k's table holds x^alpha on the branch truncated at an order
-        >= v_k, else is rebuilt at max(v_k, twice its order).  cands is sorted
-        and down-closed, so alpha - e_j (j the last nonzero index of alpha)
-        is in the table before alpha, and one product extends it."""
+        >= v_k (see `_table`).  cands is sorted and down-closed, so
+        alpha - e_j (j the last nonzero index of alpha) is in the table
+        before alpha, and one product extends it."""
         tables = []
         for k, branch in enumerate(self.curve.branches):
             if not v[k]:
                 continue
-            if v[k] > self._tops[k]:
-                self._tops[k] = max(v[k], 2 * self._tops[k])
-                self._tables[k] = {(0,) * len(branch.coords): {0: Fraction(1)}}
-            table, top = self._tables[k], self._tops[k]
+            table, top = self._table(k, v[k])
             for alpha in cands:
                 if alpha not in table:
                     j = len(alpha) - 1

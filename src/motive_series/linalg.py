@@ -1,9 +1,10 @@
 """Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
 
-``rank`` chooses pivots by smallest combined bit-length of numerator
-and denominator, then fewest nonzeros, which keeps fractions small and
-fill-in low on the sparse integer matrices this library produces.
-``det_and_adjugate`` never leaves the integers.
+``rank``, the dense kernel for the curve oracle's rows, picks pivots of
+least numerator plus denominator bit-length, then fewest nonzeros, to
+keep fractions small and fill-in low.  ``sparse_rank``, the leading-key
+kernel for the divisorial oracle's dict rows (under 1 % nonzero), never
+touches a zero.  ``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
@@ -59,6 +60,32 @@ def rank(rows) -> int:
         if r == len(rows):
             break
     return r
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a matrix given as dict rows {column key: Fraction}.
+
+    Rows are taken sparsest first.  Each is reduced against the pivot row
+    stored under its smallest key until that key is new (the row becomes
+    the pivot there) or the row is empty; a row sparser than the stored
+    pivot swaps places with it.  The rank is the number of pivots.  The
+    reductions work on copies: the input rows are never modified."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            key = min(row)
+            piv = pivots.get(key)
+            if piv is None:
+                pivots[key] = row
+                break
+            if len(row) < len(piv):
+                pivots[key], row, piv = row, piv, row
+            factor, row = row[key] / piv[key], dict(row)
+            for k, c in piv.items():
+                row[k] = row.get(k, 0) - factor * c
+                if not row[k]:
+                    del row[k]
+    return len(pivots)
 
 
 def det_and_adjugate(matrix):

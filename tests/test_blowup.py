@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_series import Branch, Curve
 from motive_series.blowup import (
@@ -23,9 +25,10 @@ from motive_series.formulas import (
 )
 from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
 from motive_series.jets import HilbertOracle, JetRankOracle, series
-from motive_series.mseries import first_mismatch, zero_vec
+from motive_series.mseries import box, first_mismatch, zero_vec
 from motive_series.polys import pmul
 from motive_series.verify import modification_fixtures
+from test_formulas import blowup_scripts
 
 ONE = Fraction(1)
 
@@ -112,6 +115,17 @@ def test_divisorial_jet_cap_and_kept_lifts():
     kept = DivisorialOracle(m)
     for w in ((4, 6, 12), (1, 1, 1), (3, 5, 9), (5, 7, 3)):
         assert kept.hilbert(w) == DivisorialOracle(m).hilbert(w), w
+    # increasing queries: each table is kept while long enough, else rebuilt
+    # at twice its order or more; then a smaller point on the longer tables.
+    # The cusp's chart maps are monomials, so its lifts never get truncated:
+    # a free point at param 1 gives lifts with terms past every table order
+    free = run_script(
+        {"steps": [{"center": c} for c in ("origin", {"on": 1, "param": "1"}, {"corner": [1, 2]})]}
+    )
+    for mod in (m, free):
+        rising = DivisorialOracle(mod)
+        for w in ((1, 1, 1), (3, 5, 9), (4, 6, 12), (9, 13, 26), (2, 4, 7)):
+            assert rising.hilbert(w) == DivisorialOracle(mod).hilbert(w), w
 
 
 @pytest.mark.parametrize(
@@ -157,6 +171,40 @@ def test_divisorial_hilbert_monotone():
         for k in range(2):
             up = tuple(x + (1 if i == k else 0) for i, x in enumerate(w))
             assert oracle.hilbert(up) >= h
+
+
+def unloaded_codim(g, d, w):
+    """h(w) by the third route, unloading and Hoskin-Deligne.
+
+    Every germ f has (f).E_i = 0, so -E_i^2 w_i(f) >= the sum of w_j(f)
+    over the neighbours j of i.  Raising each w_i to the ceiling of that sum
+    over -E_i^2 until nothing changes gives the least w' >= w with
+    -w'A >= 0, and J(w) = J(w'), whose codimension is Hoskin-Deligne at
+    nhat = -w'A (d = build_intersection(g))."""
+    s, A, w = d.size, d.A, list(w)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(s):
+            # the ceiling of the neighbours' sum over -A[i][i] > 0
+            need = -(sum(A[i][j] * w[j] for j in range(s) if j != i) // A[i][i])
+            if need > w[i]:
+                w[i], changed = need, True
+    nhat = tuple(-sum(w[j] * A[j][i] for j in range(s)) for i in range(s))
+    return hoskin_deligne(d, g, nhat)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(), st.data())
+def test_divisorial_oracle_matches_unloading(script, data):
+    # route B against the third route, which reads only the dual graph, on whole boxes
+    m = run_script(script)
+    g = m.graph()
+    d = build_intersection(g)
+    hi = tuple(data.draw(st.integers(1, 5)) for _ in range(d.size))
+    oracle = DivisorialOracle(m)
+    for w in box(zero_vec(d.size), hi):
+        assert oracle.hilbert(w) == unloaded_codim(g, d, w), w
 
 
 def test_center_errors():

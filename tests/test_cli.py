@@ -378,6 +378,8 @@ CULPRITS = {
     "script on-str": "{'on': '1', 'param': '0'}",
     "script corner-float": "{'corner': [1.0, 2]}",
     "script corner-false": "{'corner': [2, False]}",
+    "max-jet -1": "--max-jet",
+    "max-steps -1": "--max-steps",
 }
 
 MULT = ["multiplicity", "--script", "@cusp_script.json", "--poly"]
@@ -412,6 +414,13 @@ MALFORMED = [
     pytest.param(MULT + ["x", "--at", "1,2"], id="component 1,2"),
     pytest.param(MULT + ["x", "--at", "9"], id="component 9"),
     pytest.param(MULT + ["x", "--at", "0"], id="component 0"),
+    pytest.param(
+        ["hilbert", "--script", "@cusp_script.json", "--at", "3,4,5", "--max-jet", "-1"],
+        id="max-jet -1",
+    ),
+    pytest.param(
+        ["resolve", "--curve", "@cusp_curve.json", "--max-steps", "-1"], id="max-steps -1"
+    ),
 ] + [
     pytest.param(["graph", "--script", "@" + name], id="script " + name[: -len(".json")])
     for name in BAD_DOCS

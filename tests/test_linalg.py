@@ -1,8 +1,10 @@
-"""`linalg.rank` against a plain dense elimination over Fraction.
+"""`linalg.rank` and `linalg.sparse_rank` against a plain dense
+elimination over Fraction.
 
 `rank` picks the pivot of smallest bit weight, the sparser row on a tie,
 and updates each row below it on the pivot row's nonzero columns only;
-the reference takes the first nonzero pivot and updates every column.
+`sparse_rank` reduces dict rows by leading key; the reference takes the
+first nonzero pivot and updates every column.
 """
 
 from fractions import Fraction
@@ -10,7 +12,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motive_series.linalg import rank
+from motive_series.linalg import rank, sparse_rank
 
 
 def dense_rank(rows):
@@ -62,3 +64,23 @@ def test_rank_matches_dense_elimination(rows):
     before = [list(r) for r in rows]
     assert rank(rows) == dense_rank(rows)
     assert rows == before  # the input is not modified
+
+
+def dict_rows(rows):
+    """Dense rows as dict rows {(0, column): entry}, zeros left out."""
+    return [{(0, j): x for j, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sparse_matrices())
+@example([])
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+@example([[Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]])
+# the second row, reduced by the first, becomes the pivot at column 1 with
+# four entries; the third row, with three, shares that key: the two swap
+@example([[Fraction(x) for x in r] for r in ("1110000", "1001100", "0100011")])
+def test_sparse_rank_matches_dense_elimination(rows):
+    sparse = dict_rows(rows)
+    before = [dict(r) for r in sparse]
+    assert sparse_rank(sparse) == dense_rank(rows)
+    assert sparse == before  # the input is not modified
