@@ -8,8 +8,8 @@ which both components are coordinate axes through the origin.  The dual
 graph is maintained incrementally and certified by unimodularity.
 
 `DivisorialOracle` is route B for the divisorial filtration: a
-`jets.JetRankOracle` whose sparse rows are the monomials' lifts to the
-host charts of the components, so `jets.series` gives its P, Pg and Phat.
+`jets.JetRankOracle` whose monomial images are their lifts to the host
+charts of the components, so `jets.series` gives its P, Pg and Phat.
 
 Strict transforms of parametrized branches are carried as exact rational
 functions of the parameter, so the resolution loop never loses
@@ -25,11 +25,11 @@ from math import inf
 
 from .curves import Curve
 from .errors import (
-    CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted
+    CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted,
+    json_number,
 )
 from .graph import DualGraph, build_intersection
 from .jets import JetRankOracle
-from .linalg import sparse_rank
 from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
 
 
@@ -57,20 +57,6 @@ def _shifted_subst(p, pu, pv, first, second):
 _S = {(1, 0): Fraction(1)}
 _ST = {(1, 1): Fraction(1)}
 _T = {(0, 1): Fraction(1)}
-
-
-def _param(x):
-    """A center's parameter from a JSON int or a "p/q" string (no float or bool)."""
-    if type(x) is not int and not isinstance(x, str):
-        raise TypeError("param %r is not an integer or a string" % (x,))
-    return Fraction(x)
-
-
-def _component(x):
-    """The 0-based index of a component named 1-based by a JSON int (no float or bool)."""
-    if type(x) is not int:
-        raise TypeError("component %r is not an integer" % (x,))
-    return x - 1
 
 
 class Modification:
@@ -179,11 +165,12 @@ class Modification:
         try:
             on = "on" in center
             if on:
-                comp, param = _component(center["on"]), _param(center["param"])
+                comp = json_number(center["on"], "component") - 1
+                param = json_number(center["param"], "param", rational=True)
             else:
                 i, j = center["corner"]
-                pair = tuple(sorted((_component(i), _component(j))))
-        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                pair = tuple(sorted(json_number(c, "component") - 1 for c in (i, j)))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed center %r (%s)" % (center, exc)) from exc
         if on:
             if not (0 <= comp < self.ncomponents):
@@ -253,14 +240,14 @@ class DivisorialOracle(JetRankOracle):
     coefficient of u^j (j < w_i) of the lift to the host chart of E_i
     must vanish.  The orders of block i are (w_i(x), w_i(y)), so a
     monomial x^a y^b is a candidate when its exact lift order
-    a w_i(x) + b w_i(y) is below w_i for some i.  Monomial lifts are
-    kept per component, truncated in u, and the sparse dict rows are
-    ranked as they are by `linalg.sparse_rank`.
+    a w_i(x) + b w_i(y) is below w_i for some i.  The image of x^a y^b on
+    block i is its lift to the host chart, truncated in u (exact, as no
+    chart map has a negative u exponent), and its rows are keyed
+    (i, ue, ve).
     """
 
     _blocks = "components"
     _one = {(0, 0): Fraction(1)}
-    _rank = staticmethod(sparse_rank)
     # a class attribute here too: perfbench/spans.py patches and restores it per class
     hilbert = JetRankOracle.hilbert
 
@@ -270,32 +257,15 @@ class DivisorialOracle(JetRankOracle):
         super().__init__(orders, max_jet)
         self.m = m
 
-    def _rows(self, cands, w):
-        """The candidates' lift coefficients of u^ue v^ve with ue < w_i on
-        component i, as dict rows keyed (i, ue, ve).
+    def _step(self, i, j, image, top):
+        chart = self.m.charts[self.m.hosts[i]]
+        lift = pmul(image, chart.ymap if j else chart.xmap)
+        return {e: c for e, c in lift.items() if e[0] < top}
 
-        Component i's table holds x^a y^b lifted to the host chart,
-        truncated in u at an order >= w_i (see `_table`); that is exact, as
-        no chart map has a negative u exponent.  cands is sorted and
-        down-closed, so the lex predecessor x^(a-1) y^b (or y^(b-1)) is in
-        the table before x^a y^b, and one product extends it."""
-        rows = [{} for _ in cands]
-        for i, (wx, wy) in enumerate(self.orders):
-            if not w[i]:
-                continue
-            table, top = self._table(i, w[i])
-            chart = self.m.charts[self.m.hosts[i]]
-            for row, (a, b) in zip(rows, cands):
-                if a * wx + b * wy < w[i]:
-                    lift = table.get((a, b))
-                    if lift is None:
-                        prev, factor = ((a - 1, b), chart.xmap) if a else ((0, b - 1), chart.ymap)
-                        lift = pmul(table[prev], factor)
-                        lift = table[(a, b)] = {e: c for e, c in lift.items() if e[0] < top}
-                    for (ue, ve), c in lift.items():
-                        if ue < w[i]:
-                            row[(i, ue, ve)] = c
-        return rows
+    def _emit(self, row, i, image, bound):
+        for (ue, ve), c in image.items():
+            if ue < bound:
+                row[(i, ue, ve)] = c
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .errors import InvalidInput, UndefinedValuation
+from .errors import InvalidInput, UndefinedValuation, json_number
 from .polys import clean, pcompose_univariate, ulead, uorder
 
 
@@ -56,9 +56,11 @@ class Branch:
     def from_json(doc):
         try:
             coords = [
-                {int(e): Fraction(v) for e, v in coord} for coord in doc["coords"]
+                {json_number(e, "exponent"): json_number(c, "coefficient", rational=True)
+                 for e, c in coord}
+                for coord in doc["coords"]
             ]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed branch document: %s" % exc) from exc
         return Branch(coords)
 
@@ -99,7 +101,7 @@ class Curve:
     @staticmethod
     def from_json(doc):
         try:
-            dim = int(doc["ambient_dim"])
+            dim = json_number(doc["ambient_dim"], "ambient_dim")
             branches = [Branch.from_json(b) for b in doc["branches"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed curve document: %s" % exc) from exc

@@ -1,4 +1,21 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the JSON number check."""
+
+from fractions import Fraction
+
+
+def json_number(x, field, rational=False):
+    """x read from a JSON document: a JSON integer as an int or, when
+    `rational`, a JSON integer or a "p/q" string as a Fraction.  Floats and
+    bools are refused, not truncated: a ValueError names the field."""
+    if type(x) is int:
+        return Fraction(x) if rational else x
+    if rational and isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("%s %r is not a rational number (%s)" % (field, x, exc)) from exc
+    kind = "an integer or a rational string" if rational else "an integer"
+    raise ValueError("%s %r is not %s" % (field, x, kind))
 
 
 class MotiveSeriesError(Exception):

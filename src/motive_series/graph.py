@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InternalInconsistency, InvalidInput, NotBlowupGraph, NotUnimodular
+from .errors import (
+    InternalInconsistency, InvalidInput, NotBlowupGraph, NotUnimodular, json_number
+)
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,12 @@ class DualGraph:
     @staticmethod
     def from_json(doc):
         try:
-            self_ints = tuple(int(v["self_int"]) for v in doc["vertices"])
+            self_ints = tuple(json_number(v["self_int"], "self_int") for v in doc["vertices"])
             edges = tuple(
-                tuple(sorted((int(i) - 1, int(j) - 1))) for (i, j) in doc.get("edges", [])
+                tuple(sorted(json_number(x, "edge end") - 1 for x in (i, j)))
+                for (i, j) in doc.get("edges", [])
             )
-            arrows = tuple(int(a["attach"]) - 1 for a in doc.get("arrows", []))
+            arrows = tuple(json_number(a["attach"], "attach") - 1 for a in doc.get("arrows", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput("malformed graph document: %s" % exc) from exc
         return DualGraph(self_ints, edges, arrows)

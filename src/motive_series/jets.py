@@ -6,7 +6,10 @@ to truncated coefficient vectors, one block of conditions per entry of
 v.  Only monomials whose image can be nonzero below the truncation
 orders enter the matrix.  Every coordinate order is >= 1, so this
 candidate set is complete at jet order max(v): its rank is h(v) exactly,
-with no search for a stable rank, and `max_jet` caps max(v).
+with no search for a stable rank, and `max_jet` caps max(v).  The base
+builds the sparse rows from one table of truncated monomial images per
+block and ranks them with `linalg.rank`, the one exact kernel; a subclass
+says only how an image is extended and how its terms are keyed.
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
 `series` reads P, Pg, Phat, L, Lg and H off either oracle.
@@ -43,12 +46,14 @@ class JetRankOracle:
 
     `orders[k][j]` is the order of coordinate j on block k (a branch of a
     curve, or a component of a modification); None means identically
-    zero.  A subclass gives `_rows(cands, v)`, the coefficient vectors of
-    the candidate monomials from one table of truncated images per block
-    (see `_table`), `_one`, the image of x^0, and `_blocks`, what its
-    blocks are called in error messages.  The hook `_rank(rows)` is the
-    dense `linalg.rank` here.  Queries clamp negative components to
-    zero, and ranks are kept per clamped point.
+    zero.  The base builds the rows (see `_rows`) and ranks them with
+    `linalg.rank`.  A subclass gives `_one`, the image of x^0; `_blocks`,
+    what its blocks are called in error messages; `_step(k, j, image,
+    top)`, the image times coordinate j on block k, truncated at order
+    top; and `_emit(row, k, image, bound)`, which writes the terms of
+    order below bound into a dict row under keys of its own.  Queries
+    clamp negative components to zero, and ranks are kept per clamped
+    point.
     """
 
     def __init__(self, orders, max_jet: int = 64):
@@ -59,27 +64,20 @@ class JetRankOracle:
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
 
-    def _table(self, k, order):
-        """(table, its order) of block k with order >= `order`: kept if it is,
-        else restarted from x^0 -> `_one` at max(order, twice its order)."""
-        if order > self._tops[k]:
-            self._tops[k] = max(order, 2 * self._tops[k])
-            self._tables[k] = {(0,) * len(self.orders[k]): self._one}
-        return self._tables[k], self._tops[k]
-
     def _candidates(self, v):
-        """Monomials whose image can be nonzero, in lex order.
+        """(alpha, acc) of the monomials x^alpha whose image can be
+        nonzero, in lex order; acc[k] < v_k exactly when the image on
+        block k is nonzero below v_k.
 
-        A monomial x^alpha maps to zero unless its exact order
-        sum_j alpha_j orders[k][j] is below v_k for some block k.  Every
-        order is at least 1, so the set is finite (of degree below
-        max(v)) and down-closed.  Each qualifying prefix is extended one
-        exponent at a time; orders only grow along the way, so the first
-        failing exponent ends the prefix.
+        acc[k] is the exact order sum_j alpha_j orders[k][j], except that
+        an identically-zero coordinate steps by v_k, so it is >= v_k once
+        that coordinate enters.  Every order is at least 1, so the set is
+        finite (of degree below max(v)) and down-closed.  Each qualifying
+        prefix is extended one exponent at a time; orders only grow along
+        the way, so the first failing exponent ends the prefix.
         """
         level = [((), (0,) * self.nvars)]
         for j in range(len(self.orders[0])):
-            # an identically-zero coordinate kills block k for good: step by v_k
             step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
             nxt = []
             for alpha, acc in level:
@@ -89,7 +87,37 @@ class JetRankOracle:
                     e += 1
                     acc = tuple(map(add, acc, step))
             level = nxt
-        return [alpha for alpha, _ in level]
+        return level
+
+    def _rows(self, cands, v):
+        """The candidates' dict rows: their images' terms of order < v_k on
+        every block k where that image is nonzero below v_k.
+
+        Block k's table holds the images truncated at an order >= v_k; it
+        is kept across queries, and restarted from x^0 at max(v_k, twice
+        its order) when a query needs more.  cands is sorted and
+        down-closed, and alpha - e_j (j the first nonzero index of alpha)
+        has no larger order, so it is in the table before alpha, and one
+        `_step` extends it."""
+        rows = [{} for _ in cands]
+        for k, bound in enumerate(v):
+            if not bound:
+                continue
+            if bound > self._tops[k]:
+                self._tops[k] = max(bound, 2 * self._tops[k])
+                self._tables[k] = {(0,) * len(self.orders[k]): self._one}
+            table, top = self._tables[k], self._tops[k]
+            for row, (alpha, acc) in zip(rows, cands):
+                if acc[k] < bound:
+                    image = table.get(alpha)
+                    if image is None:
+                        j = 0
+                        while not alpha[j]:
+                            j += 1
+                        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                        image = table[alpha] = self._step(k, j, table[prev], top)
+                    self._emit(row, k, image, bound)
+        return rows
 
     # -- the Hilbert function ------------------------------------------------
 
@@ -104,11 +132,8 @@ class JetRankOracle:
         if w not in self._ranks:
             if max(w) > self.max_jet:
                 raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
-            self._ranks[w] = self._rank(self._rows(self._candidates(w), w)) if any(w) else 0
+            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
         return self._ranks[w]
-
-    def _rank(self, rows):
-        return linalg.rank(rows)
 
     # -- coefficientwise series data ------------------------------------------
 
@@ -128,8 +153,8 @@ class JetRankOracle:
 class HilbertOracle(JetRankOracle):
     """Memoizing jet-rank computer for one curve.
 
-    The truncated compositions of monomials with each branch are kept in
-    a table per branch across queries (see `_rows`), and ranked densely.
+    Block k is branch k: the image of x^alpha is its composition with the
+    branch, a polynomial in the parameter t, and its rows are keyed (k, t).
     """
 
     _blocks = "branches"
@@ -142,29 +167,35 @@ class HilbertOracle(JetRankOracle):
         super().__init__(orders, max_jet)
         self.curve = curve
 
-    def _rows(self, cands, v):
-        """The candidates' coefficient vectors on the curve, below v_k on branch k.
+    def _step(self, k, j, image, top):
+        comp = umul(image, self.curve.branches[k].coords[j])
+        return {t: c for t, c in comp.items() if t < top}
 
-        Branch k's table holds x^alpha on the branch truncated at an order
-        >= v_k (see `_table`).  cands is sorted and down-closed, so
-        alpha - e_j (j the last nonzero index of alpha) is in the table
-        before alpha, and one product extends it."""
-        tables = []
-        for k, branch in enumerate(self.curve.branches):
-            if not v[k]:
-                continue
-            table, top = self._table(k, v[k])
-            for alpha in cands:
-                if alpha not in table:
-                    j = len(alpha) - 1
-                    while not alpha[j]:
-                        j -= 1
-                    prev = table[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
-                    comp = umul(prev, branch.coords[j])
-                    table[alpha] = {t: c for t, c in comp.items() if t < top}
-            tables.append((table, range(v[k])))
-        zero = Fraction(0)
-        return [[table[alpha].get(t, zero) for table, ts in tables for t in ts] for alpha in cands]
+    def _emit(self, row, k, image, bound):
+        for t, c in image.items():
+            if t < bound:
+                row[(k, t)] = c
+
+
+# the coefficient at v of each jump series, from (h(v), h(v + 1)); Lhat, the
+# series of quotient-space classes, pairs with Phat in its product identity
+_JUMPS = {
+    "L": lambda h, up: LaurentPoly.const(up - h),
+    "Lg": lambda h, up: qgeom(h, up - h),
+    "Lhat": lambda h, up: projective_class(up - h),
+}
+
+
+def _jump_series(oracle: JetRankOracle, coeff, hi) -> MSeries:
+    """sum over v in [-1, hi] of coeff(h(v), h(v + 1)) t^v."""
+    r = oracle.nvars
+    lo, one = (-1,) * r, (1,) * r
+    coeffs = {}
+    for v in box(lo, hi):
+        c = coeff(oracle.hilbert(v), oracle.hilbert(vec_add(v, one)))
+        if c:
+            coeffs[v] = c
+    return MSeries(r, lo, hi, coeffs, floored=False)
 
 
 def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
@@ -179,20 +210,8 @@ def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
     hi = tuple(hi)
     if len(hi) != r:
         raise InvalidInput("bound length != number of %s" % oracle._blocks)
-    one = (1,) * r
-    if kind in ("L", "Lg"):
-        lo = (-1,) * r
-        coeffs = {}
-        for v in box(lo, hi):
-            h_v = oracle.hilbert(v)
-            h_up = oracle.hilbert(vec_add(v, one))
-            if kind == "L":
-                c = LaurentPoly.const(h_up - h_v)
-            else:
-                c = qgeom(h_v, h_up - h_v)
-            if c:
-                coeffs[v] = c
-        return MSeries(r, lo, hi, coeffs, floored=False)
+    if kind in _JUMPS:
+        return _jump_series(oracle, _JUMPS[kind], hi)
     lo = zero_vec(r)
     coeffs = {}
     for v in box(lo, hi):
@@ -256,27 +275,13 @@ def product_identity_mismatch(oracle: JetRankOracle, kind: str, hi):
     series with Lg, "Phat" the semigroup class series with the series of
     quotient-space classes.  Returns None or the first mismatch.
     """
+    jumps = {"P": "L", "Pg": "Lg", "Phat": "Lhat"}.get(kind)
+    if jumps is None:
+        raise InvalidInput("no product identity for kind %r" % kind)
     r = oracle.nvars
     hi = tuple(hi)
-    one = (1,) * r
     lhs = mseries_mul(series(oracle, kind, hi), _tprod_minus_one(r))
-    if kind == "P":
-        rhs_series = series(oracle, "L", hi)
-    elif kind == "Pg":
-        rhs_series = series(oracle, "Lg", hi)
-    elif kind == "Phat":
-        lo = (-1,) * r
-        coeffs = {}
-        for v in box(lo, hi):
-            c = projective_class(
-                oracle.hilbert(vec_add(v, one)) - oracle.hilbert(v)
-            )
-            if c:
-                coeffs[v] = c
-        rhs_series = MSeries(r, lo, hi, coeffs, floored=False)
-    else:
-        raise InvalidInput("no product identity for kind %r" % kind)
-    rhs = mseries_mul(rhs_series, _prod_tk_minus_one(r))
+    rhs = mseries_mul(_jump_series(oracle, _JUMPS[jumps], hi), _prod_tk_minus_one(r))
     return first_mismatch(lhs, rhs, zero_vec(r), hi)
 
 

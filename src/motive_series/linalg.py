@@ -1,69 +1,15 @@
 """Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
 
-``rank``, the dense kernel for the curve oracle's rows, picks pivots of
-least numerator plus denominator bit-length, then fewest nonzeros, to
-keep fractions small and fill-in low.  ``sparse_rank``, the leading-key
-kernel for the divisorial oracle's dict rows (under 1 % nonzero), never
+``rank`` is the one exact rank kernel, for the rows of both jet-rank
+oracles: it eliminates by leading key on sparse dict rows, so it never
 touches a zero.  ``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _pivot_weight(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
 
 def rank(rows) -> int:
-    """Rank of a matrix given as a list of equal-length Fraction rows.
-
-    Rows below the pivot are updated only on the pivot row's nonzero
-    columns right of the pivot, listed when a row first needs them."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r, nnz = 0, [None] * len(rows)  # nnz: nonzeros from the column counted at, None if stale
-    for col in range(ncols):
-        best = None
-        for i in range(r, len(rows)):
-            x = rows[i][col]
-            if x:
-                w = _pivot_weight(x)
-                if best is None or w < best_w:
-                    best, best_w = i, w
-                elif w == best_w:  # the tie goes to the sparser row
-                    for k in (best, i):
-                        if nnz[k] is None:
-                            nnz[k] = sum(map(bool, rows[k][col:]))
-                    if nnz[i] < nnz[best]:
-                        best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        nnz[r], nnz[best] = nnz[best], nnz[r]
-        row_r = rows[r]
-        piv, support = row_r[col], None
-        for i in range(r + 1, len(rows)):
-            row_i = rows[i]
-            x = row_i[col]
-            if x:
-                if support is None:
-                    support = [j for j in range(col + 1, ncols) if row_r[j]]
-                factor = x / piv
-                for j in support:
-                    row_i[j] -= factor * row_r[j]
-                nnz[i] = None
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a matrix given as dict rows {column key: Fraction}.
+    """Rank over Q of a matrix given as dict rows {column key: Fraction}.
 
     Rows are taken sparsest first.  Each is reduced against the pivot row
     stored under its smallest key until that key is new (the row becomes

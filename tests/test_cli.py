@@ -238,20 +238,84 @@ def test_bound_length_must_match_graph(tmp_path, capsys, filtration, bound, kind
     assert "bound" in err
 
 
+def _cusp_with(x2, c2='"1"', dim="2"):
+    """The cusp curve's JSON text with the exponent and coefficient of its
+    first coordinate and its ambient_dim replaced by raw JSON text."""
+    coords = '[[[%s, %s]], [[3, "1"]]]' % (x2, c2)
+    return '{"ambient_dim": %s, "branches": [{"coords": %s}]}' % (dim, coords)
+
+
+# a JSON number that overflows a float, or is not an integer, or a bool, is
+# refused with its field named, never truncated or raised as a traceback
+BAD_CURVE_NUMBERS = {
+    "exponent 1e400": _cusp_with("1e400"),
+    "exponent 3.7": _cusp_with("3.7"),
+    "exponent true": _cusp_with("true"),
+    "coefficient 1e400": _cusp_with("2", "1e400"),
+    "coefficient 0.5": _cusp_with("2", "0.5"),
+    "coefficient false": _cusp_with("2", "false"),
+    "ambient_dim 2.5": _cusp_with("2", dim="2.5"),
+    "ambient_dim true": _cusp_with("2", dim="true"),
+}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         {"ambient_dim": 2, "branches": [{"coords": [[[2, "1/0"]], [[3, "1"]]]}]},
         {"ambient_dim": "two", "branches": CUSP_CURVE["branches"]},
+    ]
+    + [pytest.param(text, id=name) for name, text in BAD_CURVE_NUMBERS.items()],
+)
+def test_malformed_curve_numbers(tmp_path, capsys, request, doc):
+    bad = tmp_path / "bad_curve.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    field = {"doc0": "coefficient", "doc1": "ambient_dim"}.get(request.node.callspec.id)
+    for argv in (["resolve"], ["hilbert", "--at", "2"]):
+        code, out, err = run(capsys, argv + ["--curve", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+        assert (field or request.node.callspec.id.split()[0]) in err
+
+
+def test_rational_string_coefficients_are_exact(tmp_path, capsys):
+    # "1e400" as a string is the exact integer 10^400, so it is a valid coefficient
+    doc = tmp_path / "big_coefficient.json"
+    doc.write_text(_cusp_with("2", '"1e400"'))
+    code, out, _ = run(capsys, ["hilbert", "--curve", str(doc), "--at", "7"])
+    assert code == 0
+    assert json.loads(out) == {"value": 6}
+
+
+TWO_VERTICES = '"vertices": [{"self_int": -2}, {"self_int": -1}]'
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        pytest.param("self_int", '{"vertices": [{"self_int": 1e400}]}', id="self_int 1e400"),
+        pytest.param("self_int", '{"vertices": [{"self_int": -1.5}]}', id="self_int -1.5"),
+        pytest.param("self_int", '{"vertices": [{"self_int": true}]}', id="self_int true"),
+        pytest.param("edge end", '{%s, "edges": [[1, 2.0]]}' % TWO_VERTICES, id="edge 2.0"),
+        pytest.param("edge end", '{%s, "edges": [[1e400, 2]]}' % TWO_VERTICES, id="edge 1e400"),
+        pytest.param(
+            "attach", '{"vertices": [{"self_int": -1}], "arrows": [{"attach": true}]}',
+            id="attach true",
+        ),
+        pytest.param(
+            "attach", '{"vertices": [{"self_int": -1}], "arrows": [{"attach": 1.5}]}',
+            id="attach 1.5",
+        ),
     ],
 )
-def test_malformed_curve_numbers(tmp_path, capsys, doc):
-    bad = tmp_path / "bad_curve.json"
-    bad.write_text(json.dumps(doc))
-    for argv in (["resolve"], ["hilbert", "--at", "2"]):
-        code, _, err = run(capsys, argv + ["--curve", str(bad)])
-        assert code == 2
-        assert "malformed" in err
+def test_malformed_graph_numbers(tmp_path, capsys, field, text):
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["poincare", "--graph", str(bad), "--bound", "2"])
+    assert code == 2
+    assert out == ""
+    assert "malformed graph document: %s" % field in err
 
 
 def test_hilbert_needs_at(files, capsys):

@@ -111,7 +111,12 @@ def test_candidates_match_brute_force(case):
         for alpha in product(range(max(v)), repeat=len(orders[0]))
         if any(_exact_order(ords, alpha) < vk for ords, vk in zip(orders, v))
     ]
-    assert oracle._candidates(v) == want
+    cands = oracle._candidates(v)
+    assert [alpha for alpha, _ in cands] == want
+    # the running orders filter each block exactly, None coordinates included
+    for alpha, acc in cands:
+        for k, ords in enumerate(orders):
+            assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
     assert oracle._candidates((0,) * len(orders)) == []
 
 

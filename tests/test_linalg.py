@@ -1,10 +1,7 @@
-"""`linalg.rank` and `linalg.sparse_rank` against a plain dense
-elimination over Fraction.
+"""`linalg.rank` against a plain dense elimination over Fraction.
 
-`rank` picks the pivot of smallest bit weight, the sparser row on a tie,
-and updates each row below it on the pivot row's nonzero columns only;
-`sparse_rank` reduces dict rows by leading key; the reference takes the
-first nonzero pivot and updates every column.
+`rank` reduces dict rows by leading key; the reference takes the first
+nonzero pivot of dense rows and updates every column.
 """
 
 from fractions import Fraction
@@ -12,7 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motive_series.linalg import rank, sparse_rank
+from motive_series.linalg import rank
 
 
 def dense_rank(rows):
@@ -52,6 +49,18 @@ def sparse_matrices(draw):
     return rows
 
 
+def dict_rows(rows):
+    """Dense rows as dict rows {(0, column): entry}, zeros left out."""
+    return [{(0, j): x for j, x in enumerate(r) if x} for r in rows]
+
+
+def check_rank(rows):
+    sparse = dict_rows(rows)
+    before = [dict(r) for r in sparse]
+    assert rank(sparse) == dense_rank(rows)
+    assert sparse == before  # the input is not modified
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(sparse_matrices())
 @example([])
@@ -61,14 +70,7 @@ def sparse_matrices(draw):
 @example([[Fraction(0), Fraction(0), Fraction(5), Fraction(0), Fraction(1, 2)]])
 @example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(0)]])
 def test_rank_matches_dense_elimination(rows):
-    before = [list(r) for r in rows]
-    assert rank(rows) == dense_rank(rows)
-    assert rows == before  # the input is not modified
-
-
-def dict_rows(rows):
-    """Dense rows as dict rows {(0, column): entry}, zeros left out."""
-    return [{(0, j): x for j, x in enumerate(r) if x} for r in rows]
+    check_rank(rows)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -80,7 +82,5 @@ def dict_rows(rows):
 # four entries; the third row, with three, shares that key: the two swap
 @example([[Fraction(x) for x in r] for r in ("1110000", "1001100", "0100011")])
 def test_sparse_rank_matches_dense_elimination(rows):
-    sparse = dict_rows(rows)
-    before = [dict(r) for r in sparse]
-    assert sparse_rank(sparse) == dense_rank(rows)
-    assert sparse == before  # the input is not modified
+    """Rows that share a leading key after reduction, and all-zero rows."""
+    check_rank(rows)
