@@ -40,7 +40,6 @@ class Chart:
     xmap: dict
     ymap: dict
     divisors: dict  # component id -> "u" | "v"
-    step: int
 
 
 def _shifted_subst(p, pu, pv, first, second):
@@ -66,18 +65,16 @@ class Modification:
         "charts",
         "self_ints",
         "hosts",
-        "cocharts",
         "edges",
         "corners",
         "consumed",
         "nsteps",
     )
 
-    def __init__(self, charts, self_ints, hosts, cocharts, edges, corners, consumed, nsteps):
+    def __init__(self, charts, self_ints, hosts, edges, corners, consumed, nsteps):
         self.charts = charts
         self.self_ints = self_ints
         self.hosts = hosts
-        self.cocharts = cocharts
         self.edges = edges
         self.corners = corners
         self.consumed = consumed
@@ -85,8 +82,8 @@ class Modification:
 
     @staticmethod
     def base():
-        chart = Chart({(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}, {}, 0)
-        return Modification((chart,), (), (), (), frozenset(), {}, {}, 0)
+        chart = Chart({(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}, {})
+        return Modification((chart,), (), (), frozenset(), {}, {}, 0)
 
     @property
     def ncomponents(self):
@@ -108,18 +105,15 @@ class Modification:
             if on_axis:
                 through.append((comp, axis))
         new = self.ncomponents
-        step = self.nsteps + 1
         chart1 = Chart(
             _shifted_subst(chart.xmap, pu, pv, _S, _ST),
             _shifted_subst(chart.ymap, pu, pv, _S, _ST),
             {new: "u", **{c: "v" for c, ax in through if ax == "v"}},
-            step,
         )
         chart2 = Chart(
             _shifted_subst(chart.xmap, pu, pv, _ST, _T),
             _shifted_subst(chart.ymap, pu, pv, _ST, _T),
             {new: "v", **{c: "u" for c, ax in through if ax == "u"}},
-            step,
         )
         charts = self.charts + (chart1, chart2)
         idx1, idx2 = len(charts) - 2, len(charts) - 1
@@ -128,7 +122,6 @@ class Modification:
             for i, e in enumerate(self.self_ints)
         ) + (-1,)
         hosts = self.hosts + (idx1,)
-        cocharts = self.cocharts + (idx2,)
         edges = set(self.edges)
         corners = dict(self.corners)
         if len(through) == 2:
@@ -142,14 +135,7 @@ class Modification:
         consumed = {k: set(v) for k, v in self.consumed.items()}
         consumed.setdefault(chart_idx, set()).add((pu, pv))
         out = Modification(
-            charts,
-            self_ints,
-            hosts,
-            cocharts,
-            frozenset(edges),
-            corners,
-            consumed,
-            step,
+            charts, self_ints, hosts, frozenset(edges), corners, consumed, self.nsteps + 1
         )
         build_intersection(out.graph())  # certify: unimodular tree after every step
         return out

@@ -17,7 +17,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import blowup, formulas, graph, jets
 from .curves import Curve
-from .errors import InvalidInput, MotiveSeriesError, PrecisionExhausted, VerificationFailure
+from .errors import (
+    InvalidInput, MotiveSeriesError, PrecisionExhausted, VerificationFailure, json_number,
+)
 from .polys import add, clean, pmul, power, scale
 
 EXIT_OK = 0
@@ -62,11 +64,11 @@ def _parse_poly(text):
             return _expand(text)
         out = {}
         for t in json.loads(text)["terms"]:
-            e, c = t["exp"], t["coeff"]
-            a, b = e
-            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+            e = t["exp"]
+            a, b = (json_number(x, "exponent") for x in e)
+            if a < 0 or b < 0:
                 raise ValueError("exponent %r is not two nonnegative integers" % (e,))
-            out[(a, b)] = Fraction(c)
+            out[(a, b)] = json_number(t["coeff"], "coeff", rational=True)
         return out
     except (ArithmeticError, LookupError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidInput(
@@ -215,7 +217,7 @@ def _series_pretty(series, symbol):
 
 
 def _modification_from_args(args):
-    if getattr(args, "script", None):
+    if args.script:
         return blowup.run_script(_load_json(args.script))
     raise InvalidInput("this command needs --script")
 
@@ -338,47 +340,37 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bound=False, at=False, poly=False):
-        p.add_argument("--curve", help="curve JSON file")
-        p.add_argument("--graph", help="dual graph JSON file")
-        p.add_argument("--script", help="blow-up script JSON file")
-        p.add_argument("--format", choices=("json", "pretty"), default="json")
-        p.add_argument("--max-jet", type=_budget, default=64, help="jet order cap")
-        p.add_argument("--max-steps", type=_budget, default=64, help="blow-up budget")
-        if bound:
-            p.add_argument("--bound", required=True, help="window, e.g. 6,6")
-            p.add_argument("--kind", choices=jets.SERIES_KINDS)
-            p.add_argument(
-                "--filtration", choices=("curve", "divisorial"), default="divisorial"
-            )
-        if at:
-            p.add_argument("--at", help="query point, e.g. 3,3 (component for multiplicity)")
-        if poly:
-            p.add_argument("--poly", required=True, help="polynomial in x,y")
-
-    p = sub.add_parser("resolve", help="embedded resolution of a plane curve")
-    add_common(p)
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("graph", help="dual graph of a blow-up script")
-    add_common(p)
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("poincare", help="series of a filtration")
-    add_common(p, bound=True)
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("hilbert", help="Hilbert function value")
-    add_common(p, at=True)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("multiplicity", help="divisorial multiplicities of a polynomial")
-    add_common(p, at=True, poly=True)
-    p.set_defaults(func=cmd_multiplicity)
-
-    p = sub.add_parser("verify", help="run the fixture cross-validation suite")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    options = {
+        "--curve": dict(help="curve JSON file"),
+        "--graph": dict(help="dual graph JSON file"),
+        "--script": dict(help="blow-up script JSON file"),
+        "--format": dict(choices=("json", "pretty"), default="json"),
+        "--max-jet": dict(type=_budget, default=64, help="jet order cap"),
+        "--max-steps": dict(type=_budget, default=64, help="blow-up budget"),
+        "--bound": dict(required=True, help="window, e.g. 6,6"),
+        "--kind": dict(choices=jets.SERIES_KINDS),
+        "--filtration": dict(choices=("curve", "divisorial"), default="divisorial"),
+        "--at": dict(help="query point, e.g. 3,3 (component for multiplicity)"),
+        "--poly": dict(required=True, help="polynomial in x,y"),
+    }
+    # each subcommand takes only the options it reads
+    for name, func, help_text, names in (
+        ("resolve", cmd_resolve, "embedded resolution of a plane curve",
+         ("--curve", "--format", "--max-steps")),
+        ("graph", cmd_graph, "dual graph of a blow-up script", ("--script", "--format")),
+        ("poincare", cmd_poincare, "series of a filtration",
+         ("--curve", "--graph", "--script", "--format", "--max-jet", "--bound", "--kind",
+          "--filtration")),
+        ("hilbert", cmd_hilbert, "Hilbert function value",
+         ("--curve", "--script", "--format", "--max-jet", "--at")),
+        ("multiplicity", cmd_multiplicity, "divisorial multiplicities of a polynomial",
+         ("--script", "--format", "--at", "--poly")),
+        ("verify", cmd_verify, "run the fixture cross-validation suite", ()),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
 
     return parser
 

@@ -12,12 +12,14 @@ An MSeries models partial knowledge of a formal series in t_1..t_r:
 Multiplication keeps a coefficient only when every pair of exponents
 that could contribute to it is exactly known in both operands, and
 shrinks the result window accordingly.  All windowed identities in this
-library are therefore exact, never approximate.
+library are therefore exact, never approximate.  Every product goes
+through the polys kernel (`pmul`); `expand_rational` divides each
+factor 1 - c t^m out of the numerator in place.
 """
 
 from __future__ import annotations
 
-from operator import add as add_int
+from operator import add as add_int, sub
 
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from .laurent import LaurentPoly
@@ -139,9 +141,6 @@ class MSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.nvars, self.lo, self.hi, frozenset(self.coeffs)))
-
     # -- linear structure ---------------------------------------------------
 
     def scale(self, c):
@@ -216,22 +215,16 @@ class MSeries:
         floored = self._floor_covers(lo)
         return MSeries(self.nvars, lo, hi, terms, floored=floored)
 
-    def map_coeffs(self, fn):
-        """Apply fn to every coefficient (e.g. specialisation at L = 1)."""
-        terms = {}
-        for e, c in self.coeffs.items():
-            v = fn(c)
-            if not isinstance(v, LaurentPoly):
-                v = LaurentPoly.const(v)
-            if v:
-                terms[e] = v
-        return MSeries(
-            self.nvars, self.lo, self.hi, terms, exact=self.exact, floored=self.floored
-        )
-
     def at_one(self):
         """Specialise every coefficient at L = 1 (integer coefficients)."""
-        return self.map_coeffs(lambda c: c.eval_one())
+        return MSeries(
+            self.nvars,
+            self.lo,
+            self.hi,
+            {e: c.eval_one() for e, c in self.coeffs.items()},
+            exact=self.exact,
+            floored=self.floored,
+        )
 
     # -- multiplication -------------------------------------------------------
 
@@ -275,21 +268,6 @@ class MSeries:
         )
 
 
-def _convolve(f, g, lo, hi, floored):
-    terms = {}
-    for e1, c1 in f.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            e = vec_add(e1, e2)
-            if not (vec_leq(lo, e) and vec_leq(e, hi)):
-                continue
-            s = terms.get(e, LaurentPoly.zero()) + c1 * c2
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-    return MSeries(f.nvars, lo, hi, terms, floored=floored)
-
-
 def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
     """Product, exact on the largest window the operands allow.
 
@@ -297,7 +275,8 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
     exponents whose every contribution from the exact factor's support
     lands in the windowed factor's known region.  windowed * windowed
     requires both operands floored; the floors bound the contributing
-    pairs to a finite box inside both windows.
+    pairs to a finite box inside both windows.  The coefficients are
+    `polys.pmul` of the stored terms, kept on the window.
     """
     if f.nvars != g.nvars:
         raise InvalidInput("cannot multiply series in different variable counts")
@@ -327,32 +306,39 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
                     "product of an unfloored window does not determine exponent 0"
                 )
             floored = False
-        if not vec_leq(lo, hi):
-            raise OutsideWindow("empty safe window in product")
-        return _convolve(ex, w, lo, hi, floored)
-    if not (f.floored and g.floored):
-        raise InvalidInput(
-            "windowed*windowed product needs support floors on both operands"
-        )
-    hi = vec_min(vec_add(f.hi, g.lo), vec_add(g.hi, f.lo))
-    lo = vec_min(vec_add(f.lo, g.lo), zero_vec(n))
+    else:
+        if not (f.floored and g.floored):
+            raise InvalidInput(
+                "windowed*windowed product needs support floors on both operands"
+            )
+        hi = vec_min(vec_add(f.hi, g.lo), vec_add(g.hi, f.lo))
+        lo = vec_min(vec_add(f.lo, g.lo), zero_vec(n))
+        floored = True
     if not vec_leq(lo, hi):
         raise OutsideWindow("empty safe window in product")
-    return _convolve(f, g, lo, hi, True)
+    terms = {
+        e: c
+        for e, c in pmul(f.coeffs, g.coeffs).items()
+        if vec_leq(lo, e) and vec_leq(e, hi)
+    }
+    return MSeries(n, lo, hi, terms, floored=floored)
 
 
 def expand_rational(numerator: MSeries, denominator_factors, hi) -> MSeries:
     """numerator / prod (1 - c * t^m), exact on [0, hi].
 
     Each factor is a pair (c, m) with c a LaurentPoly (or int) and m a
-    nonnegative, nonzero exponent vector; its geometric expansion
-    1 + c t^m + c^2 t^2m + ... terminates inside the window.
+    nonnegative, nonzero exponent vector.  The factors are divided out in
+    place: dividing g by 1 - c t^m sets g[e] += c * g[e - m] for e in
+    box(m, hi), in lex order, so g[e - m] is already divided when read.
+    With any factor, the numerator must be exact or floored, and known
+    to vanish below 0.
     """
     hi = tuple(hi)
     n = numerator.nvars
-    if any(h < 0 for h in hi):
-        raise InvalidInput("expansion window must be nonnegative")
-    out = numerator
+    if len(hi) != n or any(h < 0 for h in hi):
+        raise InvalidInput("expansion window must be nonnegative, one entry per variable")
+    factors = []
     for c, m in denominator_factors:
         m = tuple(m)
         if len(m) != n:
@@ -361,20 +347,22 @@ def expand_rational(numerator: MSeries, denominator_factors, hi) -> MSeries:
             raise InvalidInput("factor exponents must be nonnegative")
         if all(x == 0 for x in m):
             raise NonconvergentFactor("factor with zero exponent vector")
-        if not isinstance(c, LaurentPoly):
-            c = LaurentPoly.const(c)
-        kmax = min(hi[i] // m[i] for i in range(n) if m[i] > 0)
-        terms = {}
-        acc = LaurentPoly.one()
-        e = zero_vec(n)
-        for _ in range(kmax + 1):
-            if acc:
-                terms[e] = acc
-            acc = acc * c
-            e = vec_add(e, m)
-        geom = MSeries(n, zero_vec(n), hi, terms, floored=True)
-        out = mseries_mul(out, geom)
-    return out.restrict(zero_vec(n), hi)
+        factors.append((c if isinstance(c, LaurentPoly) else LaurentPoly.const(c), m))
+    zero = zero_vec(n)
+    if factors:
+        if not (numerator.exact or numerator.floored):
+            raise InvalidInput("expanding a rational series needs a floored numerator")
+        if not numerator._floor_covers(zero):
+            raise OutsideWindow("numerator may have support below exponent 0")
+    out = numerator.restrict(zero, hi)
+    g = out.coeffs
+    for c, m in factors:
+        for e in box(m, hi):
+            prev = g.get(tuple(map(sub, e, m)))
+            if prev is not None:
+                s = g.get(e)
+                g[e] = c * prev if s is None else s + c * prev
+    return MSeries(n, zero, hi, g, floored=out.floored)
 
 
 def first_mismatch(f: MSeries, g: MSeries, lo, hi):

@@ -7,13 +7,13 @@ maps), Laurent polynomials {int: int} in L (`laurent`), and exact
 series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
 
 * `clean`, `add` and `scale` never look at the keys;
-* `mul` is the one unwindowed convolution loop, for int exponents
-  (`umul` is its name for polynomials in the parameter);
+* `mul` is the one convolution loop, for int exponents (`umul` is its
+  name for polynomials in the parameter);
 * `pmul` packs exponent tuples into ints and calls `mul`.
 
 The coefficients only need +, * and truth; the kernel never adds a
 coefficient to an int 0, so LaurentPoly coefficients work as well.
-The windowed product of box-truncated series is `mseries._convolve`.
+Windowed products of box-truncated series are `pmul` kept on a window.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def scale(p, c):
 
 
 def mul(p, q):
-    """p * q for int exponents; the one unwindowed convolution loop."""
+    """p * q for int exponents; the one convolution loop."""
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

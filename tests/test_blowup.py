@@ -205,6 +205,17 @@ def test_divisorial_oracle_matches_unloading(script, data):
     oracle = DivisorialOracle(m)
     for w in box(zero_vec(d.size), hi):
         assert oracle.hilbert(w) == unloaded_codim(g, d, w), w
+    # P, Pg and Phat on [0, hi - 1] read h only on the box ranked above
+    ranked = len(oracle._ranks)
+    top = tuple(x - 1 for x in hi)
+    for kind, formula in (
+        ("P", divisorial_poincare_product),
+        ("Pg", divisorial_series),
+        ("Phat", semigroup_class_series),
+    ):
+        got = series(oracle, kind, top)
+        assert first_mismatch(got, formula(g, top), zero_vec(d.size), top) is None, kind
+    assert len(oracle._ranks) == ranked
 
 
 def test_center_errors():

@@ -341,6 +341,17 @@ def test_malformed_poly(files, capsys, poly):
     assert "bad polynomial %r" % poly in err
 
 
+def test_json_poly_coefficients_are_exact(tmp_path, capsys):
+    # y - x/10 passes through the second centre, so its multiplicity along
+    # E2 is 2; the float -0.1 is not -1/10 and is refused (see MALFORMED)
+    script = tmp_path / "tenth.json"
+    centers = ["origin", {"on": 1, "param": "1/10"}]
+    script.write_text(json.dumps({"steps": [{"center": c} for c in centers]}))
+    poly = _json_poly(["0, 1", "1"], ["1, 0", '"-1/10"'])
+    argv = ["multiplicity", "--script", str(script), "--poly", poly, "--format", "pretty"]
+    assert run(capsys, argv) == (0, "1,2\n", "")
+
+
 def test_multiplicity_of_high_powers(files, capsys):
     def vector(poly):
         argv = ["multiplicity", "--script", files["cusp_script.json"], "--poly", poly]
@@ -444,9 +455,21 @@ CULPRITS = {
     "script corner-false": "{'corner': [2, False]}",
     "max-jet -1": "--max-jet",
     "max-steps -1": "--max-steps",
+    "poly coeff -0.1": "coeff -0.1 is not an integer or a rational string",
+    "poly coeff true": "coeff True is not an integer or a rational string",
+    "poly exponent 1.0": "exponent 1.0 is not an integer",
+    "verify --format": "unrecognized arguments: --format json",
+    "graph --max-jet": "unrecognized arguments: --max-jet 3",
 }
 
 MULT = ["multiplicity", "--script", "@cusp_script.json", "--poly"]
+
+
+def _json_poly(*terms):
+    """A --poly JSON document; each term is [exponent text, coefficient text]."""
+    return '{"terms": [%s]}' % ", ".join('{"exp": [%s], "coeff": %s}' % (e, c) for e, c in terms)
+
+
 MALFORMED = [
     pytest.param(MULT + [poly], id="poly " + poly[:20])
     for poly in (
@@ -485,6 +508,13 @@ MALFORMED = [
     pytest.param(
         ["resolve", "--curve", "@cusp_curve.json", "--max-steps", "-1"], id="max-steps -1"
     ),
+    # a JSON float or bool is refused, never read as its binary value or as 1
+    pytest.param(MULT + [_json_poly(["1, 0", "-0.1"])], id="poly coeff -0.1"),
+    pytest.param(MULT + [_json_poly(["1, 0", "true"])], id="poly coeff true"),
+    pytest.param(MULT + [_json_poly(["1.0, 0", "1"])], id="poly exponent 1.0"),
+    # each subcommand takes only the options it reads
+    pytest.param(["verify", "--format", "json"], id="verify --format"),
+    pytest.param(["graph", "--script", "@cusp_script.json", "--max-jet", "3"], id="graph --max-jet"),
 ] + [
     pytest.param(["graph", "--script", "@" + name], id="script " + name[: -len(".json")])
     for name in BAD_DOCS

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_series.errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from motive_series.laurent import LaurentPoly
@@ -7,6 +9,7 @@ from motive_series.mseries import (
     expand_rational,
     first_mismatch,
     mseries_mul,
+    zero_vec,
 )
 
 ONE = LaurentPoly.one()
@@ -105,6 +108,69 @@ def test_reexpansion_agrees_on_smaller_window():
     small = expand_rational(num, factors, (3, 3))
     large = expand_rational(num, factors, (6, 6))
     assert first_mismatch(small, large, (0, 0), (3, 3)) is None
+
+
+def test_expand_rational_needs_a_floored_numerator():
+    num = MSeries(1, (-1,), (3,), {(0,): ONE}, floored=False)
+    with pytest.raises(InvalidInput):
+        expand_rational(num, [(ONE, (1,))], (3,))
+    # with no factor nothing is divided: the numerator is only re-windowed
+    assert expand_rational(num, [], (3,)).coeffs == {(0,): ONE}
+
+
+def test_expand_rational_needs_the_numerator_on_the_window():
+    short = MSeries(1, (0,), (2,), {(0,): ONE})
+    with pytest.raises(OutsideWindow):
+        expand_rational(short, [(ONE, (1,))], (3,))
+    # support below 0 would reach the window through every factor
+    for low in (
+        MSeries(1, (-1,), (3,), {(0,): ONE}),
+        MSeries.polynomial(1, {(-1,): ONE, (0,): ONE}),
+    ):
+        with pytest.raises(OutsideWindow):
+            expand_rational(low, [(ONE, (1,))], (3,))
+
+
+def geometric_expansion(numerator, factors, hi):
+    """numerator / prod (1 - c t^m) as products with truncated geometric
+    series 1 + c t^m + c^2 t^2m + ... on [0, hi], floored * floored."""
+    n = numerator.nvars
+    out = numerator.restrict(zero_vec(n), hi)
+    for c, m in factors:
+        kmax = min(h // x for h, x in zip(hi, m) if x)
+        geom = {tuple(k * x for x in m): c ** k for k in range(kmax + 1)}
+        out = mseries_mul(out, MSeries(n, zero_vec(n), hi, geom))
+    return out.restrict(zero_vec(n), hi)
+
+
+@st.composite
+def rational_series(draw):
+    n = draw(st.integers(1, 3))
+    hi = tuple(draw(st.integers(0, 4)) for _ in range(n))
+    exact = draw(st.booleans())
+    # an exact numerator may have terms above the window; a floored one
+    # is known on a box [0, top] with top >= hi
+    top = tuple(h + draw(st.integers(0, 2)) for h in hi)
+    exps = st.tuples(*(st.integers(0, t) for t in top))
+    coeffs = st.sampled_from([ONE, -ONE, 2 * ONE, L, ONE - L, L * L - 3 * ONE])
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    if exact:
+        num = MSeries.polynomial(n, terms)
+    else:
+        num = MSeries(n, zero_vec(n), top, terms)
+    vec = st.tuples(*(st.integers(0, 2) for _ in range(n))).filter(any)
+    factors = draw(st.lists(st.tuples(st.sampled_from([ONE, L, -ONE]), vec), max_size=3))
+    return num, factors, hi
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rational_series())
+def test_expand_rational_matches_geometric_products(case):
+    num, factors, hi = case
+    got = expand_rational(num, factors, hi)
+    want = geometric_expansion(num, factors, hi)
+    assert got == want
+    assert (got.lo, got.floored, got.exact) == (zero_vec(num.nvars), True, False)
 
 
 def test_shift_and_restrict():
