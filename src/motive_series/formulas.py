@@ -531,7 +531,7 @@ def hilbert_ie_coeff(hfun, nvars, v):
 def hilbert_ie_series(hfun, nvars, hi) -> MSeries:
     """Generalized series assembled coefficientwise from a Hilbert function."""
     coeffs = {}
-    for v in box(zero_vec(nvars), tuple(hi)):
+    for v in box(zero_vec(nvars), tuple(hi), down=True):
         c = hilbert_ie_coeff(hfun, nvars, v)
         if c:
             coeffs[v] = c

@@ -9,7 +9,9 @@ candidate set is complete at jet order max(v): its rank is h(v) exactly,
 with no search for a stable rank, and `max_jet` caps max(v).  The base
 builds the sparse rows from one table of truncated monomial images per
 block and ranks them with `linalg.rank`, the one exact kernel; a subclass
-says only how an image is extended and how its terms are keyed.
+says only how an image is extended and how its terms are keyed.  One
+elimination gives h along a whole line up to a horizon (see `hilbert`),
+and the sweeps below run their boxes top-down, so each line is ranked once.
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
 `series` reads P, Pg, Phat, L, Lg and H off either oracle.
@@ -17,6 +19,7 @@ says only how an image is extended and how its terms are keyed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from operator import add, lt
 
@@ -63,6 +66,7 @@ class JetRankOracle:
         self._ranks = {}
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
+        self._horizon = 0  # the largest last coordinate asked so far
 
     def _candidates(self, v):
         """(alpha, acc) of the monomials x^alpha whose image can be
@@ -122,7 +126,14 @@ class JetRankOracle:
     # -- the Hilbert function ------------------------------------------------
 
     def hilbert(self, v) -> int:
-        """h(v): the rank on the candidates, which are complete at jet order max(v)."""
+        """h(v): the rank on the candidates, which are complete at jet order max(v).
+
+        A miss at w ranks the rows at (p, top), p = w[:-1], top the
+        horizon (the largest last coordinate asked so far), and keeps
+        h(p, t) for every t <= top: the columns of (p, t) are the keys
+        below (r - 1, t), where a candidate of (p, top) that is none of
+        (p, t) has no term, so h(p, t) is the number of leading keys below
+        (r - 1, t).  A sweep from the top of its box ranks each line once."""
         v = tuple(v)
         if v in self._ranks:
             return self._ranks[v]
@@ -132,7 +143,11 @@ class JetRankOracle:
         if w not in self._ranks:
             if max(w) > self.max_jet:
                 raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
-            self._ranks[w] = linalg.rank(self._rows(self._candidates(w), w)) if any(w) else 0
+            self._horizon = top = max(w[-1], self._horizon)
+            line = w[:-1] + (top,)
+            keys = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else []
+            for t in range(top + 1):
+                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t))
         return self._ranks[w]
 
     # -- coefficientwise series data ------------------------------------------
@@ -191,8 +206,9 @@ def _jump_series(oracle: JetRankOracle, coeff, hi) -> MSeries:
     r = oracle.nvars
     lo, one = (-1,) * r, (1,) * r
     coeffs = {}
-    for v in box(lo, hi):
-        c = coeff(oracle.hilbert(v), oracle.hilbert(vec_add(v, one)))
+    for v in box(lo, hi, down=True):
+        up = oracle.hilbert(vec_add(v, one))
+        c = coeff(oracle.hilbert(v), up)
         if c:
             coeffs[v] = c
     return MSeries(r, lo, hi, coeffs, floored=False)
@@ -214,7 +230,7 @@ def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
         return _jump_series(oracle, _JUMPS[kind], hi)
     lo = zero_vec(r)
     coeffs = {}
-    for v in box(lo, hi):
+    for v in box(lo, hi, down=True):
         if kind == "P":
             c = LaurentPoly.const(oracle.poincare_coeff(v))
         elif kind == "Pg":
@@ -242,7 +258,7 @@ def semigroup_members(oracle: JetRankOracle, hi):
     """Value vectors in [0, hi] whose fibre has nonzero class."""
     return {
         v
-        for v in box(zero_vec(oracle.nvars), tuple(hi))
+        for v in box(zero_vec(oracle.nvars), tuple(hi), down=True)
         if oracle.semigroup_coeff(v)
     }
 

@@ -2,20 +2,25 @@
 
 ``rank`` is the one exact rank kernel, for the rows of both jet-rank
 oracles: it eliminates by leading key on sparse dict rows, so it never
-touches a zero.  ``det_and_adjugate`` never leaves the integers.
+touches a zero, and returns the leading keys of its echelon basis.
+``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
 
 
-def rank(rows) -> int:
-    """Rank over Q of a matrix given as dict rows {column key: Fraction}.
+def rank(rows) -> list:
+    """Sorted leading keys of an echelon basis of dict rows {column key:
+    Fraction}; their count is the rank over Q.
 
     Rows are taken sparsest first.  Each is reduced against the pivot row
     stored under its smallest key until that key is new (the row becomes
     the pivot there) or the row is empty; a row sparser than the stored
-    pivot swaps places with it.  The rank is the number of pivots.  The
-    reductions work on copies: the input rows are never modified."""
+    pivot swaps places with it.  The pivots span the rows and have
+    distinct smallest keys, so for any column key c the rank of the
+    columns below c is the number of returned keys below c (the prefix
+    property).  The reductions work on copies: the input rows are never
+    modified."""
     pivots = {}
     for row in sorted(rows, key=len):
         while row:
@@ -31,7 +36,7 @@ def rank(rows) -> int:
                 row[k] = row.get(k, 0) - factor * c
                 if not row[k]:
                     del row[k]
-    return len(pivots)
+    return sorted(pivots)
 
 
 def det_and_adjugate(matrix):

@@ -56,21 +56,23 @@ def unit_vec(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def box(lo, hi):
-    """Iterate the integer box [lo, hi] in lexicographic order."""
+def box(lo, hi, down=False):
+    """Iterate the integer box [lo, hi] in lexicographic order, from hi
+    down to lo when down."""
     if not vec_leq(lo, hi):
         return
-    cur = list(lo)
+    first, last, step = (hi, lo, -1) if down else (lo, hi, 1)
+    cur = list(first)
     n = len(lo)
     while True:
         yield tuple(cur)
         i = n - 1
-        while i >= 0 and cur[i] == hi[i]:
-            cur[i] = lo[i]
+        while i >= 0 and cur[i] == last[i]:
+            cur[i] = first[i]
             i -= 1
         if i < 0:
             return
-        cur[i] += 1
+        cur[i] += step
 
 
 class MSeries:

@@ -21,6 +21,7 @@ from motive_series.errors import (
 from motive_series.formulas import (
     divisorial_poincare_product,
     divisorial_series,
+    hilbert_ie_series,
     semigroup_class_series,
 )
 from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
@@ -142,8 +143,10 @@ def test_both_oracles_share_the_query_checks(make):
     n = oracle.nvars
     with pytest.raises(InvalidInput, match="query length != number of"):
         oracle.hilbert((1,) * (n + 1))
+    assert oracle.hilbert((2,) * n) == make(6).hilbert((2,) * n)
     with pytest.raises(PrecisionExhausted, match="jet order 7 needed, cap is 6"):
         oracle.hilbert((7,) * n)
+    assert oracle._horizon == 2  # a refused query does not raise the horizon
     assert oracle.hilbert((-1,) * n) == oracle.hilbert((0,) * n) == 0
 
 
@@ -216,6 +219,24 @@ def test_divisorial_oracle_matches_unloading(script, data):
         got = series(oracle, kind, top)
         assert first_mismatch(got, formula(g, top), zero_vec(d.size), top) is None, kind
     assert len(oracle._ranks) == ranked
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(), st.data())
+def test_top_down_sweep_matches_fresh_oracles(script, data):
+    # the ie sweep reads h on [0, hi + 1] from one elimination per line;
+    # every point must equal a fresh oracle's single query there
+    m = run_script(script)
+    s = m.ncomponents
+    hi = tuple(data.draw(st.integers(0, 2)) for _ in range(s))
+    swept = DivisorialOracle(m)
+    hilbert_ie_series(swept.hilbert, s, hi)
+    for w in box(zero_vec(s), tuple(x + 1 for x in hi)):
+        assert swept._ranks[w] == DivisorialOracle(m).hilbert(w), w
+    # asked large-first or small-first, one oracle gives the same answers
+    points = list(box(zero_vec(s), hi))
+    rising = DivisorialOracle(m)
+    assert [rising.hilbert(w) for w in points] == [swept.hilbert(w) for w in points]
 
 
 def test_center_errors():

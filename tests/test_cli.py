@@ -198,6 +198,17 @@ def test_jet_cap_bounds_the_query_only(files, capsys):
     assert code == 3 and out == "" and "jet order 40 needed, cap is 39" in err
 
 
+@pytest.mark.parametrize("kind", ([], ["--kind", "L"]), ids=("P", "L"))
+def test_sweep_budget_error_names_the_order_it_needs(files, capsys, kind):
+    # a sweep asks for the top of its box first, h(bound + 1), so a bound
+    # past the cap fails at once and names that order, not the point
+    # where a bottom-up sweep would have reached the cap
+    argv = ["poincare", "--curve", files["cusp_curve.json"], "--bound", "99999999999999999999"]
+    code, out, err = run(capsys, argv + kind)
+    assert code == 3 and out == ""
+    assert "jet order 100000000000000000000 needed, cap is 64" in err
+
+
 def test_verify_reports_known_defect(capsys):
     code = cli.main(["verify"])
     out = capsys.readouterr().out

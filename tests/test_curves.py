@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_series import Branch, Curve, valuation
+from motive_series import Branch, Curve, linalg, valuation
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
 from motive_series.jets import (
     HilbertOracle,
@@ -128,6 +128,45 @@ def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
         points = sorted(box((0, 0), hi), key=lambda v: (v[0] * 7 + v[1] * 3) % 11)
         for v in points:
             assert kept.hilbert(v) == HilbertOracle(curve).hilbert(v), v
+
+
+@pytest.mark.parametrize(
+    "fixture, hi",
+    (("curve_c", (5, 5)), ("curve_cprime", (4, 4)), ("transverse_lines", (4, 4)), ("cusp_curve", (9,))),
+)
+def test_top_down_sweep_ranks_each_line_once(request, monkeypatch, fixture, hi):
+    # P on [0, hi] reads h on [0, hi + 1]: one elimination per line of that
+    # box, and every point the same as a fresh oracle's single query
+    curve = request.getfixturevalue(fixture)
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda rows, rank=linalg.rank: calls.append(1) or rank(rows))
+    swept = HilbertOracle(curve)
+    series(swept, "P", hi)
+    up = tuple(x + 1 for x in hi)
+    assert len(calls) == len(list(box((0,) * (len(hi) - 1), up[:-1])))
+    monkeypatch.undo()
+    for v in box((0,) * len(hi), up):
+        assert swept._ranks[v] == HilbertOracle(curve).hilbert(v), v
+
+
+def test_large_first_and_small_first_queries_agree(curve_c, transverse_lines):
+    for curve, hi in ((curve_c, (6, 6)), (transverse_lines, (5, 5))):
+        points = list(box((0, 0), hi))
+        rising, falling = HilbertOracle(curve), HilbertOracle(curve)
+        small_first = [rising.hilbert(v) for v in points]
+        large_first = [falling.hilbert(v) for v in reversed(points)]
+        assert small_first == large_first[::-1]
+
+
+def test_query_past_the_cap_leaves_the_horizon(curve_c):
+    oracle = HilbertOracle(curve_c, max_jet=9)
+    assert oracle.hilbert((2, 5)) == HilbertOracle(curve_c).hilbert((2, 5))
+    with pytest.raises(PrecisionExhausted, match="jet order 10 needed, cap is 9"):
+        oracle.hilbert((1, 10))
+    assert oracle._horizon == 5
+    # the next line is ranked up to the old horizon only
+    assert oracle.hilbert((3, 1)) == HilbertOracle(curve_c).hilbert((3, 1))
+    assert (3, 5) in oracle._ranks and (3, 6) not in oracle._ranks
 
 
 def test_poincare_coeff_lines(transverse_lines):

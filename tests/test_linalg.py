@@ -1,7 +1,8 @@
 """`linalg.rank` against a plain dense elimination over Fraction.
 
-`rank` reduces dict rows by leading key; the reference takes the first
-nonzero pivot of dense rows and updates every column.
+`rank` reduces dict rows by leading key and returns the sorted leading
+keys; the reference takes the first nonzero pivot of dense rows and
+updates every column.
 """
 
 from fractions import Fraction
@@ -57,7 +58,9 @@ def dict_rows(rows):
 def check_rank(rows):
     sparse = dict_rows(rows)
     before = [dict(r) for r in sparse]
-    assert rank(sparse) == dense_rank(rows)
+    keys = rank(sparse)
+    assert len(keys) == dense_rank(rows)
+    assert keys == sorted(set(keys))
     assert sparse == before  # the input is not modified
 
 
@@ -84,3 +87,20 @@ def test_rank_matches_dense_elimination(rows):
 def test_sparse_rank_matches_dense_elimination(rows):
     """Rows that share a leading key after reduction, and all-zero rows."""
     check_rank(rows)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sparse_matrices())
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+@example([[Fraction(0), Fraction(0), Fraction(5), Fraction(0), Fraction(1, 2)]])
+@example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(0)]])
+@example([[Fraction(x) for x in r] for r in ("1110000", "1001100", "0100011")])
+@example([[Fraction(x) for x in r] for r in ("0011", "0110", "0101", "0000")])
+def test_leading_keys_give_the_rank_of_every_column_prefix(rows):
+    """The prefix property: for each column key c, the leading keys below c
+    count the rank of the columns below c, shared leading keys and all-zero
+    rows included."""
+    keys = rank(dict_rows(rows))
+    for j in range(len(rows[0]) + 1):
+        below = sum(key < (0, j) for key in keys)
+        assert below == dense_rank([r[:j] for r in rows]), j
