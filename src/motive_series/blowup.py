@@ -10,6 +10,12 @@ graph is maintained incrementally and certified by unimodularity.
 `DivisorialOracle` is route B for the divisorial filtration: a
 `jets.JetRankOracle` whose monomial images are their lifts to the host
 charts of the components, so `jets.series` gives its P, Pg and Phat.
+Its chart maps are scaled by x -> D_x x, y -> D_y y to int coefficients
+(one factor D_x^a D_y^b per row of x^a y^b, which changes no rank), and
+packed: u^ue v^ve is the int (ue << s) + ve.  The width s is the bit
+length of max(max_jet, 1) V, V the largest v-exponent of the maps: a
+candidate has degree below max(v) <= max_jet, so no ve of its lift
+reaches 2^s, and int order is (ue, ve) order.
 
 Strict transforms of parametrized branches are carried as exact rational
 functions of the parameter, so the resolution loop never loses
@@ -30,7 +36,8 @@ from .errors import (
 )
 from .graph import DualGraph, build_intersection
 from .jets import JetRankOracle
-from .polys import RatFun, clean, pmul, poly2_compose, u_order_in_first
+from .polys import RatFun, as_ints, clean, common_denominator, poly2_compose, u_order_in_first
+from .polys import pmul  # noqa: F401  (perfbench/spans.py patches and restores it here too)
 
 
 @dataclass(frozen=True)
@@ -228,12 +235,21 @@ class DivisorialOracle(JetRankOracle):
     monomial x^a y^b is a candidate when its exact lift order
     a w_i(x) + b w_i(y) is below w_i for some i.  The image of x^a y^b on
     block i is its lift to the host chart, truncated in u (exact, as no
-    chart map has a negative u exponent), and its rows are keyed
-    (i, ue, ve).
+    chart map has a negative u exponent).
+
+    D_x and D_y, the lcms of the denominators of every host chart's xmap
+    and ymap, make the maps integral: the maps of block i are D_x xmap
+    and D_y ymap of its host chart.  A term c u^ue v^ve is stored under
+    the key (ue << s) + ve, s = `_shift`.  Chart exponents are
+    nonnegative, so as long as every ve is below 2^s, int order is
+    (ue, ve) lex order, a product of images adds keys, and the terms of
+    u-order below t are the keys below t << s.  A candidate has
+    a + b < max(v) <= max_jet, so the ve of its image is at most
+    (max_jet - 1) V, V the largest v-exponent of the maps; s is the bit
+    length of max(max_jet, 1) V, for the `max_jet` given here.
     """
 
     _blocks = "components"
-    _one = {(0, 0): Fraction(1)}
     # a class attribute here too: perfbench/spans.py patches and restores it per class
     hilbert = JetRankOracle.hilbert
 
@@ -242,16 +258,15 @@ class DivisorialOracle(JetRankOracle):
         orders = [(m.multiplicity(i, x), m.multiplicity(i, y)) for i in range(m.ncomponents)]
         super().__init__(orders, max_jet)
         self.m = m
+        maps = [(m.charts[h].xmap, m.charts[h].ymap) for h in m.hosts]
+        dx, dy = (common_denominator(*p) for p in zip(*maps))
+        top_v = max(ve for pair in maps for p in pair for _, ve in p)
+        s = self._shift = (max(max_jet, 1) * top_v).bit_length()
 
-    def _step(self, i, j, image, top):
-        chart = self.m.charts[self.m.hosts[i]]
-        lift = pmul(image, chart.ymap if j else chart.xmap)
-        return {e: c for e, c in lift.items() if e[0] < top}
+        def packed(p, d):
+            return as_ints({(ue << s) + ve: c for (ue, ve), c in p.items()}, d)
 
-    def _emit(self, row, i, image, bound):
-        for (ue, ve), c in image.items():
-            if ue < bound:
-                row[(i, ue, ve)] = c
+        self._maps = [(packed(xm, dx), packed(ym, dy)) for xm, ym in maps]
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

@@ -9,9 +9,15 @@ candidate set is complete at jet order max(v): its rank is h(v) exactly,
 with no search for a stable rank, and `max_jet` caps max(v).  The base
 builds the sparse rows from one table of truncated monomial images per
 block and ranks them with `linalg.rank`, the one exact kernel; a subclass
-says only how an image is extended and how its terms are keyed.  One
-elimination gives h along a whole line up to a horizon (see `hilbert`),
-and the sweeps below run their boxes top-down, so each line is ranked once.
+gives only the images of the coordinates, as int-keyed dicts, and how a
+key holds a term's order.  Those maps are integral: substituting
+x_j -> D_j x_j, D_j a common denominator of coordinate j's images on
+every block, scales the row of x^alpha by prod_j D_j^alpha_j.  One
+nonzero factor per row changes no rank and no prefix of the leading
+keys, so every h is that of the unscaled rows, and no row holds a
+`Fraction`.  One elimination gives h along a whole line up to a horizon
+(see `hilbert`), and the sweeps below run their boxes top-down, so each
+line is ranked once.
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
 `series` reads P, Pg, Phat, L, Lg and H off either oracle.
@@ -20,7 +26,6 @@ and the sweeps below run their boxes top-down, so each line is ranked once.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from operator import add, lt
 
 from . import linalg
@@ -39,7 +44,7 @@ from .mseries import (
     vec_clamp0,
     zero_vec,
 )
-from .polys import umul
+from .polys import as_ints, common_denominator, umul
 
 SERIES_KINDS = ("P", "Pg", "Phat", "L", "Lg", "H")
 
@@ -50,14 +55,20 @@ class JetRankOracle:
     `orders[k][j]` is the order of coordinate j on block k (a branch of a
     curve, or a component of a modification); None means identically
     zero.  The base builds the rows (see `_rows`) and ranks them with
-    `linalg.rank`.  A subclass gives `_one`, the image of x^0; `_blocks`,
-    what its blocks are called in error messages; `_step(k, j, image,
-    top)`, the image times coordinate j on block k, truncated at order
-    top; and `_emit(row, k, image, bound)`, which writes the terms of
-    order below bound into a dict row under keys of its own.  Queries
-    clamp negative components to zero, and ranks are kept per clamped
-    point.
+    `linalg.rank`.  A subclass gives three hooks: `_blocks`, what its
+    blocks are called in error messages; `_maps[k][j]`, the image of
+    coordinate j on block k, a dict {int key: int} whose keys add under
+    products, so that the image of x^alpha is the `umul` product of maps;
+    and `_shift`, which says how a key holds a term's order: the terms of
+    order below t are those with keys below t << _shift.  The maps are
+    the coordinates' images after one substitution x_j -> D_j x_j for
+    every block, which makes them integral: it scales the row of x^alpha
+    by prod_j D_j^alpha_j, one nonzero factor, which changes no rank and
+    no prefix of the leading keys.  Queries clamp negative components to
+    zero, and ranks are kept per clamped point.
     """
+
+    _shift = 0
 
     def __init__(self, orders, max_jet: int = 64):
         self.orders = orders
@@ -95,22 +106,24 @@ class JetRankOracle:
 
     def _rows(self, cands, v):
         """The candidates' dict rows: their images' terms of order < v_k on
-        every block k where that image is nonzero below v_k.
+        every block k where that image is nonzero below v_k, keyed (k, key).
 
         Block k's table holds the images truncated at an order >= v_k; it
         is kept across queries, and restarted from x^0 at max(v_k, twice
         its order) when a query needs more.  cands is sorted and
         down-closed, and alpha - e_j (j the first nonzero index of alpha)
         has no larger order, so it is in the table before alpha, and one
-        `_step` extends it."""
+        product with the map of coordinate j extends it."""
         rows = [{} for _ in cands]
+        shift = self._shift
         for k, bound in enumerate(v):
             if not bound:
                 continue
             if bound > self._tops[k]:
                 self._tops[k] = max(bound, 2 * self._tops[k])
-                self._tables[k] = {(0,) * len(self.orders[k]): self._one}
-            table, top = self._tables[k], self._tops[k]
+                self._tables[k] = {(0,) * len(self.orders[k]): {0: 1}}
+            table, maps = self._tables[k], self._maps[k]
+            top, below = self._tops[k] << shift, bound << shift
             for row, (alpha, acc) in zip(rows, cands):
                 if acc[k] < bound:
                     image = table.get(alpha)
@@ -119,8 +132,11 @@ class JetRankOracle:
                         while not alpha[j]:
                             j += 1
                         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                        image = table[alpha] = self._step(k, j, table[prev], top)
-                    self._emit(row, k, image, bound)
+                        image = umul(table[prev], maps[j])
+                        image = table[alpha] = {e: c for e, c in image.items() if e < top}
+                    for e, c in image.items():
+                        if e < below:
+                            row[(k, e)] = c
         return rows
 
     # -- the Hilbert function ------------------------------------------------
@@ -131,9 +147,10 @@ class JetRankOracle:
         A miss at w ranks the rows at (p, top), p = w[:-1], top the
         horizon (the largest last coordinate asked so far), and keeps
         h(p, t) for every t <= top: the columns of (p, t) are the keys
-        below (r - 1, t), where a candidate of (p, top) that is none of
-        (p, t) has no term, so h(p, t) is the number of leading keys below
-        (r - 1, t).  A sweep from the top of its box ranks each line once."""
+        below (r - 1, t << _shift), where a candidate of (p, top) that is
+        none of (p, t) has no term, so h(p, t) is the number of leading
+        keys below (r - 1, t << _shift).  A sweep from the top of its box
+        ranks each line once."""
         v = tuple(v)
         if v in self._ranks:
             return self._ranks[v]
@@ -147,7 +164,7 @@ class JetRankOracle:
             line = w[:-1] + (top,)
             keys = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else []
             for t in range(top + 1):
-                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t))
+                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t << self._shift))
         return self._ranks[w]
 
     # -- coefficientwise series data ------------------------------------------
@@ -169,11 +186,13 @@ class HilbertOracle(JetRankOracle):
     """Memoizing jet-rank computer for one curve.
 
     Block k is branch k: the image of x^alpha is its composition with the
-    branch, a polynomial in the parameter t, and its rows are keyed (k, t).
+    branch, a polynomial in the parameter t, keyed by the power of t
+    (`_shift` 0).  D_j, the lcm of the denominators of coordinate j over
+    all branches, makes every map integral: the map of coordinate j on
+    branch k is D_j times that coordinate.
     """
 
     _blocks = "branches"
-    _one = {0: Fraction(1)}
     # a class attribute here too: perfbench/spans.py patches and restores it per class
     hilbert = JetRankOracle.hilbert
 
@@ -181,15 +200,8 @@ class HilbertOracle(JetRankOracle):
         orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
         super().__init__(orders, max_jet)
         self.curve = curve
-
-    def _step(self, k, j, image, top):
-        comp = umul(image, self.curve.branches[k].coords[j])
-        return {t: c for t, c in comp.items() if t < top}
-
-    def _emit(self, row, k, image, bound):
-        for t, c in image.items():
-            if t < bound:
-                row[(k, t)] = c
+        dens = [common_denominator(*coord) for coord in zip(*(b.coords for b in curve.branches))]
+        self._maps = [[as_ints(x, d) for x, d in zip(b.coords, dens)] for b in curve.branches]
 
 
 # the coefficient at v of each jump series, from (h(v), h(v + 1)); Lhat, the

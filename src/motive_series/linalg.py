@@ -2,39 +2,71 @@
 
 ``rank`` is the one exact rank kernel, for the rows of both jet-rank
 oracles: it eliminates by leading key on sparse dict rows, so it never
-touches a zero, and returns the leading keys of its echelon basis.
+touches a zero, and returns the leading keys of its echelon basis.  It
+stays in the integers: a rational row is first scaled by the lcm of its
+denominators, and rows are reduced fraction-free.  Scaling a row by a
+nonzero number changes neither its keys nor the rank of any set of
+columns, so the rank and every prefix of the leading keys are those of
+the rows as given; the oracles build their rows integral for that
+reason (see `jets`).  Each stored pivot is divided by its content, the
+gcd of its entries, which limits the growth of the entries.
 ``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
+from .polys import as_ints, common_denominator
+
+
+def _primitive(row):
+    """The int row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: c // g for k, c in row.items()}
+
 
 def rank(rows) -> list:
     """Sorted leading keys of an echelon basis of dict rows {column key:
-    Fraction}; their count is the rank over Q.
+    int or Fraction}; their count is the rank over Q.
 
+    A row with an entry that is not an int (the sum of its entries is
+    then not an int) is first multiplied by the lcm of its denominators.
     Rows are taken sparsest first.  Each is reduced against the pivot row
     stored under its smallest key until that key is new (the row becomes
     the pivot there) or the row is empty; a row sparser than the stored
-    pivot swaps places with it.  The pivots span the rows and have
-    distinct smallest keys, so for any column key c the rank of the
-    columns below c is the number of returned keys below c (the prefix
-    property).  The reductions work on copies: the input rows are never
-    modified."""
+    pivot swaps places with it.  A reduction is fraction-free:
+    row <- (a/g) row - (b/g) piv, with a = piv[key], b = row[key] and
+    g = gcd(a, b), which clears key and keeps every entry an int.  A
+    pivot is stored primitive (see `_primitive`).  The pivots span the
+    rows and have distinct smallest keys, so for any column key c the
+    rank of the columns below c is the number of returned keys below c
+    (the prefix property).  The reductions work on copies: the input rows
+    are never modified."""
+    rows = [
+        row if type(sum(row.values())) is int else as_ints(row, common_denominator(row))
+        for row in rows
+    ]
     pivots = {}
     for row in sorted(rows, key=len):
         while row:
             key = min(row)
             piv = pivots.get(key)
             if piv is None:
-                pivots[key] = row
+                pivots[key] = _primitive(row)
                 break
             if len(row) < len(piv):
-                pivots[key], row, piv = row, piv, row
-            factor, row = row[key] / piv[key], dict(row)
+                piv, row = _primitive(row), piv
+                pivots[key] = piv
+            a, b = piv[key], row[key]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
             for k, c in piv.items():
-                row[k] = row.get(k, 0) - factor * c
-                if not row[k]:
+                c = row.get(k, 0) - b * c
+                if c:
+                    row[k] = c
+                else:
                     del row[k]
     return sorted(pivots)
 

@@ -6,7 +6,9 @@ in a branch parameter, polynomials {tuple: Fraction} in x, y (chart
 maps), Laurent polynomials {int: int} in L (`laurent`), and exact
 series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
 
-* `clean`, `add` and `scale` never look at the keys;
+* `clean`, `add` and `scale` never look at the keys, and neither do
+  `common_denominator` and `as_ints`, which make Fraction coefficients
+  ints;
 * `mul` is the one convolution loop, for int exponents (`umul` is its
   name for polynomials in the parameter);
 * `pmul` packs exponent tuples into ints and calls `mul`.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import lshift
 
 from .errors import InvalidInput
@@ -50,6 +53,16 @@ def scale(p, c):
     if not c:
         return {}
     return {e: v * c for e, v in p.items()}
+
+
+def common_denominator(*ps):
+    """The lcm of the denominators of the coefficients of ps (int or Fraction)."""
+    return lcm(*(c.denominator for p in ps for c in p.values()))
+
+
+def as_ints(p, d):
+    """d p with int coefficients, d a multiple of every denominator of p."""
+    return {e: c.numerator * (d // c.denominator) for e, c in p.items()}
 
 
 def mul(p, q):

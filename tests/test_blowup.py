@@ -221,6 +221,73 @@ def test_divisorial_oracle_matches_unloading(script, data):
     assert len(oracle._ranks) == ranked
 
 
+# the params of blowup_scripts, each sent to a rational with another
+# denominator, one to one, so a script stays valid
+RATIONAL_PARAMS = {"1": "2/3", "-1": "-5/7", "2": "4/9", "1/2": "-7/3", "-3": "9/7"}
+
+
+def rational_params(script):
+    steps = []
+    for step in script["steps"]:
+        center = step["center"]
+        if isinstance(center, dict) and "param" in center:
+            center = {"on": center["on"], "param": RATIONAL_PARAMS[center["param"]]}
+        steps.append({"center": center})
+    return {"steps": steps}
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts().map(rational_params), st.data())
+def test_divisorial_oracle_matches_unloading_at_rational_params(script, data):
+    # the chart maps have denominators 3, 7 and 9, which the oracle clears
+    m = run_script(script)
+    g = m.graph()
+    d = build_intersection(g)
+    hi = tuple(data.draw(st.integers(1, 4)) for _ in range(d.size))
+    oracle = DivisorialOracle(m)
+    for w in box(zero_vec(d.size), hi, down=True):
+        assert oracle.hilbert(w) == unloaded_codim(g, d, w), w
+
+
+# free points at rational params and corners: host charts of v-degree 11
+WIDE_SCRIPT = {
+    "steps": [
+        {"center": "origin"},
+        {"center": {"on": 1, "param": "-5/7"}},
+        {"center": {"corner": [1, 2]}},
+        {"center": {"on": 3, "param": "2/3"}},
+        {"center": {"corner": [3, 4]}},
+        {"center": {"corner": [3, 5]}},
+        {"center": {"corner": [3, 6]}},
+    ]
+}
+
+
+def test_packed_key_width():
+    # a key packs (ue, ve) as (ue << s) + ve, with s from max_jet and the
+    # largest v-exponent; queries at max(w) == max_jet, where the width is
+    # least, agree with a far larger cap and with unloading
+    m = run_script(WIDE_SCRIPT)
+    g = m.graph()
+    d = build_intersection(g)
+    s = d.size
+    top_v = max(ve for h in m.hosts for p in (m.charts[h].xmap, m.charts[h].ymap) for _, ve in p)
+    assert top_v == 11
+    points = [w_of_nhat(d, tuple(int(j == i) for j in range(s))) for i in range(s)]
+    points += [(3,) * s, (1, 2, 3, 4, 5, 6, 7), (9, 1, 1, 1, 1, 1, 1)]
+    for w in points:
+        at_cap = DivisorialOracle(m, max_jet=max(w))
+        assert at_cap._shift == (max(w) * top_v).bit_length()
+        assert at_cap.hilbert(w) == DivisorialOracle(m, max_jet=10**30).hilbert(w), w
+        assert at_cap.hilbert(w) == unloaded_codim(g, d, w), w
+    # max_jet = 0 answers only at the origin, and refuses any other point
+    zero = DivisorialOracle(m, max_jet=0)
+    assert zero._shift == top_v.bit_length()
+    assert zero.hilbert((0,) * s) == zero.hilbert((-3,) * s) == 0
+    with pytest.raises(PrecisionExhausted, match="jet order 1 needed, cap is 0"):
+        zero.hilbert((0,) * (s - 1) + (1,))
+
+
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(blowup_scripts(), st.data())
 def test_top_down_sweep_matches_fresh_oracles(script, data):

@@ -6,6 +6,7 @@ updates every column.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,3 +105,60 @@ def test_leading_keys_give_the_rank_of_every_column_prefix(rows):
     for j in range(len(rows[0]) + 1):
         below = sum(key < (0, j) for key in keys)
         assert below == dense_rank([r[:j] for r in rows]), j
+
+
+# -- integer rows, mixed rows and row scalings ---------------------------------
+
+FEW = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+big_entries = st.sampled_from([0] * 4) | st.integers(-(2**64), 2**64)
+big_multipliers = st.integers(-(2**64), 2**64)
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-6 by 1-6 int matrices with entries up to 2^64 in size, with up to
+    three rows that are integer combinations of two rows before them."""
+    ncols = draw(st.integers(1, 6))
+    rows = [[draw(big_entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = draw(big_multipliers), draw(big_multipliers)
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@FEW
+@given(integer_matrices())
+@example([[2**64, 2**64 - 1], [2**64 + 1, 2**64]])  # determinant 1
+@example([[2**64, 3 * 2**63], [2**65, 3 * 2**64]])  # rank 1, content 2^63
+def test_integer_rows_with_large_entries(rows):
+    check_rank(rows)
+    assert rank(dict_rows(rows)) == rank(dict_rows([[Fraction(x) for x in r] for r in rows]))
+
+
+@FEW
+@given(sparse_matrices())
+@example([[Fraction(1, 2), Fraction(3)], [Fraction(1), Fraction(6)]])
+@example([[Fraction(2), Fraction(4)], [Fraction(3), Fraction(6)]])
+def test_rows_of_mixed_ints_and_fractions(rows):
+    """Every other entry with an integral value becomes an int."""
+    mixed = [
+        [int(x) if x.denominator == 1 and (i + j) % 2 else x for j, x in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+    check_rank(mixed)
+    assert rank(dict_rows(mixed)) == rank(dict_rows(rows))
+
+
+@FEW
+@given(sparse_matrices(), st.data())
+def test_scaling_a_row_keeps_the_leading_keys(rows, data):
+    """A nonzero rational multiple of any row gives the same leading keys."""
+    keys = rank(dict_rows(rows))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    q = data.draw(st.fractions(-50, 50, max_denominator=9).filter(bool))
+    scaled = [[q * x for x in r] if k == i else r for k, r in enumerate(rows)]
+    assert rank(dict_rows(scaled)) == keys
+    # and so does each row times the lcm of its denominators, as ints
+    integral = [[int(x * lcm(*(y.denominator for y in r))) for x in r] for r in scaled]
+    assert rank(dict_rows(integral)) == keys

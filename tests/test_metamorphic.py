@@ -3,15 +3,19 @@ random plane curves.
 
 Each law reads h along lines in a different coordinate order: permuting
 branches moves the line direction to another branch, jumps step every
-coordinate, and Pg and P sweep the same box for two series kinds.  The
-curves are 1-3 distinct branches (tau^a, tau^b + c tau^(b+1)) with
+coordinate, and Pg and P sweep the same box for two series kinds.
+Scaling a coordinate is an automorphism of the ambient ring, so it keeps
+every valuation; it changes the denominators the curve oracle clears.
+The curves are 1-3 distinct branches (tau^a, tau^b + c tau^(b+1)) with
 gcd(a, b) = 1, and the bounds are small.
 """
+
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motive_series import Curve
+from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve
 from motive_series.formulas import curve_series
 from motive_series.jets import HilbertOracle, series
@@ -44,6 +48,26 @@ def test_permuting_branches_permutes_the_variables(curve, data):
         got = series(HilbertOracle(curve), kind, hi)
         want = series(HilbertOracle(moved), kind, moved_hi)
         assert {tuple(v[k] for k in perm): c for v, c in got.coeffs.items()} == want.coeffs, kind
+
+
+@SMALL
+@given(curves, st.data())
+def test_scaling_a_coordinate_keeps_h(curve, data):
+    r = curve.nbranches
+    j = data.draw(st.integers(0, curve.ambient_dim - 1))
+    num = data.draw(st.integers(-20, 20).filter(bool))
+    q = Fraction(num, data.draw(st.sampled_from((3, 7, 9))))
+    scaled = Curve(
+        curve.ambient_dim,
+        [
+            Branch([{t: q * c for t, c in x.items()} if i == j else x for i, x in enumerate(b.coords)])
+            for b in curve.branches
+        ],
+    )
+    hi = tuple(data.draw(st.integers(1, TOP[r])) for _ in range(r))
+    oracle, moved = HilbertOracle(curve), HilbertOracle(scaled)
+    for v in box(zero_vec(r), hi, down=True):
+        assert moved.hilbert(v) == oracle.hilbert(v), v
 
 
 @SMALL
