@@ -193,11 +193,35 @@ def _json_text(value, pad="\n"):
     return text.replace("\n", pad)
 
 
-def _emit(fmt, doc, pretty):
-    """Write the output in format fmt; doc() builds the JSON document and
-    pretty() the text, and only the one asked for is built."""
+def _int_list(xs, pad):
+    """_json_text(list(xs), pad) for a sequence of ints."""
+    return "[" + pad + " " + ("," + pad + " ").join(map(str, xs)) + pad + "]" if xs else "[]"
+
+
+def _series_json(series):
+    """_json_text(series.to_json()), written in one pass over the sorted
+    coefficients: one string template per [power, "coeff"] pair."""
+    terms = []
+    for e in sorted(series.coeffs):
+        c = series.coeffs[e].terms
+        pairs = ",\n    ".join(['[\n     %d,\n     "%d"\n    ]' % (k, c[k]) for k in sorted(c)])
+        terms.append(
+            '{\n   "coeff": %s,\n   "exp": %s\n  }'
+            % ("[\n    " + pairs + "\n   ]" if pairs else "[]", _int_list(e, "\n   "))
+        )
+    return '{\n "hi": %s,\n "lo": %s,\n "terms": %s,\n "vars": %d\n}' % (
+        _int_list(series.hi, "\n "),
+        _int_list(series.lo, "\n "),
+        "[\n  " + ",\n  ".join(terms) + "\n ]" if terms else "[]",
+        series.nvars,
+    )
+
+
+def _emit(fmt, doc, pretty, text=_json_text):
+    """Write the output in format fmt; doc() builds the JSON document, which
+    text() writes, and pretty() the text; only the one asked for is built."""
     if fmt == "json":
-        sys.stdout.write(_json_text(doc()))
+        sys.stdout.write(text(doc()))
         sys.stdout.write("\n")
     else:
         pretty_text = pretty()
@@ -273,7 +297,7 @@ def cmd_poincare(args):
     else:
         g = _graph_input(args)
         series, symbol = _graph_series(args, g)
-    _emit(args.format, series.to_json, lambda: _series_pretty(series, symbol))
+    _emit(args.format, lambda: series, lambda: _series_pretty(series, symbol), _series_json)
     return EXIT_OK
 
 

@@ -25,6 +25,17 @@ of edges inside the support of nhat, and (curve mode) the subsets K.
 chi_bullet(j) + 1 per graph: O(s) per nhat (``nhat_codimension``, O(s^2),
 is the reference).
 
+Every coefficient is a kernel dict {L-power: int} (`polys`) from its
+first product to its last: it is built in place and wrapped into a
+LaurentPoly once, in the MSeries returned.  The sum over I is a transfer
+up each tree of the support forest, rooted, rather than a loop over its
+2^|forest| subsets.  A vertex v keeps two sums over its subtree: with its
+parent edge in I (p = 1) and without (p = 0).  Its children combine by
+the count k of their edges in I, each edge in I bringing a factor L - 1
+(a shift and a subtraction), and v's sum is sum_k by_count[k]
+sym_power_class(chi_v + a_v + k + p, nhat_v - a_v - k - p), a_v its
+arrows in K.  That is O(sum_v deg(v)^2) products per tree.
+
 The divisorial Phat and P are series F(x) in x_i = t^m_i.  M is
 invertible with positive entries, so x^nhat lands at the one w = nhat M,
 and the nhat with w in the window form a downward closed set; on it,
@@ -32,8 +43,9 @@ with c = 0 off it:
 
 * Phat: F = prod_edges (1 - x_i - x_j + L x_i x_j) / prod_i (1 - x_i)
   (1 - L x_i), so c(nhat) starts at prod_i [P^nhat_i], and each edge
-  adds L c(nhat - e_i - e_j) - c(nhat - e_i) - c(nhat - e_j) to it, in
-  reverse lex order so that the right-hand side is still the old c;
+  adds L c(nhat - e_i - e_j) - c(nhat - e_i) - c(nhat - e_j) to it in
+  place, in reverse lex order so that the right-hand side is still the
+  old c;
 * P: c(nhat) = prod_i [x^nhat_i] (1 - x)^(-chi_i), an integer that is 0
   once nhat_i > -chi_i >= 0.
 """
@@ -43,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
-from operator import add as add_ints, mul
+from math import comb, inf
+from operator import add as add_ints, le, mul as mul_ints
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -55,11 +67,9 @@ from .graph import (
     chi_open,
     w_of_nhat,
 )
-from .laurent import ONE, ZERO, LaurentPoly, signed_runs, sym_power_class
+from .laurent import ONE, LaurentPoly, signed_runs, sym_power_class
 from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
-from .polys import add, scale
-
-L_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
+from .polys import mul
 
 
 @dataclass(frozen=True)
@@ -109,14 +119,16 @@ def nhat_codimension(nhat, d: IntersectionData, g: DualGraph) -> int:
 def _codim_lin(d: IntersectionData, g: DualGraph) -> list:
     """lin_i = sum_j m_ij chi_bullet(j) + 1, the linear part of codim."""
     chi_b = [chi_bullet(g, j) for j in range(g.nvertices)]
-    return [sum(map(mul, row, chi_b)) + 1 for row in d.M]
+    return [sum(map(mul_ints, row, chi_b)) + 1 for row in d.M]
 
 
 def _codim(nhat, w, lin) -> int:
     """nhat_codimension as (nhat.w + nhat.lin) / 2, with w = nhat M."""
-    twice = sum(map(mul, nhat, w)) + sum(map(mul, nhat, lin))
+    twice = sum(map(mul_ints, nhat, w)) + sum(map(mul_ints, nhat, lin))
     if twice % 2:
-        raise InternalInconsistency("codimension half-sum is odd")
+        raise InternalInconsistency(
+            "codimension half-sum is odd at nhat %r, w %r" % (tuple(nhat), tuple(w))
+        )
     return twice // 2
 
 
@@ -261,12 +273,6 @@ def enumerate_terms(g: DualGraph, d: IntersectionData, hi, mode: str):
             yield from _group_terms(g, d, hi, mode, I, ())
 
 
-@lru_cache(maxsize=4096)
-def _sym(chi, n):
-    """sym_power_class(chi, n), and zero when n < 0 (no room for the parts)."""
-    return sym_power_class(chi, n) if n >= 0 else ZERO
-
-
 def _nhats(d: IntersectionData, caps, limits=None):
     """Every (nhat, w(nhat)) with w[j] <= caps[j] for each capped column j
     and nhat_i <= limits[i] where given, in lex order (an odometer, the
@@ -275,7 +281,7 @@ def _nhats(d: IntersectionData, caps, limits=None):
     is downward closed.
     """
     s, rows = d.size, d.M
-    caps = sorted(caps.items())
+    caps = [caps.get(j, inf) for j in range(s)]
     limits = limits or [None] * s
     nhat = [0] * s
     ws = [zero_vec(s)] * s  # ws[i]: w of nhat with the entries after i set to 0
@@ -285,7 +291,7 @@ def _nhats(d: IntersectionData, caps, limits=None):
         while i >= 0:
             if limits[i] is None or nhat[i] < limits[i]:
                 w = vec_add(ws[i], rows[i])
-                if all(w[j] <= cap for j, cap in caps):
+                if all(map(le, w, caps)):
                     nhat[i] += 1
                     ws[i:] = [w] * (s - i)
                     break
@@ -295,45 +301,124 @@ def _nhats(d: IntersectionData, caps, limits=None):
             return
 
 
+def _add_into(acc, p, k=0, sign=1):
+    """acc += sign L^k p, in place, for int kernel dicts p and acc (never
+    the same dict); returns acc."""
+    get = acc.get
+    for e, c in p.items():
+        e += k
+        c = get(e, 0) + sign * c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+    return acc
+
+
+def _times_l_minus_one(p):
+    """(L - 1) p, by shift and subtract."""
+    return _add_into({e + 1: c for e, c in p.items()}, p, sign=-1)
+
+
 @lru_cache(maxsize=4096)
-def _l_minus_one_power(k):
-    return L_MINUS_ONE ** k
+def _sym_terms(chi, n):
+    """sym_power_class(chi, n) as a kernel dict, {} when n < 0 (no room for
+    the parts).  Shared: callers never change it."""
+    return sym_power_class(chi, n).terms if n >= 0 else {}
 
 
-def _vertex_sum(g, chi, nhat, arrows_at):
-    """sum over I in the support forest of (L-1)^(|I|+|K|) prod_i
-    sym_power_class(chi_i + r_i, nhat_i - r_i), where r_i counts the edges
-    of I at i plus the ``arrows_at[i]`` arrows of K at i."""
-    support = [i for i, x in enumerate(nhat) if x]
-    forest = [(i, j) for (i, j) in g.edges if nhat[i] and nhat[j]]
-    by_size = [ZERO] * (len(forest) + 1)
-    nk = sum(arrows_at)
-    for I in _subsets(len(forest)):
-        r = list(arrows_at)
-        for pos in I:
-            i, j = forest[pos]
-            r[i] += 1
-            r[j] += 1
-        c = ONE
-        for i in support:
-            c = c * _sym(chi[i] + r[i], nhat[i] - r[i])
-            if not c:
-                break
-        if c:
-            by_size[len(I)] = by_size[len(I)] + c
-    out = ZERO
-    for size, c in enumerate(by_size):
-        if c:
-            out = out + c * _l_minus_one_power(size + nk)
+def _forest(g, nhat):
+    """The forest of the edges inside the support of nhat, as rooted trees:
+    each a list of (vertex, parent) pairs, every vertex before its parent
+    and the root (parent None) last."""
+    nbrs = {i: [] for i, x in enumerate(nhat) if x}
+    for i, j in g.edges:
+        if nhat[i] and nhat[j]:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    trees, parent = [], {}
+    for root in nbrs:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:
+            for u in nbrs[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        trees.append([(v, parent[v]) for v in reversed(order)])
+    return trees
+
+
+def _at_vertex(by_count, chi, n):
+    """sum_k by_count[k] sym_power_class(chi + k, n - k); by_count None
+    stands for [1] (no child edge)."""
+    if by_count is None:
+        return _sym_terms(chi, n)
+    out = {}
+    for k, c in enumerate(by_count[: n + 1]):
+        _add_into(out, mul(c, _sym_terms(chi + k, n - k)))
     return out
 
 
-def _check_coeffs(coeffs, label):
+def _with_child(by_count, f0, f1):
+    """by_count after one more child, whose edge is out of I (sum f0) or in
+    it (sum f1, which carries the edge's factor L - 1)."""
+    if by_count is None:
+        return [f0, f1]
+    out = [{} for _ in range(len(by_count) + 1)]
+    for k, c in enumerate(by_count):
+        _add_into(out[k], mul(c, f0))
+        _add_into(out[k + 1], mul(c, f1))
+    return out
+
+
+def _vertex_sum(trees, chi, nhat, arrows_at):
+    """sum over the edge sets I of the support forest ``trees`` (`_forest`)
+    of (L-1)^(|I|+|K|) prod_i sym_power_class(chi_i + r_i, nhat_i - r_i),
+    where r_i counts the edges of I at i plus the ``arrows_at[i]`` arrows
+    of K at i; a kernel dict.
+
+    A transfer up each tree (module docstring): by_count[v][k] is the sum
+    over v's subtree below v with k of v's child edges in I, and v's sum
+    with its parent edge in I (p = 1) or not (p = 0) is sum_k
+    by_count[v][k] sym_power_class(chi_v + a_v + k + p, nhat_v - a_v - k - p).
+    """
+    out = None  # the product over the trees done so far
+    for tree in trees:
+        by_count = {}
+        for v, up in tree:
+            below = by_count.pop(v, None)
+            a, n = chi[v] + arrows_at[v], nhat[v] - arrows_at[v]
+            f0 = _at_vertex(below, a, n)
+            if up is None:
+                out = f0 if out is None else mul(out, f0)
+            else:
+                f1 = _at_vertex(below, a + 1, n - 1)
+                by_count[up] = _with_child(by_count.get(up), f0, _times_l_minus_one(f1))
+        if not out:
+            return {}
+    if out is None:
+        out = {0: 1}
+    for _ in range(sum(arrows_at)):
+        out = _times_l_minus_one(out)
+    return out
+
+
+def _series(hi, coeffs, label, symbol):
+    """The MSeries on [0, hi] of kernel-dict coefficients, each asserted to
+    be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative)."""
+    out = {}
     for e, c in coeffs.items():
-        if not c.only_nonpos_powers():
+        if not c:
+            continue
+        if max(c) > 0 if symbol == "q" else min(c) < 0:
             raise InternalInconsistency(
-                "%s coefficient at %r is not a polynomial in q" % (label, e)
+                "%s coefficient at %r is not a polynomial in %s" % (label, e, symbol)
             )
+        out[e] = LaurentPoly._trusted(c)
+    return MSeries(len(hi), zero_vec(len(hi)), hi, out, floored=True)
 
 
 def curve_series(g: DualGraph, hi, data=None) -> MSeries:
@@ -364,31 +449,26 @@ def curve_series(g: DualGraph, hi, data=None) -> MSeries:
     coeffs = {}
     for nhat, w in _nhats(d, caps):
         floor = tuple(w[j] for j in attach)
-        base = LaurentPoly.q_power(_codim(nhat, w, lin))
+        codim = _codim(nhat, w, lin)
         # an arrow joins K only if its vertex is in the support and b~ >= 1 fits
         live = [k for k, j in enumerate(attach) if nhat[j] and floor[k] < hi[k]]
+        trees = _forest(g, nhat)
         for K in _subsets(len(live)):
             K = [live[pos] for pos in K]
             arrows_at = [0] * s
             for k in K:
                 arrows_at[attach[k]] += 1
-            c = _vertex_sum(g, chi, nhat, arrows_at)
+            c = _vertex_sum(trees, chi, nhat, arrows_at)
             if not c:
                 continue
-            c = base * c
-            shifted = {}
             for bt in product(*(range(1, hi[k] - floor[k] + 1) for k in K)):
                 v = list(floor)
                 for k, b in zip(K, bt):
                     v[k] += b
-                shift = sum(bt)
-                if shift not in shifted:
-                    shifted[shift] = c * LaurentPoly.q_power(shift)
-                v = tuple(v)
-                coeffs[v] = coeffs.get(v, ZERO) + shifted[shift]
-    _check_coeffs(coeffs, "curve-series")
-    # MSeries drops the coefficients that cancelled to zero
-    return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
+                # q^(codim + sum b~) c, added into the coefficient at v
+                _add_into(coeffs.setdefault(tuple(v), {}), c, -codim - sum(bt))
+    # cancelled coefficients are empty dicts, which _series drops
+    return _series(hi, coeffs, "curve-series", "q")
 
 
 def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
@@ -406,15 +486,14 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     d = data if data is not None else build_intersection(g)
     s = g.nvertices
     chi = [chi_bullet(g, i) for i in range(s)]
-    lin = _codim_lin(d, g)
+    lin, zeros = _codim_lin(d, g), [0] * s
     coeffs = {}
     for nhat, w in _nhats(d, dict(enumerate(hi))):
         # w(nhat) is one-to-one, M being invertible
-        c = _vertex_sum(g, chi, nhat, [0] * s)
+        c = _vertex_sum(_forest(g, nhat), chi, nhat, zeros)
         if c:
-            coeffs[w] = LaurentPoly.q_power(_codim(nhat, w, lin)) * c
-    _check_coeffs(coeffs, "divisorial-series")
-    return MSeries(len(hi), zero_vec(len(hi)), hi, coeffs, floored=True)
+            coeffs[w] = _shift(c, -_codim(nhat, w, lin))
+    return _series(hi, coeffs, "divisorial-series", "q")
 
 
 def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
@@ -441,28 +520,20 @@ def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
             continue
         # prod_i [P^nhat_i], by [P^m] = [P^(m-1)] + L^m
         rest = index[nhat[:k] + (0,) * (s - k)]
-        coeffs.append(add(coeffs[pred[k][n]], _shift(coeffs[rest], nhat[k])))
+        coeffs.append(_add_into(dict(coeffs[pred[k][n]]), coeffs[rest], nhat[k]))
     for i, j in g.edges:
         pi, pj = pred[i], pred[j]
         # nhat - e_i, nhat - e_j come later in reverse lex order: still unchanged
         for n in range(len(ws) - 1, -1, -1):
-            a, b = pi[n], pj[n]
-            if a is not None and b is not None:
-                coeffs[n] = add(coeffs[n], _shift(coeffs[pj[a]], 1))
-                minus = add(coeffs[a], coeffs[b])
-            elif a is not None or b is not None:
-                minus = coeffs[a if b is None else b]
-            else:
-                continue
-            coeffs[n] = add(coeffs[n], scale(minus, -1))
-    out = {}
-    for w, c in zip(ws, coeffs):
-        if any(e < 0 for e in c):
-            raise InternalInconsistency(
-                "semigroup-class coefficient at %r is not a polynomial in L" % (w,)
-            )
-        out[w] = LaurentPoly(c)
-    return MSeries(s, zero_vec(s), hi, out, floored=True)
+            a, b, c = pi[n], pj[n], coeffs[n]
+            if a is not None:
+                if b is not None:
+                    _add_into(c, coeffs[pj[a]], 1)
+                    _add_into(c, coeffs[b], sign=-1)
+                _add_into(c, coeffs[a], sign=-1)
+            elif b is not None:
+                _add_into(c, coeffs[b], sign=-1)
+    return _series(hi, dict(zip(ws, coeffs)), "semigroup-class", "L")
 
 
 def _shift(p, k):

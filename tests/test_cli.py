@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from motive_series import cli
 from motive_series.errors import InvalidInput
+from motive_series.laurent import LaurentPoly
+from motive_series.mseries import MSeries
 
 C_DOC = {
     "ambient_dim": 5,
@@ -585,6 +587,38 @@ def test_json_text_of_series_documents(files, capsys):
     doc = json.loads(out)
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
     assert cli._json_text({}) == "{}" and cli._json_text([[], {}]) == "[\n []," + "\n {}\n]"
+
+
+big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) - 3])
+laurent_terms = st.dictionaries(st.integers(-6, 6), big_ints.filter(bool), min_size=1, max_size=4)
+
+
+@st.composite
+def series_values(draw):
+    """An MSeries in 1-4 variables on a window [lo, hi] with lo = 0 or -1 per
+    variable (L and Lg use -1), with 0-6 coefficients."""
+    n = draw(st.integers(1, 4))
+    lo = tuple(draw(st.sampled_from((0, -1))) for _ in range(n))
+    hi = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    exps = st.tuples(*(st.integers(a, b) for a, b in zip(lo, hi)))
+    coeffs = draw(st.dictionaries(exps, laurent_terms.map(LaurentPoly), max_size=6))
+    return MSeries(n, lo, hi, coeffs)
+
+
+@WRITER
+@given(series_values())
+def test_series_writer_matches_json_dumps(series):
+    want = json.dumps(series.to_json(), sort_keys=True, separators=(",", ": "), indent=1)
+    assert cli._series_json(series) == want
+
+
+def test_series_writer_on_empty_and_signed_series():
+    for series in (
+        MSeries(2, (-1, 0), (2, 2), {}),
+        MSeries(1, (0,), (3,), {(2,): LaurentPoly({-3: -(2**80), 4: 2**64})}),
+    ):
+        want = json.dumps(series.to_json(), sort_keys=True, separators=(",", ": "), indent=1)
+        assert cli._series_json(series) == want == cli._json_text(series.to_json())
 
 
 # -- the --poly parser against sympy --------------------------------------------

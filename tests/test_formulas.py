@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve, run_script
-from motive_series.errors import InvalidInput
+from motive_series.errors import InternalInconsistency, InvalidInput
 from motive_series.formulas import (
     TermIndex,
     _codim,
     _codim_lin,
+    _forest,
     _nhats,
+    _subsets,
+    _vertex_sum,
     curve_series,
     divisorial_poincare_product,
     divisorial_poincare_product_edges,
@@ -302,6 +305,81 @@ def test_codimension_from_w_matches_reference_on_fixture_windows():
             assert hoskin_deligne(d, g, nhat) == codim - sum(nhat)
             visited += 1
     assert visited > 200  # the loop is not vacuous
+
+
+def test_odd_codimension_names_its_input():
+    # lin inconsistent with w = nhat M: the half-sum is odd
+    with pytest.raises(InternalInconsistency, match=r"nhat \(1, 2\), w \(3, 5\)"):
+        _codim((1, 2), (3, 5), [0, 0])
+    assert _codim((1, 2), (3, 5), [1, 0]) == 7
+
+
+# -- the tree transfer against subset enumeration ------------------------------
+
+
+def reference_vertex_sum(g, chi, nhat, arrows_at):
+    """sum over I in the support forest of (L-1)^(|I|+|K|) prod_i
+    sym_power_class(chi_i + r_i, nhat_i - r_i), where r_i counts the edges
+    of I at i plus the ``arrows_at[i]`` arrows of K at i, one subset I at a
+    time."""
+    support = [i for i, x in enumerate(nhat) if x]
+    forest = [(i, j) for (i, j) in g.edges if nhat[i] and nhat[j]]
+    out = LaurentPoly.zero()
+    for I in _subsets(len(forest)):
+        r = list(arrows_at)
+        for pos in I:
+            i, j = forest[pos]
+            r[i] += 1
+            r[j] += 1
+        c = (L - ONE) ** (len(I) + sum(arrows_at))
+        for i in support:
+            n = nhat[i] - r[i]
+            c = c * sym_power_class(chi[i] + r[i], n) if n >= 0 else LaurentPoly.zero()
+        out = out + c
+    return out
+
+
+@st.composite
+def weighted_trees(draw):
+    """A tree of 1-9 vertices with 0-3 arrows, nhat with zero entries, and
+    arrows_at[i] at most the arrows at vertex i."""
+    s = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(s)))
+    edges = []
+    for v in range(1, s):
+        i, j = perm[draw(st.integers(0, v - 1))], perm[v]
+        edges.append((min(i, j), max(i, j)))
+    arrows = tuple(draw(st.lists(st.integers(0, s - 1), max_size=3)))
+    g = DualGraph((-2,) * s, tuple(sorted(edges)), arrows)
+    zeros = draw(st.sets(st.integers(0, s - 1), max_size=s // 2))
+    nhat = tuple(0 if i in zeros else draw(st.integers(1, 4)) for i in range(s))
+    arrows_at = [draw(st.integers(0, g.arrow_count(i))) for i in range(s)]
+    return g, nhat, arrows_at
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(weighted_trees())
+def test_tree_transfer_matches_subset_enumeration(tree):
+    g, nhat, arrows_at = tree
+    chi = [chi_open(g, i) for i in range(g.nvertices)]
+    got = _vertex_sum(_forest(g, nhat), chi, nhat, arrows_at)
+    assert LaurentPoly(got) == reference_vertex_sum(g, chi, nhat, arrows_at)
+    if not any(arrows_at):
+        chi = [chi_bullet(g, i) for i in range(g.nvertices)]
+        got = _vertex_sum(_forest(g, nhat), chi, nhat, arrows_at)
+        assert LaurentPoly(got) == reference_vertex_sum(g, chi, nhat, arrows_at)
+
+
+def test_forest_roots_each_tree_of_the_support():
+    # a path 0-1-2-3-4 with nhat_2 = 0: two trees, every vertex before its parent
+    g = DualGraph((-2,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    trees = _forest(g, (1, 1, 0, 2, 1))
+    assert sorted(sorted(v for v, _ in t) for t in trees) == [[0, 1], [3, 4]]
+    for t in trees:
+        assert t[-1][1] is None and all(up is not None for _, up in t[:-1])
+        order = [v for v, _ in t]
+        assert all(order.index(v) < order.index(up) for v, up in t[:-1])
+    assert _forest(g, (0,) * 5) == []
 
 
 PARAMS = ("1", "-1", "2", "1/2", "-3")

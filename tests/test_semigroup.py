@@ -1,0 +1,127 @@
+"""A third route for plane branches: the value semigroup of Zariski.
+
+For a branch (tau^n, y(tau)) with ord y >= n, let beta_0 = n and let
+beta_(i+1) be the least exponent of y not divisible by e_i = gcd(beta_0,
+..., beta_i).  With betabar_1 = beta_1 and betabar_(i+1) = (e_(i-1)/e_i)
+betabar_i - beta_i + beta_(i+1), the value semigroup is Gamma = <beta_0,
+betabar_1, ..., betabar_g>, and then h(v) = #{gamma in Gamma : gamma < v}
+and P(t) = sum_{gamma in Gamma} t^gamma.  Neither uses jets or blow-ups,
+so it checks route A (auto_resolve + curve_series) and route B (the jet
+oracle) on random branches with two or three characteristic exponents,
+whose resolutions are deeper than the other generators' and whose
+support forests have up to three edges.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from motive_series import Branch, Curve
+from motive_series.blowup import auto_resolve
+from motive_series.formulas import curve_series
+from motive_series.jets import HilbertOracle
+
+MAX_BOUND = 100
+# e_0 > e_1 > ... > e_g = 1, each dividing the one before
+CHAINS = ((4, 2, 1), (6, 2, 1), (6, 3, 1), (8, 4, 1), (9, 3, 1), (8, 4, 2, 1), (12, 6, 2, 1))
+COEFFS = tuple(map(Fraction, ("1", "-1", "2")))
+
+
+def semigroup_generators(n, y):
+    """beta_0 = n, betabar_1, ..., betabar_g of the branch (tau^n, y)."""
+    betas, es = [n], [n]
+    for k in sorted(y):
+        if k % es[-1]:
+            betas.append(k)
+            es.append(gcd(es[-1], k))
+    bars = [n] + betas[1:2]
+    for i in range(1, len(betas) - 1):
+        bars.append(es[i - 1] // es[i] * bars[i] - betas[i] + betas[i + 1])
+    return bars
+
+
+def members(gens, top):
+    """The elements of <gens> up to top, in increasing order."""
+    inside = [True] + [False] * top
+    for v in range(1, top + 1):
+        inside[v] = any(v >= g and inside[v - g] for g in gens)
+    return [v for v in range(top + 1) if inside[v]]
+
+
+def conductor(gens):
+    """The least c with every integer >= c in <gens> (gcd(gens) = 1)."""
+    top = gens[0] * max(gens)  # past the Frobenius number of any two coprime generators
+    inside = set(members(gens, top))
+    return max(v for v in range(top + 1) if v not in inside) + 1
+
+
+@st.composite
+def branches(draw):
+    """(n, y, swap): y has characteristic exponents beta_1 < ... < beta_g
+    with gcd(e_(i-1), beta_i) = e_i along a chain of CHAINS, and may have
+    one more term that keeps the semigroup: at a multiple of some e_i above
+    beta_i (every later e_j divides it)."""
+    es = draw(st.sampled_from(CHAINS))
+    y, beta, extra = {}, es[0], draw(st.integers(0, len(es) - 1))
+    for i, (e_prev, e) in enumerate(zip(es, es[1:]), 1):
+        cofactors = [m for m in range(beta // e + 1, beta // e + 9) if gcd(e_prev // e, m) == 1]
+        beta = e * draw(st.sampled_from(cofactors[:4]))
+        y[beta] = draw(st.sampled_from(COEFFS))
+        if i == extra:
+            y[beta + e * draw(st.integers(1, 3))] = draw(st.sampled_from(COEFFS))
+    return es[0], y, draw(st.booleans())
+
+
+def as_curve(n, y, swap):
+    coords = [{n: Fraction(1)}, dict(y)]
+    return Curve(2, [Branch(coords[::-1] if swap else coords)])
+
+
+SEMIGROUP = settings(
+    max_examples=20,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def test_generators_of_known_branches():
+    assert semigroup_generators(4, {6: 1, 7: 1}) == [4, 6, 13]
+    assert semigroup_generators(6, {8: 1, 9: 1}) == [6, 8, 25]
+    assert semigroup_generators(8, {12: 1, 14: 1, 15: 1}) == [8, 12, 26, 53]
+    assert semigroup_generators(2, {3: 1}) == [2, 3]
+    assert conductor([4, 6, 13]) == 16 and conductor([2, 3]) == 2
+
+
+@SEMIGROUP
+@given(branches())
+def test_generated_semigroups_are_symmetric(branch):
+    # a plane branch is Gorenstein: gamma in Gamma iff c - 1 - gamma is not
+    n, y, _ = branch
+    gens = semigroup_generators(n, y)
+    assert len(gens) == len(set(gens)) >= 3
+    c = conductor(gens)
+    inside = set(members(gens, c))
+    assert all((v in inside) != (c - 1 - v in inside) for v in range(c))
+
+
+@SEMIGROUP
+@given(branches())
+def test_route_a_and_the_oracle_match_the_semigroup(branch):
+    n, y, swap = branch
+    gens = semigroup_generators(n, y)
+    hi = min(conductor(gens) + n, MAX_BOUND)
+    gamma = members(gens, hi + 1)
+    curve = as_curve(n, y, swap)
+    _, g, _ = auto_resolve(curve)
+    got = curve_series(g, (hi,)).at_one()
+    assert {e: c.eval_one() for e, c in got.coeffs.items()} == {
+        (v,): 1 for v in gamma if v <= hi
+    }
+    oracle = HilbertOracle(curve, max_jet=hi + 1)
+    # top-down, so the line is ranked once
+    for v in range(hi + 1, -1, -1):
+        assert oracle.hilbert((v,)) == sum(1 for x in gamma if x < v), v

@@ -9,9 +9,10 @@ read, never edited.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
-from motive_series import blowup, jets, linalg
+from motive_series import blowup, cli, formulas, jets, linalg
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,3 +39,30 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (linalg.rank, jets.umul, blowup.pmul, blowup.DivisorialOracle.hilbert) == originals
+
+
+def test_tracer_counts_the_curve_formula(tmp_path, capsys):
+    # the cusp's resolution graph with its arrow
+    cusp = {
+        "vertices": [{"self_int": -3}, {"self_int": -2}, {"self_int": -1}],
+        "edges": [[1, 3], [2, 3]],
+        "arrows": [{"attach": 3}],
+    }
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(cusp))
+    spans = load_spans()
+    originals = [getattr(formulas, name) for name in spans.FORMULA_SPANS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert formulas.curve_series is not originals[0]
+        argv = ["poincare", "--graph", str(path), "--bound", "8", "--filtration", "curve"]
+        assert cli.main(argv) == 0
+        assert tracer.totals["formulas.curve_series"][0] == 1
+        # 1, t^2, t^3, ..., t^8: every coefficient but the one at t
+        assert tracer.counts["formulas.coeffs_out"] == 8
+        assert tracer.metrics()["formulas.self_s"][0] > 0
+    finally:
+        tracer.uninstall()
+    assert [getattr(formulas, name) for name in spans.FORMULA_SPANS] == originals
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 8
