@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, inf
-from operator import add as add_ints, le, mul as mul_ints
+from operator import le, mul as mul_ints
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -67,8 +67,8 @@ from .graph import (
     chi_open,
     w_of_nhat,
 )
-from .laurent import ONE, LaurentPoly, signed_runs, sym_power_class
-from .mseries import MSeries, box, expand_rational, vec_add, zero_vec
+from .laurent import ONE, LaurentPoly, sym_power_class
+from .mseries import MSeries, box, expand_rational, unit_vec, vec_add, zero_vec
 from .polys import mul
 
 
@@ -576,34 +576,75 @@ def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
     return expand_rational(num, factors, hi)
 
 
-@lru_cache(maxsize=None)
-def _signed_masks(n):
-    """((-1)^|S|, the indicator of S) for every subset S of range(n)."""
-    return tuple(((-1) ** len(S), tuple(int(i in S) for i in range(n))) for S in _subsets(n))
+# -- series of a Hilbert function, by finite differences on a box -------------
 
 
-def ie_ranks(hfun, nvars, v):
-    """h(v + 1), and ((-1)^|S|, h(v + 1_S)) for every subset S of range(nvars)."""
-    hfull = hfun(tuple(x + 1 for x in v))
-    return hfull, [
-        (sign, hfun(tuple(map(add_ints, v, bits)))) for sign, bits in _signed_masks(nvars)
-    ]
+def h_box(hfun, lo, hi):
+    """{v: hfun(v)} on the box [lo, hi], asked from hi down, so that a
+    jet-rank oracle ranks each line of the box once."""
+    return {v: hfun(v) for v in box(lo, hi, down=True)}
+
+
+def _axis_pairs(lo, hi, k):
+    """(u, u + e_k) for every u in [lo, hi], in lex order."""
+    e = unit_vec(len(lo), k)
+    return zip(box(lo, hi), box(vec_add(lo, e), vec_add(hi, e)))
+
+
+# the difference along axis 0, from h(u) and h(u + e_0), as a kernel dict:
+# -(1 - E_0) h for P, and R(x(u)) - R(x(u + e_0)), one run of L-powers, for
+# x = 1 - h (Pg) and x = -h (Phat)
+_FIRST_DIFFERENCE = {
+    "P": lambda h, up: {0: up - h} if up != h else {},
+    "Pg": lambda h, up: dict.fromkeys(range(1 - up, 1 - h), 1),
+    "Phat": lambda h, up: dict.fromkeys(range(-up, -h), 1),
+}
+
+
+def ie_box(hfun, nvars, kind, lo, hi):
+    """{v: coefficient}, the nonzero ones on [lo, hi], of the series of kind
+    "P", "Pg", "Phat" or "H" of a Hilbert function hfun, which is asked
+    once per point of [lo, hi + 1] ([lo, hi] for H, which is h).
+
+    With Delta = prod_k (1 - E_k), E_k the shift by e_k, and R(x) the sum
+    of L^e over e < x, the inclusion-exclusion sums over the v + 1_S are
+    P = -(Delta h), Pg = Delta R(1 - h) and Phat = L^h(v + 1) (Delta R(-h)).
+    The passes after the first subtract in place, in lex order, so that
+    the right-hand side is still the old value.
+    """
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != nvars or len(hi) != nvars:
+        raise InvalidInput(
+            "box bounds of lengths %d and %d for %d variables" % (len(lo), len(hi), nvars)
+        )
+    if kind == "H":
+        return {v: LaurentPoly.const(c) for v, c in h_box(hfun, lo, hi).items() if c}
+    top = tuple(x + 1 for x in hi)
+    h = h_box(hfun, lo, top)
+    for k in range(nvars if kind != "P" else 0):  # the runs need h nondecreasing
+        for u, w in _axis_pairs(lo, top[:k] + hi[k:k + 1] + top[k + 1:], k):
+            if h[u] > h[w]:
+                raise InvalidInput(
+                    "Hilbert function decreases along axis %d at %r: %d, then %d"
+                    % (k, u, h[u], h[w])
+                )
+    d = {u: _FIRST_DIFFERENCE[kind](h[u], h[w]) for u, w in _axis_pairs(lo, hi[:1] + top[1:], 0)}
+    for k in range(1, nvars):
+        for u, w in _axis_pairs(lo, hi[:k + 1] + top[k + 1:], k):
+            _add_into(d[u], d[w], sign=-1)
+    out = {}
+    for v, w in zip(box(lo, hi), box(tuple(x + 1 for x in lo), top)):
+        if d[v]:
+            out[v] = LaurentPoly._trusted(_add_into({}, d[v], h[w]) if kind == "Phat" else d[v])
+    return out
 
 
 def hilbert_ie_coeff(hfun, nvars, v):
-    """Inclusion-exclusion coefficient at v of a generalized series, for any Hilbert
-    function hfun: sum over S of (-1)^|S| qgeom(h(v + 1_S), h(v + 1) - h(v + 1_S))."""
-    hfull, ranks = ie_ranks(hfun, nvars, v)
-    if any(h > hfull for _, h in ranks):
-        raise InvalidInput("qgeom needs nonnegative arguments")
-    return signed_runs((sign, 1 - hfull, 1 - h) for sign, h in ranks)
+    """The generalized (Pg) coefficient at v of a Hilbert function hfun."""
+    return ie_box(hfun, nvars, "Pg", v, v).get(tuple(v), LaurentPoly.zero())
 
 
 def hilbert_ie_series(hfun, nvars, hi) -> MSeries:
-    """Generalized series assembled coefficientwise from a Hilbert function."""
-    coeffs = {}
-    for v in box(zero_vec(nvars), tuple(hi), down=True):
-        c = hilbert_ie_coeff(hfun, nvars, v)
-        if c:
-            coeffs[v] = c
-    return MSeries(nvars, zero_vec(nvars), tuple(hi), coeffs, floored=True)
+    """Generalized series of a Hilbert function hfun on [0, hi]."""
+    lo = zero_vec(nvars)
+    return MSeries(nvars, lo, tuple(hi), ie_box(hfun, nvars, "Pg", lo, hi), floored=True)

@@ -16,11 +16,13 @@ every block, scales the row of x^alpha by prod_j D_j^alpha_j.  One
 nonzero factor per row changes no rank and no prefix of the leading
 keys, so every h is that of the unscaled rows, and no row holds a
 `Fraction`.  One elimination gives h along a whole line up to a horizon
-(see `hilbert`), and the sweeps below run their boxes top-down, so each
-line is ranked once.
-`HilbertOracle` composes g with the branches of a curve;
-`blowup.DivisorialOracle` lifts g to the components of a modification.
-`series` reads P, Pg, Phat, L, Lg and H off either oracle.
+(see `hilbert`).  `HilbertOracle` composes g with the branches of a
+curve; `blowup.DivisorialOracle` lifts g to the components of a
+modification.  `series` reads P, Pg, Phat, L, Lg and H off one table of h
+on a box, asked top-down, so each line is ranked once: L and Lg from the
+pairs (h(v), h(v + 1)), and P = -(Delta h), Pg = Delta R(1 - h) and
+Phat = L^h(v + 1) (Delta R(-h)) by r difference passes (`formulas.ie_box`;
+Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from operator import add, lt
 from . import linalg
 from .curves import Curve
 from .errors import InvalidInput, PrecisionExhausted
-from .formulas import _subsets, hilbert_ie_coeff, ie_ranks
-from .laurent import LaurentPoly, projective_class, qgeom, signed_runs
+from .formulas import _subsets, h_box, ie_box
+from .formulas import hilbert_ie_coeff  # noqa: F401  (perfbench/spans.py patches it here)
+from .laurent import LaurentPoly, projective_class, qgeom
 from .mseries import (
     MSeries,
     box,
@@ -167,20 +170,6 @@ class JetRankOracle:
                 self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t << self._shift))
         return self._ranks[w]
 
-    # -- coefficientwise series data ------------------------------------------
-
-    def poincare_coeff(self, v) -> int:
-        """- sum over subsets S of (-1)^|S| h(v + 1_S)."""
-        return -sum(sign * h for sign, h in ie_ranks(self.hilbert, self.nvars, v)[1])
-
-    def generalized_coeff(self, v) -> LaurentPoly:
-        return hilbert_ie_coeff(self.hilbert, self.nvars, v)
-
-    def semigroup_coeff(self, v) -> LaurentPoly:
-        """Class of the projectivized fibre over v, by inclusion-exclusion."""
-        hfull, ranks = ie_ranks(self.hilbert, self.nvars, v)
-        return signed_runs((sign, 0, hfull - h) for sign, h in ranks)  # projective classes
-
 
 class HilbertOracle(JetRankOracle):
     """Memoizing jet-rank computer for one curve.
@@ -217,10 +206,11 @@ def _jump_series(oracle: JetRankOracle, coeff, hi) -> MSeries:
     """sum over v in [-1, hi] of coeff(h(v), h(v + 1)) t^v."""
     r = oracle.nvars
     lo, one = (-1,) * r, (1,) * r
+    top = vec_add(hi, one)
+    h = h_box(oracle.hilbert, lo, top)
     coeffs = {}
-    for v in box(lo, hi, down=True):
-        up = oracle.hilbert(vec_add(v, one))
-        c = coeff(oracle.hilbert(v), up)
+    for v, w in zip(box(lo, hi), box(zero_vec(r), top)):
+        c = coeff(h[v], h[w])
         if c:
             coeffs[v] = c
     return MSeries(r, lo, hi, coeffs, floored=False)
@@ -241,19 +231,7 @@ def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
     if kind in _JUMPS:
         return _jump_series(oracle, _JUMPS[kind], hi)
     lo = zero_vec(r)
-    coeffs = {}
-    for v in box(lo, hi, down=True):
-        if kind == "P":
-            c = LaurentPoly.const(oracle.poincare_coeff(v))
-        elif kind == "Pg":
-            c = oracle.generalized_coeff(v)
-        elif kind == "Phat":
-            c = oracle.semigroup_coeff(v)
-        else:
-            c = LaurentPoly.const(oracle.hilbert(v))
-        if c:
-            coeffs[v] = c
-    return MSeries(r, lo, hi, coeffs, floored=True)
+    return MSeries(r, lo, hi, ie_box(oracle.hilbert, r, kind, lo, hi), floored=True)
 
 
 def subsystem_series(curve: Curve, keep, kind: str, hi) -> MSeries:
@@ -267,12 +245,8 @@ def subsystem_series(curve: Curve, keep, kind: str, hi) -> MSeries:
 
 
 def semigroup_members(oracle: JetRankOracle, hi):
-    """Value vectors in [0, hi] whose fibre has nonzero class."""
-    return {
-        v
-        for v in box(zero_vec(oracle.nvars), tuple(hi), down=True)
-        if oracle.semigroup_coeff(v)
-    }
+    """Value vectors in [0, hi] whose fibre has nonzero class: the support of Phat."""
+    return set(series(oracle, "Phat", hi).coeffs)
 
 
 # -- windowed rational identities -------------------------------------------

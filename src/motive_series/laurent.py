@@ -175,15 +175,6 @@ def qgeom(a: int, b: int) -> LaurentPoly:
     return LaurentPoly({-(a + j): 1 for j in range(b)})
 
 
-def signed_runs(runs) -> LaurentPoly:
-    """The sum of sign * (L^lo + ... + L^(hi-1)) over (sign, lo, hi) triples."""
-    terms = {}
-    for sign, lo, hi in runs:
-        for e in range(lo, hi):
-            terms[e] = terms.get(e, 0) + sign
-    return LaurentPoly._trusted({e: c for e, c in terms.items() if c})
-
-
 def projective_class(d: int) -> LaurentPoly:
     """1 + L + ... + L^(d-1), the class of P^(d-1); zero when d = 0."""
     if d < 0:

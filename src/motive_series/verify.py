@@ -115,36 +115,28 @@ CURVETTES = {
 # -- individual checks -------------------------------------------------------
 
 
-def check_specialization():
-    """Classical coefficients are the generalized ones at L = 1."""
+def _series_agreement(check, kinds, differ):
+    """Per curve fixture, the first v in [0, hi] (lex order) where differ
+    holds for the coefficients of the two series kinds."""
     out = []
     for name, (curve, hi) in curve_fixtures().items():
-        oracle = curve_oracle(name)
-        bad = None
-        for v in mser.box(mser.zero_vec(curve.nbranches), hi):
-            if oracle.generalized_coeff(v).eval_one() != oracle.poincare_coeff(v):
-                bad = v
-                break
-        out.append(
-            ("specialization/%s" % name, bad is None, "first mismatch %r" % (bad,))
-        )
+        a, b = (jets.series(curve_oracle(name), kind, hi) for kind in kinds)
+        points = mser.box(mser.zero_vec(curve.nbranches), hi)
+        bad = next((v for v in points if differ(a.coeff(v), b.coeff(v))), None)
+        out.append(("%s/%s" % (check, name), bad is None, "first mismatch %r" % (bad,)))
     return out
+
+
+def check_specialization():
+    """Classical coefficients are the generalized ones at L = 1."""
+    return _series_agreement(
+        "specialization", ("Pg", "P"), lambda g, p: g.eval_one() != p.eval_one()
+    )
 
 
 def check_fibre_vanishing():
     """Generalized and class coefficients vanish on the same exponents."""
-    out = []
-    for name, (curve, hi) in curve_fixtures().items():
-        oracle = curve_oracle(name)
-        bad = None
-        for v in mser.box(mser.zero_vec(curve.nbranches), hi):
-            if bool(oracle.generalized_coeff(v)) != bool(oracle.semigroup_coeff(v)):
-                bad = v
-                break
-        out.append(
-            ("fibre-vanishing/%s" % name, bad is None, "first mismatch %r" % (bad,))
-        )
-    return out
+    return _series_agreement("fibre-vanishing", ("Pg", "Phat"), lambda g, c: bool(g) != bool(c))
 
 
 def check_product_identities():

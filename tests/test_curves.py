@@ -149,6 +149,30 @@ def test_top_down_sweep_ranks_each_line_once(request, monkeypatch, fixture, hi):
         assert swept._ranks[v] == HilbertOracle(curve).hilbert(v), v
 
 
+@pytest.mark.parametrize("fixture, hi", (("smooth_branch", (5,)), ("transverse_lines", (4, 4))))
+def test_series_at_the_jet_cap(request, fixture, hi):
+    # H reads h on [0, hi] only; the others need h at hi + 1, past the cap
+    curve = request.getfixturevalue(fixture)
+    cap = max(hi)
+    h = series(HilbertOracle(curve, max_jet=cap), "H", hi)
+    assert h == series(HilbertOracle(curve), "H", hi)
+    assert hi in h.coeffs
+    for kind in ("P", "Pg", "Phat", "L", "Lg"):
+        with pytest.raises(PrecisionExhausted, match="jet order %d needed, cap is %d" % (cap + 1, cap)):
+            series(HilbertOracle(curve, max_jet=cap), kind, hi)
+
+
+@pytest.mark.parametrize("fixture", ("transverse_lines", "curve_c"))
+@pytest.mark.parametrize("kind, ranks", (("P", 6), ("Pg", 6), ("Phat", 6), ("L", 6), ("Lg", 6), ("H", 5)))
+def test_one_elimination_per_line_of_each_series(request, monkeypatch, fixture, kind, ranks):
+    # bound (4, 4): the lines of [0, (5, 5)], or of [0, (4, 4)] for H
+    curve = request.getfixturevalue(fixture)
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda rows, rank=linalg.rank: calls.append(1) or rank(rows))
+    series(HilbertOracle(curve), kind, (4, 4))
+    assert len(calls) == ranks
+
+
 def test_large_first_and_small_first_queries_agree(curve_c, transverse_lines):
     for curve, hi in ((curve_c, (6, 6)), (transverse_lines, (5, 5))):
         points = list(box((0, 0), hi))
@@ -170,34 +194,34 @@ def test_query_past_the_cap_leaves_the_horizon(curve_c):
 
 
 def test_poincare_coeff_lines(transverse_lines):
-    oracle = HilbertOracle(transverse_lines)
-    assert oracle.poincare_coeff((0, 0)) == 1
-    assert oracle.poincare_coeff((1, 1)) == 0
+    p = series(HilbertOracle(transverse_lines), "P", (1, 1))
+    assert p.coeff((0, 0)) == 1
+    assert p.coeff((1, 1)) == 0
 
 
 def test_poincare_coeff_smooth(smooth_branch):
-    oracle = HilbertOracle(smooth_branch)
+    p = series(HilbertOracle(smooth_branch), "P", (5,))
     for v in range(6):
-        assert oracle.poincare_coeff((v,)) == 1
+        assert p.coeff((v,)) == 1
 
 
 def test_generalized_coeff_examples(smooth_branch, transverse_lines, curve_c):
-    smooth = HilbertOracle(smooth_branch)
+    smooth = series(HilbertOracle(smooth_branch), "Pg", (4,))
     for n in range(5):
-        assert smooth.generalized_coeff((n,)) == Q ** n
-    lines = HilbertOracle(transverse_lines)
-    assert lines.generalized_coeff((1, 1)) == Q - Q ** 2
-    gap = HilbertOracle(curve_c)
-    assert gap.generalized_coeff((1, 0)) == LaurentPoly.zero()
+        assert smooth.coeff((n,)) == Q ** n
+    lines = series(HilbertOracle(transverse_lines), "Pg", (1, 1))
+    assert lines.coeff((1, 1)) == Q - Q ** 2
+    gap = series(HilbertOracle(curve_c), "Pg", (1, 0))
+    assert gap.coeff((1, 0)) == LaurentPoly.zero()
 
 
 def test_semigroup_coeff_examples(smooth_branch, transverse_lines, curve_c):
-    smooth = HilbertOracle(smooth_branch)
+    smooth = series(HilbertOracle(smooth_branch), "Phat", (4,))
     for n in range(5):
-        assert smooth.semigroup_coeff((n,)) == UNIT
-    lines = HilbertOracle(transverse_lines)
-    assert lines.semigroup_coeff((0, 0)) == UNIT
-    assert HilbertOracle(curve_c).semigroup_coeff((1, 0)) == LaurentPoly.zero()
+        assert smooth.coeff((n,)) == UNIT
+    lines = series(HilbertOracle(transverse_lines), "Phat", (0, 0))
+    assert lines.coeff((0, 0)) == UNIT
+    assert series(HilbertOracle(curve_c), "Phat", (1, 0)).coeff((1, 0)) == LaurentPoly.zero()
 
 
 def test_series_p_for_both_space_curves(curve_c, curve_cprime):

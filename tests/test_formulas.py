@@ -23,6 +23,7 @@ from motive_series.formulas import (
     enumerate_terms,
     hilbert_ie_coeff,
     hilbert_ie_series,
+    ie_box,
     nhat_codimension,
     semigroup_class_series,
     term_codimension,
@@ -36,7 +37,7 @@ from motive_series.graph import (
     chi_open,
     hoskin_deligne,
 )
-from motive_series.laurent import LaurentPoly, qgeom, sym_power_class
+from motive_series.laurent import LaurentPoly, projective_class, qgeom, sym_power_class
 from motive_series.mseries import (
     MSeries,
     box,
@@ -210,9 +211,40 @@ def test_ie_coeff_matches_subset_sum_of_qgeoms():
         assert hilbert_ie_coeff(h, 2, v) == want
 
 
+def test_ie_box_matches_the_inclusion_exclusion_sums():
+    # P, Pg and Phat at v from the 2^r points v + 1_S, on a box that does
+    # not start at 0, for a function nondecreasing in each argument
+    def h(w):
+        return w[0] * w[1] + min(w[1], w[2]) + 2 * w[2]
+
+    lo, hi = (1, 0, 2), (3, 2, 4)
+    got = {kind: ie_box(h, 3, kind, lo, hi) for kind in ("P", "Pg", "Phat", "H")}
+    for v in box(lo, hi):
+        hfull = h(tuple(x + 1 for x in v))
+        want = {"P": LaurentPoly.zero(), "Pg": LaurentPoly.zero(), "Phat": LaurentPoly.zero()}
+        for S in _subsets(3):
+            hs = h(tuple(x + (i in S) for i, x in enumerate(v)))
+            sign = (-1) ** len(S)
+            want["P"] = want["P"] - LaurentPoly.const(sign * hs)
+            want["Pg"] = want["Pg"] + sign * qgeom(hs, hfull - hs)
+            want["Phat"] = want["Phat"] + sign * projective_class(hfull - hs)
+        want["H"] = LaurentPoly.const(h(v))
+        for kind, c in want.items():
+            assert got[kind].get(v, LaurentPoly.zero()) == c, (kind, v)
+            assert (v in got[kind]) == bool(c)
+
+
 def test_ie_coeff_rejects_a_decreasing_function():
     with pytest.raises(InvalidInput):
         hilbert_ie_coeff(lambda w: 5 - sum(w), 1, (0,))
+    # nondecreasing along axis 0, decreasing along axis 1 from w[1] = 2 on
+    with pytest.raises(InvalidInput, match=r"decreases along axis 1 at \(0, 2\): 2, then 1"):
+        hilbert_ie_series(lambda w: w[0] + min(w[1], 4 - w[1]), 2, (3, 3))
+
+
+def test_ie_series_rejects_a_bound_of_the_wrong_length():
+    with pytest.raises(InvalidInput, match="lengths 2 and 1 for 2 variables"):
+        hilbert_ie_series(lambda w: sum(w), 2, (3,))
 
 
 # -- the compressed sums against the term-by-term reference -------------------

@@ -7,7 +7,6 @@ from motive_series.laurent import (
     LaurentPoly,
     projective_class,
     qgeom,
-    signed_runs,
     sym_power_class,
 )
 
@@ -72,19 +71,6 @@ def test_qgeom_composition():
         for b in range(11):
             for c in range(11):
                 assert qgeom(a, b) + qgeom(a + b, c) == qgeom(a, b + c)
-
-
-def test_signed_runs_match_sums_of_runs():
-    rng = random.Random(7)
-    for _ in range(200):
-        runs = [(rng.choice((1, -1)), rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(4)]
-        want = LaurentPoly.zero()
-        for sign, lo, hi in runs:
-            run = LaurentPoly({e: 1 for e in range(lo, hi)})
-            want = want + (run if sign > 0 else -run)
-        got = signed_runs(runs)
-        assert got == want
-        assert all(got.terms.values())  # cancelled powers are dropped
 
 
 def test_projective_class_examples():

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve
 from motive_series.formulas import curve_series
-from motive_series.jets import HilbertOracle
+from motive_series.jets import HilbertOracle, series
+from motive_series.laurent import LaurentPoly
 
 MAX_BOUND = 100
 # e_0 > e_1 > ... > e_g = 1, each dividing the one before
@@ -125,3 +126,18 @@ def test_route_a_and_the_oracle_match_the_semigroup(branch):
     # top-down, so the line is ranked once
     for v in range(hi + 1, -1, -1):
         assert oracle.hilbert((v,)) == sum(1 for x in gamma if x < v), v
+
+
+@SEMIGROUP
+@given(branches())
+def test_oracle_series_match_the_semigroup(branch):
+    # one branch: P = sum t^gamma, and Pg has q^#{gamma' < gamma} at each
+    # gamma in Gamma and 0 off Gamma
+    n, y, swap = branch
+    gens = semigroup_generators(n, y)
+    hi = min(conductor(gens) + n, MAX_BOUND)
+    gamma = members(gens, hi)
+    oracle = HilbertOracle(as_curve(n, y, swap), max_jet=hi + 1)
+    assert series(oracle, "P", (hi,)).coeffs == {(v,): LaurentPoly.one() for v in gamma}
+    pg = series(oracle, "Pg", (hi,))
+    assert pg.coeffs == {(v,): LaurentPoly.q_power(k) for k, v in enumerate(gamma)}
