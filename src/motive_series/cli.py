@@ -2,13 +2,14 @@
 
 Subcommands: resolve, graph, poincare, hilbert, multiplicity, verify.
 Exit codes: 0 success, 2 validation error, 3 precision exhausted,
-4 verification failure.
+4 verification failure, 141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _load_json(path):
@@ -402,7 +404,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here at the latest
+        return code
+    except BrokenPipeError:  # the reader left: what is still to flush goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except PrecisionExhausted as exc:
         print("precision exhausted: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION

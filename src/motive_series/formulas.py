@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, inf
 from operator import le, mul as mul_ints
 
@@ -68,7 +68,7 @@ from .graph import (
     w_of_nhat,
 )
 from .laurent import ONE, LaurentPoly, sym_power_class
-from .mseries import MSeries, box, expand_rational, unit_vec, vec_add, zero_vec
+from .mseries import MSeries, box, expand_rational, unit_vec, vec_add, vec_leq, zero_vec
 from .polys import mul
 
 
@@ -581,8 +581,10 @@ def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
 
 def h_box(hfun, lo, hi):
     """{v: hfun(v)} on the box [lo, hi], asked from hi down, so that a
-    jet-rank oracle ranks each line of the box once."""
-    return {v: hfun(v) for v in box(lo, hi, down=True)}
+    jet-rank oracle ranks each line of the box once.  The top is asked
+    before `box` builds its ranges, so a budget error comes first."""
+    top = {hi: hfun(hi)} if vec_leq(lo, hi) else {}
+    return top | {v: hfun(v) for v in islice(box(lo, hi, down=True), 1, None)}
 
 
 def _axis_pairs(lo, hi, k):

@@ -19,7 +19,8 @@ keys, so every h is that of the unscaled rows, and no row holds a
 (see `hilbert`).  `HilbertOracle` composes g with the branches of a
 curve; `blowup.DivisorialOracle` lifts g to the components of a
 modification.  `series` reads P, Pg, Phat, L, Lg and H off one table of h
-on a box, asked top-down, so each line is ranked once: L and Lg from the
+on a box, asked top-down, so each line is ranked once and the candidate
+monomials are enumerated once (see `_candidates`): L and Lg from the
 pairs (h(v), h(v + 1)), and P = -(Delta h), Pg = Delta R(1 - h) and
 Phat = L^h(v + 1) (Delta R(-h)) by r difference passes (`formulas.ie_box`;
 Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
@@ -28,7 +29,7 @@ Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import add, lt
+from operator import add, le, lt
 
 from . import linalg
 from .curves import Curve
@@ -81,6 +82,7 @@ class JetRankOracle:
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
         self._horizon = 0  # the largest last coordinate asked so far
+        self._kept = ((0,) * self.nvars, [])  # a line and its candidates
 
     def _candidates(self, v):
         """(alpha, acc) of the monomials x^alpha whose image can be
@@ -88,12 +90,21 @@ class JetRankOracle:
         block k is nonzero below v_k.
 
         acc[k] is the exact order sum_j alpha_j orders[k][j], except that
-        an identically-zero coordinate steps by v_k, so it is >= v_k once
-        that coordinate enters.  Every order is at least 1, so the set is
-        finite (of degree below max(v)) and down-closed.  Each qualifying
-        prefix is extended one exponent at a time; orders only grow along
-        the way, so the first failing exponent ends the prefix.
+        an identically-zero coordinate steps by big_k >= v_k, so it is
+        >= v_k once that coordinate enters.  Every order is at least 1, so
+        the set is finite (of degree below max(v)) and down-closed.  Each
+        qualifying prefix is extended one exponent at a time; orders only
+        grow along the way, so the first failing exponent ends the prefix.
+        big is the line last enumerated, whose list is kept: a line v <= big
+        gets its order-preserving filter, acc[k] < v_k for some k, so a
+        sweep from the top of its box enumerates once.  A candidate of v has
+        an order below v_k <= big_k on a block k where alpha uses no
+        identically-zero coordinate, so the kept list holds it with that
+        acc[k]; where alpha uses one, acc[k] >= big_k >= v_k: the filter
+        drops exactly what a fresh enumeration would.
         """
+        if all(map(le, v, self._kept[0])):
+            return [c for c in self._kept[1] if any(map(lt, c[1], v))]
         level = [((), (0,) * self.nvars)]
         for j in range(len(self.orders[0])):
             step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
@@ -105,6 +116,7 @@ class JetRankOracle:
                     e += 1
                     acc = tuple(map(add, acc, step))
             level = nxt
+        self._kept = (tuple(v), level)
         return level
 
     def _rows(self, cands, v):

@@ -19,6 +19,7 @@ factor 1 - c t^m out of the numerator in place.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import add as add_int, sub
 
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
@@ -58,21 +59,10 @@ def unit_vec(n, k):
 
 def box(lo, hi, down=False):
     """Iterate the integer box [lo, hi] in lexicographic order, from hi
-    down to lo when down."""
+    down to lo when down; a nonempty box builds its axis ranges at once."""
     if not vec_leq(lo, hi):
-        return
-    first, last, step = (hi, lo, -1) if down else (lo, hi, 1)
-    cur = list(first)
-    n = len(lo)
-    while True:
-        yield tuple(cur)
-        i = n - 1
-        while i >= 0 and cur[i] == last[i]:
-            cur[i] = first[i]
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += step
+        return iter(())
+    return product(*(range(h, l - 1, -1) if down else range(l, h + 1) for l, h in zip(lo, hi)))
 
 
 class MSeries:

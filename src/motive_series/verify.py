@@ -446,16 +446,12 @@ def check_hilbert_oracle_properties():
     for name, (curve, hi) in curve_fixtures().items():
         oracle = curve_oracle(name)
         r = curve.nbranches
-        bad = None
-        for v in mser.box(mser.zero_vec(r), hi):
-            h = oracle.hilbert(v)
-            for k in range(r):
-                up = oracle.hilbert(mser.vec_add(v, mser.unit_vec(r, k)))
-                if up - h not in (0, 1):
-                    bad = ("jump", v, k)
-                    break
-            if bad:
-                break
+        # h top-down, one elimination per line, scanned in lex order so that
+        # a failing check names the first point a bottom-up sweep would
+        h = formulas.h_box(oracle.hilbert, mser.zero_vec(r), mser.vec_add(hi, (1,) * r))
+        jumps = ((v, k, h[mser.vec_add(v, mser.unit_vec(r, k))] - h[v])
+                 for v in mser.box(mser.zero_vec(r), hi) for k in range(r))
+        bad = next((("jump", v, k) for v, k, d in jumps if d not in (0, 1)), None)
         if bad is None:
             if oracle.hilbert((-3,) * r) != oracle.hilbert((0,) * r):
                 bad = ("clamp",)

@@ -292,18 +292,31 @@ def test_packed_key_width():
 @given(blowup_scripts(), st.data())
 def test_top_down_sweep_matches_fresh_oracles(script, data):
     # the ie sweep reads h on [0, hi + 1] from one elimination per line;
-    # every point must equal a fresh oracle's single query there
+    # every point must equal a fresh oracle's single query there.  H on
+    # [0, hi] first keeps the candidates of a lower line, so the ie sweep
+    # enumerates its top line and filters that list for every line below
     m = run_script(script)
     s = m.ncomponents
     hi = tuple(data.draw(st.integers(0, 2)) for _ in range(s))
     swept = DivisorialOracle(m)
+    series(swept, "H", hi)
     hilbert_ie_series(swept.hilbert, s, hi)
     for w in box(zero_vec(s), tuple(x + 1 for x in hi)):
         assert swept._ranks[w] == DivisorialOracle(m).hilbert(w), w
+    # a line that is not below the kept one is enumerated afresh
+    far = (max(hi) + 3,) + (0,) * (s - 1)
+    assert swept.hilbert(far) == DivisorialOracle(m).hilbert(far)
     # asked large-first or small-first, one oracle gives the same answers
     points = list(box(zero_vec(s), hi))
     rising = DivisorialOracle(m)
     assert [rising.hilbert(w) for w in points] == [swept.hilbert(w) for w in points]
+
+
+def test_huge_ie_bound_is_a_budget_error():
+    # the sweep asks the top of its box before any axis range is built
+    oracle = DivisorialOracle(run_script(CUSP_SCRIPT))
+    with pytest.raises(PrecisionExhausted, match="jet order 100000000000000000000 needed"):
+        hilbert_ie_series(oracle.hilbert, 3, (99999999999999999999, 1, 1))
 
 
 def test_center_errors():

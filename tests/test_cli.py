@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,6 +212,23 @@ def test_sweep_budget_error_names_the_order_it_needs(files, capsys, kind):
     code, out, err = run(capsys, argv + kind)
     assert code == 3 and out == ""
     assert "jet order 100000000000000000000 needed, cap is 64" in err
+
+
+def test_closed_stdout_exits_without_a_traceback(files):
+    # the reader is gone before the program starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = ["poincare", "--curve", files["C.json"], "--kind", "Pg", "--bound", "4,4"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "motive_series.cli"] + argv,
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""  # no traceback, and no message either
 
 
 def test_verify_reports_known_defect(capsys):

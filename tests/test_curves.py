@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from motive_series import Branch, Curve, linalg, valuation
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
+from motive_series.formulas import h_box
 from motive_series.jets import (
     HilbertOracle,
     JetRankOracle,
@@ -101,23 +102,57 @@ def _exact_order(ords, alpha):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(orders_and_point())
-def test_candidates_match_brute_force(case):
+@given(orders_and_point(), st.data())
+def test_candidates_match_brute_force(case, data):
     orders, v = case
-    oracle = JetRankOracle(orders)
     # every order is >= 1, so each exponent of a candidate is below max(v)
     want = [
         alpha
         for alpha in product(range(max(v)), repeat=len(orders[0]))
         if any(_exact_order(ords, alpha) < vk for ords, vk in zip(orders, v))
     ]
-    cands = oracle._candidates(v)
-    assert [alpha for alpha, _ in cands] == want
-    # the running orders filter each block exactly, None coordinates included
-    for alpha, acc in cands:
-        for k, ords in enumerate(orders):
-            assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
-    assert oracle._candidates((0,) * len(orders)) == []
+    # a fresh enumeration, and the filter of the list kept from a line above v,
+    # where identically-zero coordinates ran up to that line's orders
+    big = tuple(x + data.draw(st.integers(0, 4)) for x in v)
+    kept = JetRankOracle(orders)
+    kept._candidates(big)
+    for oracle in (JetRankOracle(orders), kept):
+        cands = oracle._candidates(v)
+        assert [alpha for alpha, _ in cands] == want
+        # the running orders filter each block exactly, None coordinates included
+        for alpha, acc in cands:
+            for k, ords in enumerate(orders):
+                assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
+    assert kept._kept[0] == big
+    assert JetRankOracle(orders)._candidates((0,) * len(orders)) == []
+
+
+@st.composite
+def curves_with_zero_coordinates(draw):
+    """1-3 distinct branches in 2 or 3 coordinates, each coordinate
+    identically zero or c tau^a + tau^(a + 1), a in 1..4, not all zero."""
+    n = draw(st.integers(2, 3))
+    coord = st.none() | st.tuples(st.integers(1, 4), st.sampled_from((1, -1, 2)))
+    rows = st.lists(coord, min_size=n, max_size=n).filter(any)
+    branches = draw(st.lists(rows, min_size=1, max_size=3, unique_by=tuple))
+    return Curve(n, [
+        Branch([{} if c is None else {c[0]: Fraction(c[1]), c[0] + 1: ONE} for c in cs])
+        for cs in branches
+    ])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates(), st.data())
+def test_swept_tables_match_fresh_oracles_on_random_curves(curve, data):
+    # H on [0, hi] keeps its top line's candidates, the sweep of [0, hi + 1]
+    # enumerates a larger line and filters it for every line below
+    r = curve.nbranches
+    hi = tuple(data.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[r])) for _ in range(r))
+    swept = HilbertOracle(curve)
+    series(swept, "H", hi)
+    h = h_box(swept.hilbert, (0,) * r, tuple(x + 1 for x in hi))
+    for v, value in h.items():
+        assert value == HilbertOracle(curve).hilbert(v), v
 
 
 def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):

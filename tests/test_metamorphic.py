@@ -3,7 +3,8 @@ random plane curves.
 
 Each law reads h along lines in a different coordinate order: permuting
 branches moves the line direction to another branch, jumps step every
-coordinate, and Pg and P sweep the same box for two series kinds.
+coordinate, Pg and P sweep the same box for two series kinds, and the
+Hilbert series is rebuilt from the P series of every branch subsystem.
 Scaling a coordinate is an automorphism of the ambient ring, so it keeps
 every valuation; it changes the denominators the curve oracle clears.
 The curves are 1-3 distinct branches (tau^a, tau^b + c tau^(b+1)) with
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve
 from motive_series.formulas import curve_series
-from motive_series.jets import HilbertOracle, series
+from motive_series.jets import HilbertOracle, remark_identity_check, series
 from motive_series.mseries import box, first_mismatch, unit_vec, vec_add, zero_vec
 from test_formulas import plane_branches
 
@@ -102,3 +103,12 @@ def test_resolution_formula_matches_oracle_on_random_plane_curves(curve, data):
     formula = curve_series(g, hi)
     oracle = series(HilbertOracle(curve), "Pg", hi)
     assert first_mismatch(formula, oracle, zero_vec(r), hi) is None
+
+
+@SMALL
+@given(curves, st.data())
+def test_hilbert_series_is_rebuilt_from_subsystem_poincare_series(curve, data):
+    # one H sweep and one P sweep per subset of branches, each on a fresh oracle
+    r = curve.nbranches
+    hi = tuple(data.draw(st.integers(1, TOP[r])) for _ in range(r))
+    assert remark_identity_check(curve, hi) == (True, None)

@@ -6,9 +6,11 @@ from motive_series.errors import InvalidInput, NonconvergentFactor, OutsideWindo
 from motive_series.laurent import LaurentPoly
 from motive_series.mseries import (
     MSeries,
+    box,
     expand_rational,
     first_mismatch,
     mseries_mul,
+    vec_leq,
     zero_vec,
 )
 
@@ -208,3 +210,37 @@ def test_json_round_trip():
 def test_window_must_contain_zero():
     with pytest.raises(InvalidInput):
         MSeries(1, (1,), (3,), {})
+
+
+def odometer(lo, hi, down=False):
+    """The lex-order odometer that `box` replaced, kept as its reference."""
+    if not vec_leq(lo, hi):
+        return
+    first, last, step = (hi, lo, -1) if down else (lo, hi, 1)
+    cur = list(first)
+    while True:
+        yield tuple(cur)
+        i = len(lo) - 1
+        while i >= 0 and cur[i] == last[i]:
+            cur[i] = first[i]
+            i -= 1
+        if i < 0:
+            return
+        cur[i] += step
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(*(st.tuples(st.integers(-2, 2), st.integers(-3, 3)) for _ in range(n)))
+), st.booleans())
+def test_box_matches_the_odometer(axes, down):
+    # some draws have lo_k > hi_k: an empty box
+    lo, hi = tuple(a for a, _ in axes), tuple(b for _, b in axes)
+    assert list(box(lo, hi, down)) == list(odometer(lo, hi, down))
+
+
+def test_box_edge_cases():
+    assert list(box((), ())) == list(box((), (), down=True)) == [()]
+    assert list(box((0, 3), (5, 2))) == list(box((0, 3), (5, 2), down=True)) == []
+    # an empty box builds no range, however long its other axes
+    assert list(box((0, 1), (10**30, 0))) == []
