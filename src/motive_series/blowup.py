@@ -1,9 +1,9 @@
 """Point blow-ups of (C^2, 0): charts, components, and embedded resolution.
 
-Every blow-up step adds two affine charts whose maps to the base plane
-are exact polynomial compositions.  Each exceptional component records a
-host chart in which it is the axis {first coordinate = 0} and its free
-points are visible; corners (pairwise intersections) record a chart in
+Every blow-up step adds two affine charts, whose maps to the base plane
+are computed only on first use (see `Chart`).  Each exceptional
+component records a host chart in which it is the axis {first
+coordinate = 0} and its free points are visible; corners (pairwise intersections) record a chart in
 which both components are coordinate axes through the origin.  The dual
 graph is maintained incrementally and certified by unimodularity.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 
 from .curves import Curve
 from .errors import (
@@ -36,33 +36,68 @@ from .errors import (
 )
 from .graph import DualGraph, build_intersection
 from .jets import JetRankOracle
-from .polys import RatFun, as_ints, clean, common_denominator, poly2_compose, u_order_in_first
-from .polys import pmul  # noqa: F401  (perfbench/spans.py patches and restores it here too)
+from .polys import RatFun, as_ints, clean, common_denominator, u_order_in_first
+from .polys import pmul, poly2_compose  # noqa: F401  (unused; perfbench/spans.py patches both here)
 
 
-@dataclass(frozen=True)
+def _taylor_shift(p, axis, c):
+    """p with variable number `axis` replaced by itself plus c: the power k
+    of a term spreads to every i <= k with the factor C(k, i) c^(k - i).
+    With c = n/d, the sums are taken in ints over one denominator D d^top."""
+    den, top = common_denominator(p), max(e[axis] for e in p)
+    npow, dpow = ([n**j for j in range(top + 1)] for n in (c.numerator, c.denominator))
+    out = {}
+    for e, coef in as_ints(p, den).items():
+        k = e[axis]
+        coef *= dpow[top - k]
+        for i in range(k + 1):
+            key = (i, e[1]) if axis == 0 else (e[0], i)
+            out[key] = out.get(key, 0) + coef * comb(k, i) * npow[k - i] * dpow[i]
+    den *= dpow[top]
+    return {key: Fraction(v, den) for key, v in out.items() if v}
+
+
 class Chart:
-    """One affine chart: polynomial map to the base and visible axes."""
+    """One affine chart with coordinates (u, v), and its visible axes.
 
-    xmap: dict
-    ymap: dict
-    divisors: dict  # component id -> "u" | "v"
+    The base chart's coordinates are (x, y).  Any other chart blows up
+    the point (pu, pv) of its parent, whose coordinates it gives as
+    (u + pu, uv + pv) when `first`, else (uv + pu, v + pv).  The lift of
+    g(x, y) to a chart, keys ascending, is one substitution of its lift to
+    the parent (`_substitute`), made on first use and kept per chart; xmap
+    and ymap, the chart's map to the base, are the lifts of x and y.
+    """
 
+    __slots__ = ("parent", "point", "first", "divisors", "_lifts")
 
-def _shifted_subst(p, pu, pv, first, second):
-    """p(pu + first, pv + second) for two-variable substitutions."""
-    umap = dict(first)
-    if pu:
-        umap[(0, 0)] = umap.get((0, 0), Fraction(0)) + pu
-    vmap = dict(second)
-    if pv:
-        vmap[(0, 0)] = vmap.get((0, 0), Fraction(0)) + pv
-    return poly2_compose(p, clean(umap), clean(vmap))
+    def __init__(self, parent, point, first, divisors):
+        self.parent, self.point, self.first = parent, point, first
+        self.divisors = divisors  # component id -> "u" | "v"
+        self._lifts = {}  # frozenset of g's items -> lift of g
 
+    xmap = property(lambda self: self.lift({(1, 0): Fraction(1)}))
+    ymap = property(lambda self: self.lift({(0, 1): Fraction(1)}))
 
-_S = {(1, 0): Fraction(1)}
-_ST = {(1, 1): Fraction(1)}
-_T = {(0, 1): Fraction(1)}
+    def lift(self, g):
+        """g(x, y) in this chart's coordinates; g itself on the base chart."""
+        key = frozenset(g.items())
+        path, chart = [], self
+        while chart.parent is not None and key not in chart._lifts:
+            path.append(chart)
+            chart = chart.parent
+        p = g if chart.parent is None else chart._lifts[key]
+        for chart in reversed(path):
+            p = chart._lifts[key] = chart._substitute(p)
+        return p
+
+    def _substitute(self, p):
+        """A polynomial on the parent chart, on this one: a Taylor shift by
+        (pu, pv), then u^a v^b -> u^(a + b) v^b (first) or u^a v^(a + b)."""
+        for axis, c in enumerate(self.point):
+            if c:
+                p = _taylor_shift(p, axis, c)
+        relabel = (lambda a, b: (a + b, b)) if self.first else (lambda a, b: (a, a + b))
+        return dict(sorted((relabel(*e), c) for e, c in p.items()))
 
 
 class Modification:
@@ -89,8 +124,7 @@ class Modification:
 
     @staticmethod
     def base():
-        chart = Chart({(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}, {})
-        return Modification((chart,), (), (), frozenset(), {}, {}, 0)
+        return Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0)
 
     @property
     def ncomponents(self):
@@ -112,16 +146,8 @@ class Modification:
             if on_axis:
                 through.append((comp, axis))
         new = self.ncomponents
-        chart1 = Chart(
-            _shifted_subst(chart.xmap, pu, pv, _S, _ST),
-            _shifted_subst(chart.ymap, pu, pv, _S, _ST),
-            {new: "u", **{c: "v" for c, ax in through if ax == "v"}},
-        )
-        chart2 = Chart(
-            _shifted_subst(chart.xmap, pu, pv, _ST, _T),
-            _shifted_subst(chart.ymap, pu, pv, _ST, _T),
-            {new: "v", **{c: "u" for c, ax in through if ax == "u"}},
-        )
+        chart1 = Chart(chart, (pu, pv), True, {new: "u", **{c: "v" for c, ax in through if ax == "v"}})
+        chart2 = Chart(chart, (pu, pv), False, {new: "v", **{c: "u" for c, ax in through if ax == "u"}})
         charts = self.charts + (chart1, chart2)
         idx1, idx2 = len(charts) - 2, len(charts) - 1
         self_ints = tuple(
@@ -185,11 +211,6 @@ class Modification:
     def graph(self, arrows=()) -> DualGraph:
         return DualGraph(self.self_ints, tuple(sorted(self.edges)), tuple(arrows))
 
-    def lift_to_host(self, comp, g):
-        """g composed with the host chart map of the component."""
-        chart = self.charts[self.hosts[comp]]
-        return poly2_compose(g, chart.xmap, chart.ymap)
-
     def multiplicity(self, comp, g) -> int:
         """Vanishing order of the lift of g along the component."""
         g = clean({tuple(e): Fraction(c) for e, c in g.items()})
@@ -197,11 +218,8 @@ class Modification:
             raise InvalidInput("the zero polynomial has no multiplicity")
         if not (0 <= comp < self.ncomponents):
             raise CenterNotFound("no component %d" % (comp + 1))
-        lifted = self.lift_to_host(comp, g)
-        order = u_order_in_first(lifted)
-        if order is None:
-            raise InvalidInput("lift vanished identically; input not a polynomial germ")
-        return order
+        # a lift is one injective substitution per chart: nonzero, as g is
+        return u_order_in_first(self.charts[self.hosts[comp]].lift(g))
 
     def multiplicity_vector(self, g):
         return tuple(self.multiplicity(i, g) for i in range(self.ncomponents))
@@ -254,11 +272,9 @@ class DivisorialOracle(JetRankOracle):
     hilbert = JetRankOracle.hilbert
 
     def __init__(self, m: Modification, max_jet: int = 64):
-        x, y = {(1, 0): 1}, {(0, 1): 1}
-        orders = [(m.multiplicity(i, x), m.multiplicity(i, y)) for i in range(m.ncomponents)]
-        super().__init__(orders, max_jet)
-        self.m = m
         maps = [(m.charts[h].xmap, m.charts[h].ymap) for h in m.hosts]
+        super().__init__([tuple(map(u_order_in_first, p)) for p in maps], max_jet)
+        self.m = m
         dx, dy = (common_denominator(*p) for p in zip(*maps))
         top_v = max(ve for pair in maps for p in pair for _, ve in p)
         s = self._shift = (max(max_jet, 1) * top_v).bit_length()

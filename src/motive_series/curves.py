@@ -16,12 +16,13 @@ from .polys import clean, pcompose_univariate, ulead, uorder
 
 
 class Branch:
-    """Coordinates are univariate polynomials {tau-power: Fraction}."""
+    """Coordinates are univariate polynomials {tau-power: Fraction}, with
+    their keys in ascending order."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(clean(dict(c)) for c in coords)
+        self.coords = tuple(clean(dict(sorted(c.items()))) for c in coords)
         if not any(self.coords):
             raise InvalidInput("branch must have a nonzero coordinate")
         for c in self.coords:

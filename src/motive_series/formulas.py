@@ -408,7 +408,8 @@ def _vertex_sum(trees, chi, nhat, arrows_at):
 
 def _series(hi, coeffs, label, symbol):
     """The MSeries on [0, hi] of kernel-dict coefficients, each asserted to
-    be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative)."""
+    be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative).
+    The sums keep every exponent in [0, hi], so the series is trusted."""
     out = {}
     for e, c in coeffs.items():
         if not c:
@@ -418,7 +419,7 @@ def _series(hi, coeffs, label, symbol):
                 "%s coefficient at %r is not a polynomial in %s" % (label, e, symbol)
             )
         out[e] = LaurentPoly._trusted(c)
-    return MSeries(len(hi), zero_vec(len(hi)), hi, out, floored=True)
+    return MSeries._trusted(hi, out)
 
 
 def curve_series(g: DualGraph, hi, data=None) -> MSeries:

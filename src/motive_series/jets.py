@@ -61,8 +61,9 @@ class JetRankOracle:
     zero.  The base builds the rows (see `_rows`) and ranks them with
     `linalg.rank`.  A subclass gives three hooks: `_blocks`, what its
     blocks are called in error messages; `_maps[k][j]`, the image of
-    coordinate j on block k, a dict {int key: int} whose keys add under
-    products, so that the image of x^alpha is the `umul` product of maps;
+    coordinate j on block k, a dict {int key: int}, keys ascending (a
+    truncated product stops early), whose keys add under products, so
+    that the image of x^alpha is the `umul` product of maps;
     and `_shift`, which says how a key holds a term's order: the terms of
     order below t are those with keys below t << _shift.  The maps are
     the coordinates' images after one substitution x_j -> D_j x_j for
@@ -128,7 +129,7 @@ class JetRankOracle:
         its order) when a query needs more.  cands is sorted and
         down-closed, and alpha - e_j (j the first nonzero index of alpha)
         has no larger order, so it is in the table before alpha, and one
-        product with the map of coordinate j extends it."""
+        product with the map of coordinate j, truncated, extends it."""
         rows = [{} for _ in cands]
         shift = self._shift
         for k, bound in enumerate(v):
@@ -147,8 +148,7 @@ class JetRankOracle:
                         while not alpha[j]:
                             j += 1
                         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                        image = umul(table[prev], maps[j])
-                        image = table[alpha] = {e: c for e, c in image.items() if e < top}
+                        image = table[alpha] = umul(table[prev], maps[j], top)
                     for e, c in image.items():
                         if e < below:
                             row[(k, e)] = c

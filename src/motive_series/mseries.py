@@ -90,6 +90,15 @@ class MSeries:
         self.floored = True if exact else floored
 
     @staticmethod
+    def _trusted(hi, coeffs):
+        """The floored series on [0, hi] of coeffs, unchecked: hi is a tuple
+        >= 0, and coeffs maps tuples in [0, hi] to nonzero LaurentPolys."""
+        s = object.__new__(MSeries)
+        s.nvars, s.lo, s.hi, s.coeffs = len(hi), zero_vec(len(hi)), hi, coeffs
+        s.exact, s.floored = False, True
+        return s
+
+    @staticmethod
     def polynomial(nvars, terms):
         """Exact series from {exponent: coefficient}; window hulls the support."""
         lo = zero_vec(nvars)

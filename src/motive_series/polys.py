@@ -9,8 +9,8 @@ series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
 * `clean`, `add` and `scale` never look at the keys, and neither do
   `common_denominator` and `as_ints`, which make Fraction coefficients
   ints;
-* `mul` is the one convolution loop, for int exponents (`umul` is its
-  name for polynomials in the parameter);
+* `mul` is the one convolution loop, for int exponents, truncated on
+  request (`umul` is its name for polynomials in the parameter);
 * `pmul` packs exponent tuples into ints and calls `mul`.
 
 The coefficients only need +, * and truth; the kernel never adds a
@@ -65,12 +65,15 @@ def as_ints(p, d):
     return {e: c.numerator * (d // c.denominator) for e, c in p.items()}
 
 
-def mul(p, q):
-    """p * q for int exponents; the one convolution loop."""
+def mul(p, q, bound=None):
+    """p * q for int exponents; the one convolution loop.  A bound keeps the
+    exponents below it: q's keys must then ascend, as each pass over q stops there."""
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = e1 + e2
+            if bound is not None and e >= bound:
+                break
             c = c1 * c2
             s = out.get(e)
             if s is not None:

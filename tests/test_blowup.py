@@ -27,7 +27,7 @@ from motive_series.formulas import (
 from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
 from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
-from motive_series.polys import pmul
+from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
 from motive_series.verify import modification_fixtures
 from test_formulas import blowup_scripts
 
@@ -64,6 +64,56 @@ def test_multiplicities():
     assert cusp.multiplicity_vector(CUSP_POLY) == (2, 3, 6)
     assert cusp.multiplicity_vector(X) == (1, 1, 2)
     assert cusp.multiplicity_vector(Y) == (1, 2, 3)
+
+
+def composed_maps(m):
+    """Every chart's (xmap, ymap) by whole compositions: the parent's maps
+    at (u + pu, uv + pv) for the first chart of a blow-up, at
+    (uv + pu, v + pv) for the second."""
+    maps = {id(m.charts[0]): (X, Y)}
+    for chart in m.charts[1:]:
+        pu, pv = chart.point
+        first, second = ({(1, 0): ONE}, {(1, 1): ONE}) if chart.first else ({(1, 1): ONE}, Y)
+        umap, vmap = clean({**first, (0, 0): pu}), clean({**second, (0, 0): pv})
+        maps[id(chart)] = tuple(poly2_compose(p, umap, vmap) for p in maps[id(chart.parent)])
+    return maps
+
+
+def assert_lifts_match_composition(m, g):
+    maps = composed_maps(m)
+    for chart in m.charts:
+        assert (chart.xmap, chart.ymap) == maps[id(chart)]
+        assert all(list(p) == sorted(p) for p in (chart.xmap, chart.ymap))
+        assert chart.lift(g) == poly2_compose(g, *maps[id(chart)])
+    want = tuple(u_order_in_first(poly2_compose(g, *maps[id(m.charts[h])])) for h in m.hosts)
+    assert m.multiplicity_vector(g) == want
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=6, params=("2/3", "-5/7", "4/9", "-7/3", "9/7", "1")), small_polys)
+def test_lifts_match_composition(script, g):
+    # each chart's maps are one Taylor shift and one monomial relabel of its
+    # parent's, computed on first use; the reference is poly2_compose
+    assert_lifts_match_composition(run_script(script), g)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(small_polys)
+def test_lifts_match_composition_off_the_axes(g):
+    # a first blow-up away from the origin shifts both coordinates
+    m = Modification.base().blow_up_at(0, (Fraction(2, 3), Fraction(-5, 7)))
+    assert m.charts[1].xmap == {(0, 0): Fraction(2, 3), (1, 0): ONE}
+    assert m.charts[1].ymap == {(0, 0): Fraction(-5, 7), (1, 1): ONE}
+    m = m.blow_up({"on": 1, "param": "4/9"}).blow_up({"corner": [1, 2]})
+    assert_lifts_match_composition(m, g)
 
 
 def test_multiplicity_rejects_zero():

@@ -421,6 +421,41 @@ def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
     assert len(calls) <= len(x) * (2 * (100000).bit_length() + 1)
 
 
+HALF_SCRIPT = {
+    "steps": [
+        {"center": "origin"},
+        {"center": {"on": 1, "param": "1/2"}},
+        {"center": {"corner": [1, 2]}},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "poly, want", (("y^2000-x^3", [3, 3, 6]), ("(y-x/2)^300+x^7", [7, 7, 14]))
+)
+def test_large_poly_is_lifted_once_per_chart(tmp_path, capsys, monkeypatch, poly, want):
+    from motive_series import blowup
+
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(HALF_SCRIPT))
+    lifted = []
+    substitute = blowup.Chart._substitute
+
+    def counting(chart, p):
+        lifted.append(chart)
+        return substitute(chart, p)
+
+    monkeypatch.setattr(blowup.Chart, "_substitute", counting)
+    code, out, _ = run(capsys, ["multiplicity", "--script", str(path), "--poly", poly])
+    assert code == 0
+    assert json.loads(out)["value"] == want
+    # one substitution into each chart on the way to the three hosts: the
+    # first chart of the origin's blow-up (host of E1), both of E2's point
+    # (the first hosts E2, the second holds the corner of E1 and E2) and
+    # the first of the corner's (host of E3)
+    assert len(lifted) == len(set(lifted)) == 4
+
+
 def test_poly_products_are_charged_coefficient_words():
     # 301 x 301 term products, each of two 7,300-bit coefficients: inside
     # the degree, bit and term-product bounds, refused for its words

@@ -155,6 +155,17 @@ def test_swept_tables_match_fresh_oracles_on_random_curves(curve, data):
         assert value == HilbertOracle(curve).hilbert(v), v
 
 
+def test_branch_terms_in_any_order():
+    # the oracle truncates each product as it forms it, which needs every
+    # map's keys ascending; a branch sorts its coordinates' terms
+    terms = {7: ONE, 4: -ONE, 3: ONE}
+    down, up = (Curve(2, [Branch([{2: ONE}, dict(sorted(terms.items(), reverse=r))])]) for r in (1, 0))
+    assert list(down.branches[0].coords[1]) == [3, 4, 7]
+    for v in ((6,), (9,), (14,)):
+        # a cusp: the values below v[0] of the semigroup <2, 3>
+        assert HilbertOracle(down).hilbert(v) == HilbertOracle(up).hilbert(v) == v[0] - 1, v
+
+
 def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
     # one oracle asked in a scrambled order, so that its tables are
     # rebuilt at doubled orders and reused below them

@@ -419,9 +419,10 @@ ONE_Q = Fraction(1)
 
 
 @st.composite
-def blowup_scripts(draw):
-    """2-5 point blow-ups: each at a corner or at a fresh free point."""
-    nsteps = draw(st.integers(2, 5))
+def blowup_scripts(draw, max_steps=5, params=PARAMS):
+    """2 to max_steps point blow-ups: each at a corner or at a fresh free
+    point, whose param is one of params."""
+    nsteps = draw(st.integers(2, max_steps))
     steps = [{"center": "origin"}]
     edges, used = [], set()
     while len(steps) < nsteps:
@@ -432,7 +433,7 @@ def blowup_scripts(draw):
             edges += [(i, new), (j, new)]
         else:
             comp = draw(st.integers(1, len(steps)))
-            param = draw(st.sampled_from([p for p in PARAMS if (comp, p) not in used]))
+            param = draw(st.sampled_from([p for p in params if (comp, p) not in used]))
             used.add((comp, param))
             steps.append({"center": {"on": comp, "param": param}})
             edges.append((comp, new))
@@ -477,6 +478,29 @@ def test_compressed_sums_match_reference_on_random_curves(branches, data):
     top = {1: 16, 2: 11, 3: 8}[len(branches)]
     curve_hi = tuple(data.draw(st.integers(3, top)) for _ in branches)
     assert_matches_reference(g, curve_hi=curve_hi)
+
+
+def assert_passes_the_checked_constructor(series):
+    # route A builds its series with MSeries._trusted; the public
+    # constructor, which checks every coefficient, must build the same one
+    checked = MSeries(series.nvars, series.lo, series.hi, series.coeffs, floored=True)
+    assert checked == series
+    assert (checked.exact, checked.floored) == (series.exact, series.floored) == (False, True)
+    assert all(type(e) is tuple for e in series.coeffs)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(), st.data())
+def test_trusted_series_pass_the_checked_constructor(script, data):
+    g = run_script(script).graph()
+    s = g.nvertices
+    div_hi = tuple(data.draw(st.integers(0, 7)) for _ in range(s))
+    arrows = tuple(sorted(data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=2))))
+    curve_hi = tuple(data.draw(st.integers(0, 6)) for _ in arrows)
+    assert_passes_the_checked_constructor(divisorial_series(g, div_hi))
+    assert_passes_the_checked_constructor(semigroup_class_series(g, div_hi))
+    curves = DualGraph(g.self_ints, g.edges, arrows)
+    assert_passes_the_checked_constructor(curve_series(curves, curve_hi))
 
 
 # -- the nhat-space Phat and P against their windowed rational expansions ----

@@ -85,6 +85,17 @@ def test_umul_matches_dense_product(p, q):
 
 
 @KERNEL
+@given(univariates, univariates, st.integers(-7, 9))
+def test_bounded_umul_drops_the_keys_at_or_above_the_bound(p, q, bound):
+    # the bound needs q's keys ascending; unbounded, any order will do
+    ascending = dict(sorted(q.items()))
+    out = umul(p, ascending, bound)
+    assert out == {e: c for e, c in dense_product_1(p, q).items() if e < bound}
+    assert_sparse(out, int)
+    assert umul(p, q, None) == umul(p, q) == dense_product_1(p, q)
+
+
+@KERNEL
 @given(tuple_keyed_pairs(fractions, 5))
 def test_pmul_matches_dense_product(npq):
     _, p, q = npq
