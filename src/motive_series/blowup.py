@@ -17,9 +17,11 @@ length of max(max_jet, 1) V, V the largest v-exponent of the maps: a
 candidate has degree below max(v) <= max_jet, so no ve of its lift
 reaches 2^s, and int order is (ue, ve) order.
 
-Strict transforms of parametrized branches are carried as exact rational
-functions of the parameter, so the resolution loop never loses
-precision; the step budget exists to convert non-reduced or
+Strict transforms of parametrized branches are carried as exact power
+series in the parameter (`polys.TaylorSeries`), each coefficient
+computed only when an order or a value at 0 asks for it, so the
+resolution loop never loses precision and never multiplies out a
+quotient; the step budget exists to convert non-reduced or
 non-primitive inputs into a clean error.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import inf
 
 from .curves import Curve
 from .errors import (
@@ -36,23 +38,26 @@ from .errors import (
 )
 from .graph import DualGraph, build_intersection
 from .jets import JetRankOracle
-from .polys import RatFun, as_ints, clean, common_denominator, u_order_in_first
+from .polys import TaylorSeries, as_ints, clean, common_denominator, u_order_in_first
 from .polys import pmul, poly2_compose  # noqa: F401  (unused; perfbench/spans.py patches both here)
 
 
 def _taylor_shift(p, axis, c):
     """p with variable number `axis` replaced by itself plus c: the power k
     of a term spreads to every i <= k with the factor C(k, i) c^(k - i).
-    With c = n/d, the sums are taken in ints over one denominator D d^top."""
+    With c = n/d, the sums are taken in ints over one denominator D d^top;
+    C(k, i) is stepped from C(k, i - 1)."""
     den, top = common_denominator(p), max(e[axis] for e in p)
     npow, dpow = ([n**j for j in range(top + 1)] for n in (c.numerator, c.denominator))
     out = {}
     for e, coef in as_ints(p, den).items():
         k = e[axis]
         coef *= dpow[top - k]
+        binom = 1
         for i in range(k + 1):
             key = (i, e[1]) if axis == 0 else (e[0], i)
-            out[key] = out.get(key, 0) + coef * comb(k, i) * npow[k - i] * dpow[i]
+            out[key] = out.get(key, 0) + coef * binom * npow[k - i] * dpow[i]
+            binom = binom * (k - i) // (i + 1)
     den *= dpow[top]
     return {key: Fraction(v, den) for key, v in out.items() if v}
 
@@ -99,6 +104,12 @@ class Chart:
         relabel = (lambda a, b: (a + b, b)) if self.first else (lambda a, b: (a, a + b))
         return dict(sorted((relabel(*e), c) for e, c in p.items()))
 
+    def through(self, point):
+        """The (component, axis) pairs of the visible axes through the point;
+        axis "u" is {u = 0}, axis "v" is {v = 0}."""
+        on = {"u": point[0] == 0, "v": point[1] == 0}
+        return [(c, axis) for c, axis in sorted(self.divisors.items()) if on[axis]]
+
 
 class Modification:
     """Immutable snapshot of a blow-up sequence."""
@@ -140,11 +151,7 @@ class Modification:
         if (pu, pv) in self.consumed.get(chart_idx, ()):
             raise CenterNotFound("point already blown up")
         chart = self.charts[chart_idx]
-        through = []
-        for comp, axis in sorted(chart.divisors.items()):
-            on_axis = pu == 0 if axis == "u" else pv == 0
-            if on_axis:
-                through.append((comp, axis))
+        through = chart.through((pu, pv))
         new = self.ncomponents
         chart1 = Chart(chart, (pu, pv), True, {new: "u", **{c: "v" for c, ax in through if ax == "v"}})
         chart2 = Chart(chart, (pu, pv), False, {new: "v", **{c: "u" for c, ax in through if ax == "u"}})
@@ -291,24 +298,23 @@ class DivisorialOracle(JetRankOracle):
 @dataclass
 class _BranchState:
     chart: int
-    fu: RatFun
-    fv: RatFun
+    fu: TaylorSeries
+    fv: TaylorSeries
 
-    def point(self):
-        return (Fraction(0), self.fv.value_at_zero())
+
+def _orders(fu, fv, point):
+    """The orders of fu - point[0] and fv - point[1], inf for zero, and
+    those two series."""
+    a, b = fu.sub_const(point[0]), fv.sub_const(point[1])
+    return [inf if o is None else o for o in (a.order(), b.order())], a, b
 
 
 def _lift_state(state: _BranchState, point, idx1, idx2):
     """Strict-transform coordinates after blowing up the state's point."""
-    a = state.fu.sub_const(point[0])
-    b = state.fv.sub_const(point[1])
-    alpha = a.order()
-    beta = b.order()
-    ao = inf if alpha is None else alpha
-    bo = inf if beta is None else beta
-    if ao == inf and bo == inf:
+    (alpha, beta), a, b = _orders(state.fu, state.fv, point)
+    if alpha == beta == inf:
         raise InvalidInput("branch degenerated to a constant map")
-    if ao <= bo:
+    if alpha <= beta:
         return _BranchState(idx1, a, b.div_exact(a, alpha))
     return _BranchState(idx2, a.div_exact(b, beta), b)
 
@@ -319,21 +325,11 @@ def _classify(m: Modification, state: _BranchState):
     contact is the maximum vanishing order of a local component equation
     along the branch; 1 means transversal.
     """
-    p = state.point()
-    chart = m.charts[state.chart]
-    through = []
-    for comp, axis in sorted(chart.divisors.items()):
-        if (axis == "u" and p[0] == 0) or (axis == "v" and p[1] == 0):
-            through.append((comp, axis))
-    du = state.fu.sub_const(p[0]).order()
-    dv = state.fv.sub_const(p[1]).order()
-    du = inf if du is None else du
-    dv = inf if dv is None else dv
-    mult = min(du, dv)
-    contact = 0
-    for _, axis in through:
-        contact = max(contact, du if axis == "u" else dv)
-    return p, through, mult, contact
+    p = (Fraction(0), state.fv.term(0))  # fu(0) = 0 in every chart a branch is lifted to
+    through = m.charts[state.chart].through(p)
+    (du, dv), _, _ = _orders(state.fu, state.fv, p)
+    contact = max((du if axis == "u" else dv for _, axis in through), default=0)
+    return p, through, min(du, dv), contact
 
 
 def auto_resolve(curve: Curve, max_steps: int = 64):
@@ -354,53 +350,37 @@ def auto_resolve(curve: Curve, max_steps: int = 64):
 
     m = Modification.base()
     states = [
-        _BranchState(0, RatFun.from_poly(b.coords[0]), RatFun.from_poly(b.coords[1]))
+        _BranchState(0, TaylorSeries.from_poly(b.coords[0]), TaylorSeries.from_poly(b.coords[1]))
         for b in curve.branches
     ]
 
+    infos = [_classify(m, st) for st in states]  # kept until a state is lifted
     steps = 0
     while True:
-        # collect offending centers as (chart, point), deduplicated
-        offenders = {}
-        done = True
-        seen_points = {}
-        for bi, st in enumerate(states):
-            p, through, mult, contact = _classify(m, st)
+        # offending centers as (chart, point): off every component or at a
+        # corner, singular, tangent, or shared by two branches
+        offenders, seen = set(), set()
+        for st, (p, through, mult, contact) in zip(states, infos):
             key = (st.chart, p)
-            bad = (
-                not through
-                or len(through) == 2
-                or mult > 1
-                or contact > 1
-            )
-            if key in seen_points:
-                bad = True  # two branches at one point
-            seen_points.setdefault(key, []).append(bi)
-            if bad:
-                done = False
-                offenders[key] = True
-        if done:
+            if len(through) != 1 or mult > 1 or contact > 1 or key in seen:
+                offenders.add(key)
+            seen.add(key)
+        if not offenders:
             break
         if steps >= max_steps:
             raise PrecisionExhausted(
                 "resolution did not terminate within %d blow-ups "
                 "(non-reduced or non-primitive input?)" % max_steps
             )
-        center = sorted(offenders)[0]
+        center = min(offenders)
         chart_idx, point = center
         m = m.blow_up_at(chart_idx, point)
         idx1, idx2 = len(m.charts) - 2, len(m.charts) - 1
-        states = [
-            _lift_state(st, point, idx1, idx2)
-            if (st.chart, st.point()) == center
-            else st
-            for st in states
-        ]
+        for i, st in enumerate(states):
+            if (st.chart, infos[i][0]) == center:
+                states[i] = _lift_state(st, point, idx1, idx2)
+                infos[i] = _classify(m, states[i])
         steps += 1
 
-    arrows = []
-    for st in states:
-        _, through, _, _ = _classify(m, st)
-        arrows.append(through[0][0])
-    graph = m.graph(tuple(arrows))
-    return m, graph, tuple(arrows)
+    arrows = tuple(info[1][0][0] for info in infos)  # the one component through each
+    return m, m.graph(arrows), arrows

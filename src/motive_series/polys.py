@@ -1,4 +1,4 @@
-"""Sparse-dict arithmetic, and exact rational functions in one variable.
+"""Sparse-dict arithmetic, and exact power series in one variable.
 
 Every exact value of the library is a sparse dict {exponent: coefficient}
 that stores no zero coefficient: univariate polynomials {int: Fraction}
@@ -16,6 +16,10 @@ series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
 The coefficients only need +, * and truth; the kernel never adds a
 coefficient to an int 0, so LaurentPoly coefficients work as well.
 Windowed products of box-truncated series are `pmul` kept on a window.
+
+The one exact value that is no dict is `TaylorSeries`: the power series
+at tau = 0 of a branch's strict transform, read coefficient by
+coefficient as `blowup` needs them.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import lshift
-
-from .errors import InvalidInput
 
 # -- the kernel ------------------------------------------------------------
 
@@ -147,17 +149,6 @@ def ulead(p):
     return None if o is None else p[o]
 
 
-def ushift_down(p, k):
-    """Divide by tau^k; every exponent must be >= k."""
-    if any(e < k for e in p):
-        raise InvalidInput("polynomial not divisible by tau^%d" % k)
-    return {e - k: c for e, c in p.items()}
-
-
-def uconst(p):
-    return p.get(0, Fraction(0))
-
-
 # -- multivariate polynomials --------------------------------------------------
 
 
@@ -190,64 +181,85 @@ def u_order_in_first(p):
     return min(e[0] for e in p) if p else None
 
 
-# -- exact rational functions in one variable ------------------------------
+# -- exact power series in one variable ----------------------------------------
 
 
-class RatFun:
-    """Quotient num/den of univariate polynomials with den(0) != 0.
+class TaylorSeries:
+    """The Taylor series at tau = 0 of a quotient N/D of polynomials with
+    D(0) != 0; each coefficient is computed on first use and kept.
 
-    All branch-lift arithmetic happens here, so strict transforms of
-    polynomial parametrizations stay exact through arbitrarily many
-    blow-ups.
+    N and D are never built: the series carries only the ints dn >= deg N
+    and dd >= deg D.  A nonzero such series has the order of N, at most
+    dn, so `order` reads at most dn + 1 coefficients and is exact.  Strict
+    transforms of parametrized branches are these series (`blowup`), so
+    no blow-up multiplies out a numerator or a denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_terms", "_next", "_ops", "_reach", "dn", "dd")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = {0: Fraction(1)}
-        num = clean(num)
-        den = clean(den)
-        if uorder(den) != 0:
-            raise InvalidInput("rational function denominator vanishes at 0")
-        self.num = num
-        self.den = den
+    def __init__(self, next_term, dn, dd, ops=(), reach=0):
+        # next_term(terms) is the coefficient of tau^k, k = len(terms), given
+        # the terms before it and those of each series of ops up to k + reach
+        self._terms, self._next, self._ops, self._reach = [], next_term, ops, reach
+        self.dn, self.dd = dn, dd
 
     @staticmethod
     def from_poly(p):
-        return RatFun(dict(p))
+        return TaylorSeries(lambda t: Fraction(p.get(len(t), 0)), max(p, default=-1), 0)
 
-    def is_zero(self):
-        return not self.num
+    def term(self, k):
+        """The coefficient of tau^k.  Operands are filled before the series
+        that reads them, from an explicit stack, so a long chain of
+        quotients needs no deep recursion."""
+        if k < len(self._terms):
+            return self._terms[k]
+        stack = [(self, k)]
+        while stack:
+            s, j = stack[-1]
+            terms = s._terms
+            if len(terms) > j:
+                stack.pop()
+            elif not s.dd and len(terms) > s.dn:
+                terms.append(Fraction(0))  # D is a constant: N/D is a polynomial
+            else:
+                need = len(terms) + s._reach
+                short = [(op, need) for op in s._ops if len(op._terms) <= need]
+                if short:
+                    stack += short
+                else:
+                    terms.append(s._next(terms))
+        return self._terms[k]
 
     def order(self):
-        """Vanishing order at tau = 0; None for the zero function."""
-        return uorder(self.num)
-
-    def value_at_zero(self):
-        return uconst(self.num) / uconst(self.den)
+        """Vanishing order at tau = 0; None for the zero series."""
+        return next((k for k in range(self.dn + 1) if self.term(k)), None)
 
     def sub_const(self, c):
-        return RatFun(add(self.num, scale(self.den, -c)), dict(self.den))
+        """self - c, which is (N - c D)/D."""
+        if not c:
+            return self
+        a = self._terms
+        return TaylorSeries(
+            lambda t: a[len(t)] if t else a[0] - c, max(self.dn, self.dd), self.dd, (self,)
+        )
 
     def div_exact(self, other, cancel):
         """self / other after cancelling tau^cancel from both.
 
-        Requires order(self) >= cancel and order(other) == cancel, so the
-        result is again regular at 0.
+        Requires order(self) >= cancel == order(other), so the result is
+        again regular at 0; with s the quotient and a, b the operands,
+        s_k = (a_(k+c) - sum_(i<k) s_i b_(k+c-i)) / b_c for c = cancel.
+        The quotient of the zero series is a new zero series that keeps no
+        reference to the operands, so nested quotients of zero stay free.
         """
-        if other.is_zero():
-            raise InvalidInput("division by the zero function")
-        num = ushift_down(umul(self.num, other.den), cancel)
-        den = ushift_down(umul(other.num, self.den), cancel)
-        return RatFun(num, den)
+        if self.order() is None:
+            return TaylorSeries.from_poly({})
+        a, b, c = self._terms, other._terms, cancel
+        lead = other.term(c)
 
-    def __eq__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return umul(self.num, other.den) == umul(other.num, self.den)
+        def next_term(s):
+            k = len(s)
+            return (a[k + c] - sum(s[i] * b[k + c - i] for i in range(k))) / lead
 
-    __hash__ = None
-
-    def __repr__(self):
-        return "RatFun(%r / %r)" % (self.num, self.den)
+        dn, dd = self.dn + other.dd - c, other.dn + self.dd - c
+        return TaylorSeries(next_term, dn, dd, (self, other), c)

@@ -398,16 +398,15 @@ def test_multiplicity_of_high_powers(files, capsys):
 
 
 def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
-    from motive_series import polys
-
+    # count the products `power` squares and multiplies with while parsing
     calls = []
-    pmul = polys.pmul
+    times = cli._times
 
     def counting(p, q):
         calls.append(1)
-        return pmul(p, q)
+        return times(p, q)
 
-    monkeypatch.setattr(polys, "pmul", counting)
+    monkeypatch.setattr(cli, "_times", counting)
     argv = ["multiplicity", "--script", files["cusp_script.json"], "--poly"]
     code, out, _ = run(capsys, argv + ["x"])
     assert code == 0
@@ -416,9 +415,8 @@ def test_lone_high_power_by_square_and_multiply(files, capsys, monkeypatch):
     code, out, _ = run(capsys, argv + ["x^100000"])
     assert code == 0
     assert json.loads(out)["value"] == [100000 * w for w in x]
-    # per component: one product of the x- and y-powers, and about
-    # 2 log2(100000) products for x^100000
-    assert len(calls) <= len(x) * (2 * (100000).bit_length() + 1)
+    # about 2 log2(100000) products, not one per power below 100000
+    assert 0 < len(calls) <= 2 * (100000).bit_length()
 
 
 HALF_SCRIPT = {

@@ -27,7 +27,7 @@ from motive_series.laurent import LaurentPoly
 MAX_BOUND = 100
 # e_0 > e_1 > ... > e_g = 1, each dividing the one before
 CHAINS = ((4, 2, 1), (6, 2, 1), (6, 3, 1), (8, 4, 1), (9, 3, 1), (8, 4, 2, 1), (12, 6, 2, 1))
-COEFFS = tuple(map(Fraction, ("1", "-1", "2")))
+COEFFS = tuple(map(Fraction, ("1", "-1", "2", "1/2", "-2/3", "3")))
 
 
 def semigroup_generators(n, y):
@@ -61,17 +61,20 @@ def conductor(gens):
 @st.composite
 def branches(draw):
     """(n, y, swap): y has characteristic exponents beta_1 < ... < beta_g
-    with gcd(e_(i-1), beta_i) = e_i along a chain of CHAINS, and may have
-    one more term that keeps the semigroup: at a multiple of some e_i above
-    beta_i (every later e_j divides it)."""
+    with gcd(e_(i-1), beta_i) = e_i along a chain of CHAINS, and one to
+    three more terms that keep the semigroup: each at beta_i + m e_i for
+    some i >= 0 (beta_0 = e_0 = n) and m in 1..3, a multiple of e_i and
+    so of every later e_j.  Coefficients are rational."""
     es = draw(st.sampled_from(CHAINS))
-    y, beta, extra = {}, es[0], draw(st.integers(0, len(es) - 1))
-    for i, (e_prev, e) in enumerate(zip(es, es[1:]), 1):
-        cofactors = [m for m in range(beta // e + 1, beta // e + 9) if gcd(e_prev // e, m) == 1]
-        beta = e * draw(st.sampled_from(cofactors[:4]))
-        y[beta] = draw(st.sampled_from(COEFFS))
-        if i == extra:
-            y[beta + e * draw(st.integers(1, 3))] = draw(st.sampled_from(COEFFS))
+    y, betas = {}, [es[0]]
+    for e_prev, e in zip(es, es[1:]):
+        lo = betas[-1] // e + 1
+        cofactors = [m for m in range(lo, lo + 8) if gcd(e_prev // e, m) == 1]
+        betas.append(e * draw(st.sampled_from(cofactors[:4])))
+        y[betas[-1]] = draw(st.sampled_from(COEFFS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(es) - 1))
+        y[betas[i] + es[i] * draw(st.integers(1, 3))] = draw(st.sampled_from(COEFFS))
     return es[0], y, draw(st.booleans())
 
 
