@@ -10,6 +10,7 @@ from .curves import Branch, Curve, valuation
 from .errors import MotiveSeriesError
 from .formulas import (
     TermIndex,
+    curve_poincare_product,
     curve_series,
     divisorial_poincare_product,
     divisorial_poincare_product_edges,
@@ -54,6 +55,7 @@ __all__ = [
     "build_intersection",
     "chi_bullet",
     "chi_open",
+    "curve_poincare_product",
     "curve_series",
     "divisorial_poincare_product",
     "divisorial_poincare_product_edges",

@@ -5,7 +5,8 @@ are computed only on first use (see `Chart`).  Each exceptional
 component records a host chart in which it is the axis {first
 coordinate = 0} and its free points are visible; corners (pairwise intersections) record a chart in
 which both components are coordinate axes through the origin.  The dual
-graph is maintained incrementally and certified by unimodularity.
+graph and M = -A^-1 are maintained incrementally, and M is certified
+after every step (`graph.certify_inverse`).
 
 `DivisorialOracle` is route B for the divisorial filtration: a
 `jets.JetRankOracle` whose monomial images are their lifts to the host
@@ -36,7 +37,8 @@ from .errors import (
     CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted,
     json_number,
 )
-from .graph import DualGraph, build_intersection
+from .graph import DualGraph, IntersectionData, certify_inverse, intersection_matrix
+from .graph import build_intersection  # noqa: F401  (unused; perfbench/spans.py patches it here)
 from .jets import JetRankOracle
 from .polys import TaylorSeries, as_ints, clean, common_denominator, u_order_in_first
 from .polys import pmul, poly2_compose  # noqa: F401  (unused; perfbench/spans.py patches both here)
@@ -112,7 +114,8 @@ class Chart:
 
 
 class Modification:
-    """Immutable snapshot of a blow-up sequence."""
+    """Immutable snapshot of a blow-up sequence, with M = -A^-1 of its dual
+    graph (a tuple of int row tuples)."""
 
     __slots__ = (
         "charts",
@@ -122,9 +125,10 @@ class Modification:
         "corners",
         "consumed",
         "nsteps",
+        "M",
     )
 
-    def __init__(self, charts, self_ints, hosts, edges, corners, consumed, nsteps):
+    def __init__(self, charts, self_ints, hosts, edges, corners, consumed, nsteps, M):
         self.charts = charts
         self.self_ints = self_ints
         self.hosts = hosts
@@ -132,10 +136,11 @@ class Modification:
         self.corners = corners
         self.consumed = consumed
         self.nsteps = nsteps
+        self.M = M
 
     @staticmethod
     def base():
-        return Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0)
+        return Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0, ())
 
     @property
     def ncomponents(self):
@@ -174,10 +179,15 @@ class Modification:
             corners[tuple(sorted((c, new)))] = corner_chart
         consumed = {k: set(v) for k, v in self.consumed.items()}
         consumed.setdefault(chart_idx, set()).add((pu, pv))
+        # a curvette at an old component misses the point: its row stays,
+        # and its multiplicity on the new component is the sum over through
+        row = [sum(col) for col in zip(*(self.M[c] for c, _ in through))]
+        row.append(1 + sum(row[c] for c, _ in through))
+        M = tuple(old + (x,) for old, x in zip(self.M, row)) + (tuple(row),)
         out = Modification(
-            charts, self_ints, hosts, frozenset(edges), corners, consumed, self.nsteps + 1
+            charts, self_ints, hosts, frozenset(edges), corners, consumed, self.nsteps + 1, M
         )
-        build_intersection(out.graph())  # certify: unimodular tree after every step
+        certify_inverse(out.graph(), M)  # a unimodular tree after every step
         return out
 
     # -- script-level centers --------------------------------------------------
@@ -217,6 +227,10 @@ class Modification:
 
     def graph(self, arrows=()) -> DualGraph:
         return DualGraph(self.self_ints, tuple(sorted(self.edges)), tuple(arrows))
+
+    def intersection(self) -> IntersectionData:
+        """A and the certified M of the dual graph, with no elimination."""
+        return IntersectionData(intersection_matrix(self.graph()), self.M)
 
     def multiplicity(self, comp, g) -> int:
         """Vanishing order of the lift of g along the component."""

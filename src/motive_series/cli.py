@@ -270,21 +270,32 @@ def cmd_graph(args):
     return EXIT_OK
 
 
-def _graph_series(args, g):
+def _route_a_window(args):
+    """The --bound of a --graph or --script series, refused before any work
+    (exit 3) if an entry passes --max-jet: as for the oracles, no
+    coefficient at an exponent above the cap is computed."""
     bound = _parse_vector(args.bound)
+    for k, x in enumerate(bound):
+        if x > args.max_jet:
+            raise PrecisionExhausted(
+                "entry %d of --bound is %d, above --max-jet %d" % (k + 1, x, args.max_jet)
+            )
+    return bound
+
+
+def _graph_series(args, bound, g, data):
     if args.filtration == "curve":
-        if args.kind not in (None, "Pg", "P"):
-            raise InvalidInput("curve filtration on a graph supports kinds Pg and P")
-        out = formulas.curve_series(g, bound)
         if args.kind == "P":
-            out = out.at_one()
-        return out, "q"
+            return formulas.curve_poincare_product(g, bound, data), "q"
+        if args.kind not in (None, "Pg"):
+            raise InvalidInput("curve filtration on a graph supports kinds Pg and P")
+        return formulas.curve_series(g, bound, data), "q"
     if args.kind in (None, "Pg"):
-        return formulas.divisorial_series(g, bound), "q"
+        return formulas.divisorial_series(g, bound, data), "q"
     if args.kind == "Phat":
-        return formulas.semigroup_class_series(g, bound), "L"
+        return formulas.semigroup_class_series(g, bound, data), "L"
     if args.kind == "P":
-        return formulas.divisorial_poincare_product(g, bound), "L"
+        return formulas.divisorial_poincare_product(g, bound, data), "L"
     raise InvalidInput("unsupported kind %r for a divisorial graph" % args.kind)
 
 
@@ -297,17 +308,20 @@ def cmd_poincare(args):
         series = jets.series(oracle, kind, bound)
         symbol = "q" if kind in ("Pg", "Lg") else "L"
     else:
-        g = _graph_input(args)
-        series, symbol = _graph_series(args, g)
+        bound = _route_a_window(args)
+        series, symbol = _graph_series(args, bound, *_graph_input(args))
     _emit(args.format, lambda: series, lambda: _series_pretty(series, symbol), _series_json)
     return EXIT_OK
 
 
 def _graph_input(args):
+    """(dual graph, its intersection data or None); a script's modification
+    carries the data it certified step by step."""
     if args.graph:
-        return graph.DualGraph.from_json(_load_json(args.graph))
+        return graph.DualGraph.from_json(_load_json(args.graph)), None
     if args.script:
-        return blowup.run_script(_load_json(args.script)).graph()
+        m = blowup.run_script(_load_json(args.script))
+        return m.graph(), m.intersection()
     raise InvalidInput("need --curve, --graph or --script")
 
 

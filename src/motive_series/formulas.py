@@ -45,9 +45,15 @@ with c = 0 off it:
   (1 - L x_i), so c(nhat) starts at prod_i [P^nhat_i], and each edge
   adds L c(nhat - e_i - e_j) - c(nhat - e_i) - c(nhat - e_j) to it in
   place, in reverse lex order so that the right-hand side is still the
-  old c;
+  old c.  Each c is one int, c(2^B) (`_class_width`): every step is a
+  ring operation of Z[L] at L = 2^B, a product with L^k a shift by B k
+  bits, and the digits are read off once, in `_series`;
 * P: c(nhat) = prod_i [x^nhat_i] (1 - x)^(-chi_i), an integer that is 0
   once nhat_i > -chi_i >= 0.
+
+The curve P is curve_series at L = 1, where (L-1)^(|I|+|K|) leaves only
+I = K = empty: the same product with chi_i = chi_open(i), summed at
+v = w(nhat)[attach], which is not one-to-one.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
-from math import comb, inf
+from math import comb, inf, prod
 from operator import le, mul as mul_ints
 
 from .errors import InternalInconsistency, InvalidInput
@@ -406,12 +412,32 @@ def _vertex_sum(trees, chi, nhat, arrows_at):
     return out
 
 
-def _series(hi, coeffs, label, symbol):
+def _unpack(v, width):
+    """The kernel dict of the polynomial p with p(2^width) = v whose
+    coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced digits
+    in base 2^width, lowest first.  A negative digit c leaves v - c one
+    more than (v >> width) times 2^width: that is the carry."""
+    out, e, mask, half = {}, 0, (1 << width) - 1, 1 << (width - 1)
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << width
+        if c:
+            out[e] = c
+        v = (v >> width) + (c < 0)
+        e += 1
+    return out
+
+
+def _series(hi, coeffs, label, symbol, width=None):
     """The MSeries on [0, hi] of kernel-dict coefficients, each asserted to
     be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative).
+    With a ``width``, each coefficient is an int p(2^width) (`_unpack`).
     The sums keep every exponent in [0, hi], so the series is trusted."""
     out = {}
     for e, c in coeffs.items():
+        if width is not None:
+            c = _unpack(c, width)
         if not c:
             continue
         if max(c) > 0 if symbol == "q" else min(c) < 0:
@@ -420,6 +446,18 @@ def _series(hi, coeffs, label, symbol):
             )
         out[e] = LaurentPoly._trusted(c)
     return MSeries._trusted(hi, out)
+
+
+def _curve_window(g: DualGraph, hi):
+    """The checked curve-mode bound, and the caps on w it sets: at each
+    vertex with arrows, the least bound among them."""
+    if not g.arrows:
+        raise InvalidInput("curve series needs at least one arrow")
+    hi = _checked_bound(g, hi, "curve")
+    caps = {}
+    for k, j in enumerate(g.arrows):
+        caps[j] = min(hi[k], caps.get(j, hi[k]))
+    return hi, caps
 
 
 def curve_series(g: DualGraph, hi, data=None) -> MSeries:
@@ -437,15 +475,10 @@ def curve_series(g: DualGraph, hi, data=None) -> MSeries:
     Coefficients come out as polynomials in q (nonpositive L-powers),
     which is asserted.
     """
-    if not g.arrows:
-        raise InvalidInput("curve series needs at least one arrow")
-    hi = _checked_bound(g, hi, "curve")
+    hi, caps = _curve_window(g, hi)
     d = data if data is not None else build_intersection(g)
     s, attach = g.nvertices, g.arrows
     chi = [chi_open(g, i) for i in range(s)]
-    caps = {}
-    for k, j in enumerate(attach):
-        caps[j] = min(hi[k], caps.get(j, hi[k]))
     lin = _codim_lin(d, g)
     coeffs = {}
     for nhat, w in _nhats(d, caps):
@@ -497,49 +530,92 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     return _series(hi, coeffs, "divisorial-series", "q")
 
 
+def _class_width(tops, nedges: int) -> int:
+    """The digit width B of semigroup_class_series: the bit length of
+    4^nedges prod_i (top_i + 1), plus 2, where top_i = min_j hi_j // m_ij
+    is the largest nhat_i of the window (every m_ij is positive).
+
+    That product bounds |c_e| for every L-power e of every coefficient:
+    prod_i [P^nhat_i] has nonnegative coefficients summing to
+    prod_i (nhat_i + 1), and an edge step sums four old coefficients, one
+    times L, so it at most quadruples the largest sum of |c_e|.  So
+    |c_e| < 2^(B-2), which leaves a sign bit and one spare bit.  Only the
+    final digits must fit, |c_e| < 2^(B-1) (`_unpack`): the steps are ring
+    operations of Z[L] evaluated at L = 2^B, which hold for any B.
+    """
+    return (prod(t + 1 for t in tops) << 2 * nedges).bit_length() + 2
+
+
 def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
     """Motivic class series of the projectivized extended divisorial semigroup,
     prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j)) / prod_i (1 - t^m_i)(1 - L t^m_i),
-    computed in nhat space (module docstring).  Coefficients are
-    polynomials in L (nonnegative powers), which is asserted.
+    computed in nhat space (module docstring), each coefficient packed
+    as one int c(2^B), B = `_class_width`, and unpacked by `_series`.
+    Coefficients are polynomials in L (nonnegative powers), which is
+    asserted.
     """
     hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
     s = g.nvertices
-    # coefficients are {L-power: int} dicts of the polys kernel
+    tops = [min(h // m for h, m in zip(hi, row)) for row in d.M]
+    width = _class_width(tops, len(g.edges))
+    # nhat is indexed by its mixed-radix key sum_i nhat_i radix_i, nhat_i <= top_i
+    radix = [1] * s
+    for i in range(s - 2, -1, -1):
+        radix[i] = radix[i + 1] * (tops[i + 1] + 1)
     index, ws, coeffs = {}, [], []
     pred = [[] for _ in range(s)]  # pred[i][n]: index of nhat - e_i, or None
     for nhat, w in _nhats(d, dict(enumerate(hi))):
+        key = sum(map(mul_ints, nhat, radix))
+        index[key] = n = len(ws)
+        ws.append(w)
+        k = None  # the last i with nhat_i > 0
         for i, x in enumerate(nhat):
             # the window is downward closed and nhat - e_i comes earlier
-            pred[i].append(index[nhat[:i] + (x - 1,) + nhat[i + 1:]] if x else None)
-        index[nhat] = n = len(ws)
-        ws.append(w)
-        k = max((i for i, x in enumerate(nhat) if x), default=None)
+            if x:
+                pred[i].append(index[key - radix[i]])
+                k = i
+            else:
+                pred[i].append(None)
         if k is None:
-            coeffs.append({0: 1})
+            coeffs.append(1)
             continue
         # prod_i [P^nhat_i], by [P^m] = [P^(m-1)] + L^m
-        rest = index[nhat[:k] + (0,) * (s - k)]
-        coeffs.append(_add_into(dict(coeffs[pred[k][n]]), coeffs[rest], nhat[k]))
+        rest = index[key - nhat[k] * radix[k]]
+        coeffs.append(coeffs[pred[k][n]] + (coeffs[rest] << width * nhat[k]))
     for i, j in g.edges:
         pi, pj = pred[i], pred[j]
         # nhat - e_i, nhat - e_j come later in reverse lex order: still unchanged
         for n in range(len(ws) - 1, -1, -1):
-            a, b, c = pi[n], pj[n], coeffs[n]
+            a, b = pi[n], pj[n]
             if a is not None:
                 if b is not None:
-                    _add_into(c, coeffs[pj[a]], 1)
-                    _add_into(c, coeffs[b], sign=-1)
-                _add_into(c, coeffs[a], sign=-1)
+                    coeffs[n] += (coeffs[pj[a]] << width) - coeffs[a] - coeffs[b]
+                else:
+                    coeffs[n] -= coeffs[a]
             elif b is not None:
-                _add_into(c, coeffs[b], sign=-1)
-    return _series(hi, dict(zip(ws, coeffs)), "semigroup-class", "L")
+                coeffs[n] -= coeffs[b]
+    return _series(hi, dict(zip(ws, coeffs)), "semigroup-class", "L", width)
 
 
 def _shift(p, k):
     """L^k p for a kernel dict p."""
     return {e + k: c for e, c in p.items()}
+
+
+@lru_cache(maxsize=4096)
+def _euler_coeff(chi, n):
+    """[x^n] (1 - x)^(-chi): sym_power_class(chi, n) at L = 1."""
+    return comb(chi + n - 1, n) if chi > 0 else (-1) ** n * comb(-chi, n)
+
+
+def _euler_products(d: IntersectionData, chi, caps):
+    """(w(nhat), prod_i [x^nhat_i] (1 - x)^(-chi_i)) for the nhat of the
+    window of `_nhats` whose product is not 0: nhat_i <= -chi_i where
+    chi_i <= 0, as (1 - x)^(-chi_i) then has degree -chi_i."""
+    limits = [-x if x <= 0 else None for x in chi]
+    for nhat, w in _nhats(d, caps, limits):
+        yield w, prod(map(_euler_coeff, chi, nhat))
 
 
 def divisorial_poincare_product(g: DualGraph, hi, data=None) -> MSeries:
@@ -551,16 +627,27 @@ def divisorial_poincare_product(g: DualGraph, hi, data=None) -> MSeries:
     """
     hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
-    s = g.nvertices
-    chi = [chi_bullet(g, i) for i in range(s)]
-    limits = [-x if x <= 0 else None for x in chi]
-    out = {}
-    for nhat, w in _nhats(d, dict(enumerate(hi)), limits):
-        c = 1
-        for x, n in zip(chi, nhat):  # times [t^n] (1 - t)^(-x)
-            c *= comb(x + n - 1, n) if x > 0 else (-1) ** n * comb(-x, n)
-        out[w] = LaurentPoly.const(c)
-    return MSeries(s, zero_vec(s), hi, out, floored=True)
+    chi = [chi_bullet(g, i) for i in range(g.nvertices)]
+    # w(nhat) is one-to-one and no product in the window is 0
+    out = {w: LaurentPoly.const(c) for w, c in _euler_products(d, chi, dict(enumerate(hi)))}
+    return MSeries._trusted(hi, out)
+
+
+def curve_poincare_product(g: DualGraph, hi, data=None) -> MSeries:
+    """Classical Poincare series of the branch filtration,
+    prod_i (1 - t^v_i)^(-chi_i) with v_i = (m_(i, attach_k))_k and chi_i
+    the Euler characteristic of E_i minus the edge and arrow points:
+    curve_series(g, hi).at_one(), without the terms that L = 1 sends to 0
+    (module docstring).  The products of the nhat with one v are summed.
+    """
+    hi, caps = _curve_window(g, hi)
+    d = data if data is not None else build_intersection(g)
+    chi = [chi_open(g, i) for i in range(g.nvertices)]
+    sums = {}
+    for w, c in _euler_products(d, chi, caps):
+        v = tuple(w[j] for j in g.arrows)
+        sums[v] = sums.get(v, 0) + c
+    return MSeries._trusted(hi, {v: LaurentPoly.const(c) for v, c in sums.items() if c})
 
 
 def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:

@@ -16,6 +16,8 @@ from motive_series.errors import (
     CenterNotFound,
     CornerAmbiguous,
     InvalidInput,
+    NotBlowupGraph,
+    NotUnimodular,
     PrecisionExhausted,
 )
 from motive_series.formulas import (
@@ -29,7 +31,7 @@ from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
 from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
 from motive_series.verify import modification_fixtures
-from test_formulas import blowup_scripts
+from test_formulas import LONG_PARAMS, blowup_scripts
 
 ONE = Fraction(1)
 
@@ -473,3 +475,48 @@ def test_every_step_certified():
     for i in range(1, 5):
         m = m.blow_up({"on": i, "param": "1"})
     assert m.graph().self_ints == (-2, -2, -2, -2, -1)
+
+
+# -- the inverse carried and certified step by step ------------------------------
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=9, params=LONG_PARAMS))
+def test_carried_inverse_matches_build_intersection(script):
+    m = Modification.base()
+    for step in script["steps"]:
+        m = m.blow_up(step["center"])
+        d, ref = m.intersection(), build_intersection(m.graph())
+        assert (d.A, d.M) == (ref.A, ref.M)
+
+
+def _with(m, **fields):
+    """A copy of the modification m with some fields replaced."""
+    names = ("charts", "self_ints", "hosts", "edges", "corners", "consumed", "nsteps", "M")
+    return Modification(*(fields.get(n, getattr(m, n)) for n in names))
+
+
+def test_tampered_modification_fails_the_certificate():
+    m = run_script(CUSP_SCRIPT)  # self-intersections -3, -2, -1; edges (0, 2), (1, 2)
+    tampered = (
+        _with(m, self_ints=(-3, -2, -2)),
+        _with(m, self_ints=(-2, -2, -1)),
+        _with(m, edges=frozenset({(0, 1), (1, 2)})),
+        _with(m, M=m.M[:2] + ((2, 3, 7),)),
+    )
+    for bad in tampered:
+        for center in ({"on": 3, "param": "1"}, {"on": 1, "param": "2"}, {"on": 2, "param": "1"}):
+            with pytest.raises((NotUnimodular, NotBlowupGraph)):
+                bad.blow_up(center)
+
+
+def test_blow_ups_make_no_elimination(monkeypatch):
+    from motive_series import linalg
+
+    def refuse(matrix):
+        raise AssertionError("det_and_adjugate called")
+
+    monkeypatch.setattr(linalg, "det_and_adjugate", refuse)
+    m = run_script(CUSP_SCRIPT)
+    assert m.intersection().M == ((1, 1, 2), (1, 2, 3), (2, 3, 6))
+    assert m.intersection().A == ((-3, 0, 1), (0, -2, 1), (1, 1, -1))

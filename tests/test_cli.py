@@ -193,6 +193,78 @@ def test_precision_exit_code(files, capsys):
     assert "precision" in err
 
 
+def test_route_a_window_is_capped_by_max_jet(files, capsys):
+    argv = ["poincare", "--script", files["cusp_script.json"], "--kind", "Phat"]
+    code, out, err = run(capsys, argv + ["--bound", "5,5,6"])
+    assert code == 0, err
+    assert run(capsys, argv + ["--bound", "5,5,6", "--max-jet", "6"]) == (0, out, "")
+    code, out, err = run(capsys, argv + ["--bound", "5,5,6", "--max-jet", "5"])
+    assert (code, out) == (3, "")
+    assert err == "precision exhausted: entry 3 of --bound is 6, above --max-jet 5\n"
+
+
+CUSP_ARROW_GRAPH = {
+    "vertices": [{"self_int": -3}, {"self_int": -2}, {"self_int": -1}],
+    "edges": [[1, 3], [2, 3]],
+    "arrows": [{"attach": 3}],
+}
+
+
+def test_curve_p_is_a_product_without_at_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cusp_arrow.json"
+    path.write_text(json.dumps(CUSP_ARROW_GRAPH))
+
+    def refuse(self):
+        raise AssertionError("at_one called")
+
+    monkeypatch.setattr(MSeries, "at_one", refuse)
+    argv = ["poincare", "--graph", str(path), "--filtration", "curve", "--kind", "P"]
+    code, out, err = run(capsys, argv + ["--bound", "8"])
+    assert code == 0, err
+    got = MSeries.from_json(json.loads(out))
+    # the value semigroup <2, 3>
+    assert got.coeffs == {(n,): LaurentPoly.const(1) for n in (0, 2, 3, 4, 5, 6, 7, 8)}
+
+
+def test_curve_p_on_a_graph_without_arrows(files, capsys):
+    argv = ["poincare", "--graph", files["single.json"], "--filtration", "curve", "--kind", "P"]
+    assert run(capsys, argv + ["--bound", "3"]) == (
+        2, "", "error: curve series needs at least one arrow\n"
+    )
+
+
+def _count_eliminations(monkeypatch):
+    from motive_series import linalg
+
+    calls = []
+    eliminate = linalg.det_and_adjugate
+    monkeypatch.setattr(linalg, "det_and_adjugate", lambda a: calls.append(1) or eliminate(a))
+    return calls
+
+
+def test_budget_resolution_makes_no_elimination(tmp_path, capsys, monkeypatch):
+    # (tau, 0) and (tau^2, 0) are one germ: they never separate
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "branches": [{"coords": [[[1, "1"]], []]}, {"coords": [[[2, "1"]], []]}],
+    }))
+    calls = _count_eliminations(monkeypatch)
+    code, out, err = run(capsys, ["resolve", "--curve", str(path), "--max-steps", "128"])
+    assert (code, out) == (3, "")
+    assert "within 128 blow-ups" in err
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("kind", ["P", "Pg", "Phat"])
+def test_script_series_reuse_the_carried_inverse(files, capsys, monkeypatch, kind):
+    argv = ["poincare", "--script", files["cusp_script.json"], "--kind", kind, "--bound", "6,6,8"]
+    code, out, _ = run(capsys, argv)
+    calls = _count_eliminations(monkeypatch)
+    assert run(capsys, argv) == (code, out, "")
+    assert code == 0 and len(calls) == 0
+
+
 def test_jet_cap_bounds_the_query_only(files, capsys):
     argv = ["hilbert", "--curve", files["cusp_curve.json"], "--at", "40"]
     code, out, err = run(capsys, argv)
@@ -525,6 +597,9 @@ CULPRITS = {
     "poly coeff true": "coeff True is not an integer or a rational string",
     "poly exponent 1.0": "exponent 1.0 is not an integer",
     "verify --format": "unrecognized arguments: --format json",
+    "route A P huge": "entry 1 of --bound is 99999999999999999999, above --max-jet 64",
+    "route A Phat huge": "entry 1 of --bound is 99999999999999999999, above --max-jet 64",
+    "route A Pg 10^8": "entry 1 of --bound is 100000000, above --max-jet 64",
     "graph --max-jet": "unrecognized arguments: --max-jet 3",
 }
 
@@ -581,6 +656,19 @@ MALFORMED = [
     # each subcommand takes only the options it reads
     pytest.param(["verify", "--format", "json"], id="verify --format"),
     pytest.param(["graph", "--script", "@cusp_script.json", "--max-jet", "3"], id="graph --max-jet"),
+    # route A windows past --max-jet: each once ran for minutes or ran out of memory
+    pytest.param(
+        ["poincare", "--graph", "@single.json", "--kind", "P", "--bound", "99999999999999999999"],
+        id="route A P huge",
+    ),
+    pytest.param(
+        ["poincare", "--graph", "@single.json", "--kind", "Phat", "--bound", "99999999999999999999"],
+        id="route A Phat huge",
+    ),
+    pytest.param(
+        ["poincare", "--graph", "@single.json", "--kind", "Pg", "--bound", "100000000"],
+        id="route A Pg 10^8",
+    ),
 ] + [
     pytest.param(["graph", "--script", "@" + name], id="script " + name[: -len(".json")])
     for name in BAD_DOCS
@@ -598,9 +686,10 @@ def test_malformed_input_exits_cleanly(files, tmp_path, capsys, argv, request):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     out, err = capsys.readouterr()
-    assert code in (2, 3)
+    budget = request.node.callspec.id.startswith("route A")
+    assert code == (3 if budget else 2)
     assert out == ""
-    assert "error" in err and "Traceback" not in err
+    assert ("precision exhausted" if budget else "error") in err and "Traceback" not in err
     assert CULPRITS.get(request.node.callspec.id, "error") in err
 
 

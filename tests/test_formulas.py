@@ -10,12 +10,17 @@ from motive_series.blowup import auto_resolve, run_script
 from motive_series.errors import InternalInconsistency, InvalidInput
 from motive_series.formulas import (
     TermIndex,
+    _add_into,
+    _class_width,
     _codim,
     _codim_lin,
     _forest,
     _nhats,
+    _series,
     _subsets,
+    _unpack,
     _vertex_sum,
+    curve_poincare_product,
     curve_series,
     divisorial_poincare_product,
     divisorial_poincare_product_edges,
@@ -138,6 +143,25 @@ def test_curve_series_cusp_at_one():
 def test_curve_series_needs_arrows():
     with pytest.raises(InvalidInput):
         curve_series(SINGLE, (3,))
+    with pytest.raises(InvalidInput, match="curve series needs at least one arrow"):
+        curve_poincare_product(SINGLE, (3,))
+
+
+@pytest.mark.parametrize(
+    "g, hi",
+    [
+        (CUSP_ARROW, (0,)),
+        (CUSP_ARROW, (12,)),
+        (TWO_ARROWS, (4, 3)),
+        (CUSP_EXTRA_TWO_ARROWS, (9, 7)),
+        (CUSP_EXTRA_ARROWS, (8, 11)),
+    ],
+)
+def test_curve_product_is_curve_series_at_one(g, hi):
+    # at L = 1 only the terms with I = K = empty survive
+    got, want = curve_poincare_product(g, hi), curve_series(g, hi).at_one()
+    assert (got.lo, got.hi, got.exact, got.floored) == (want.lo, want.hi, want.exact, want.floored)
+    assert got.coeffs == want.coeffs
 
 
 def test_divisorial_series_single():
@@ -415,6 +439,8 @@ def test_forest_roots_each_tree_of_the_support():
 
 
 PARAMS = ("1", "-1", "2", "1/2", "-3")
+# enough free points that no component runs out of them within 9 steps
+LONG_PARAMS = PARAMS + ("3", "-2", "1/3")
 ONE_Q = Fraction(1)
 
 
@@ -480,6 +506,16 @@ def test_compressed_sums_match_reference_on_random_curves(branches, data):
     assert_matches_reference(g, curve_hi=curve_hi)
 
 
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.lists(plane_branches(), min_size=1, max_size=3, unique=True), st.data())
+def test_curve_product_is_curve_series_at_one_on_random_curves(branches, data):
+    _, g, _ = auto_resolve(Curve(2, branches))
+    top = {1: 16, 2: 11, 3: 8}[len(branches)]
+    hi = tuple(data.draw(st.integers(0, top)) for _ in branches)
+    assert curve_poincare_product(g, hi).coeffs == curve_series(g, hi).at_one().coeffs
+
+
 def assert_passes_the_checked_constructor(series):
     # route A builds its series with MSeries._trusted; the public
     # constructor, which checks every coefficient, must build the same one
@@ -538,9 +574,42 @@ def reference_poincare_product(g, hi):
     return expand_rational(num, factors, hi)
 
 
+def dict_kernel_class_series(g, hi):
+    """semigroup_class_series with each coefficient a kernel dict
+    {L-power: int}, added into in place: the packed form's reference."""
+    d = build_intersection(g)
+    s = g.nvertices
+    index, ws, coeffs = {}, [], []
+    pred = [[] for _ in range(s)]  # pred[i][n]: index of nhat - e_i, or None
+    for nhat, w in _nhats(d, dict(enumerate(hi))):
+        for i, x in enumerate(nhat):
+            pred[i].append(index[nhat[:i] + (x - 1,) + nhat[i + 1:]] if x else None)
+        index[nhat] = n = len(ws)
+        ws.append(w)
+        k = max((i for i, x in enumerate(nhat) if x), default=None)
+        if k is None:
+            coeffs.append({0: 1})
+            continue
+        rest = index[nhat[:k] + (0,) * (s - k)]
+        coeffs.append(_add_into(dict(coeffs[pred[k][n]]), coeffs[rest], nhat[k]))
+    for i, j in g.edges:
+        pi, pj = pred[i], pred[j]
+        for n in range(len(ws) - 1, -1, -1):
+            a, b, c = pi[n], pj[n], coeffs[n]
+            if a is not None:
+                if b is not None:
+                    _add_into(c, coeffs[pj[a]], 1)
+                    _add_into(c, coeffs[b], sign=-1)
+                _add_into(c, coeffs[a], sign=-1)
+            elif b is not None:
+                _add_into(c, coeffs[b], sign=-1)
+    return _series(tuple(hi), dict(zip(ws, coeffs)), "semigroup-class", "L")
+
+
 def assert_products_match_reference(g, hi):
     for fast, slow in (
         (semigroup_class_series, reference_class_series),
+        (semigroup_class_series, dict_kernel_class_series),
         (divisorial_poincare_product, reference_poincare_product),
     ):
         got, want = fast(g, hi), slow(g, hi)
@@ -576,6 +645,41 @@ def test_nhat_products_match_reference_on_random_scripts(script, data):
     g = run_script(script).graph()
     hi = tuple(data.draw(st.integers(0, 7)) for _ in range(g.nvertices))
     assert_products_match_reference(g, hi)
+
+
+@DIFFERENTIAL
+@given(blowup_scripts(max_steps=7, params=LONG_PARAMS), st.data())
+def test_packed_class_series_matches_the_dict_kernel(script, data):
+    g = run_script(script).graph()
+    hi = tuple(data.draw(st.integers(0, 12)) for _ in range(g.nvertices))
+    got, want = semigroup_class_series(g, hi), dict_kernel_class_series(g, hi)
+    assert got.coeffs == want.coeffs
+    # the a priori bound of _class_width holds every digit, with a sign
+    # bit and one spare bit left in the width
+    tops = [min(h // m for h, m in zip(hi, row)) for row in build_intersection(g).M]
+    bound = 4 ** len(g.edges)
+    for top in tops:
+        bound *= top + 1
+    assert bound < 2 ** (_class_width(tops, len(g.edges)) - 2)
+    assert all(abs(c) <= bound for p in want.coeffs.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize("width", [2, 3, 7, 8, 31, 64, 65])
+def test_unpack_round_trips_extreme_digits(width):
+    top = 2 ** (width - 1) - 1
+    rows = [
+        [top] * 9,
+        [-top] * 9,
+        [top, -top] * 5,
+        [-top, top, 0, -1, 1, -top, 0, 0, top],
+        [0, 0, -(top + 1), top, -(top + 1)],  # the least digit, -2^(width-1), too
+        [1],
+        [-1],
+    ]
+    for digits in rows:
+        v = sum(c << width * e for e, c in enumerate(digits))
+        assert _unpack(v, width) == {e: c for e, c in enumerate(digits) if c}
+    assert _unpack(0, width) == {}
 
 
 @DIFFERENTIAL

@@ -8,6 +8,7 @@ from motive_series.errors import InvalidInput, NotBlowupGraph, NotUnimodular
 from motive_series.graph import (
     DualGraph,
     build_intersection,
+    certify_inverse,
     chi_bullet,
     chi_open,
     hoskin_deligne,
@@ -192,3 +193,23 @@ def test_intersection_inverse_is_certified():
         for i in range(s):
             for j in range(s):
                 assert sum(d.A[i][k] * d.M[k][j] for k in range(s)) == -(i == j)
+
+
+def test_certify_inverse_accepts_build_intersection():
+    for g in (SINGLE, CHAIN, CUSP):
+        certify_inverse(g, build_intersection(g).M)
+
+
+def test_certify_inverse_rejects():
+    M = build_intersection(CUSP).M
+    with pytest.raises(NotUnimodular):  # one entry off: A M is not -I
+        certify_inverse(CUSP, M[:2] + ((2, 3, 5),))
+    with pytest.raises(NotUnimodular):  # the wrong graph for M
+        certify_inverse(DualGraph((-3, -1, -2), ((0, 2), (1, 2))), M)
+    with pytest.raises(NotUnimodular):  # the wrong shape
+        certify_inverse(CUSP, M[:2])
+    # a unimodular tree whose true inverse has a zero entry
+    g = DualGraph((-1, -1, -1), ((0, 1), (1, 2)))
+    det, adj = det_and_adjugate([[-1, 1, 0], [1, -1, 1], [0, 1, -1]])
+    with pytest.raises(NotBlowupGraph):
+        certify_inverse(g, tuple(tuple(-det * x for x in row) for row in adj))

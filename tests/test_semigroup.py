@@ -15,12 +15,13 @@ support forests have up to three edges.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve
-from motive_series.formulas import curve_series
+from motive_series.formulas import curve_poincare_product, curve_series
 from motive_series.jets import HilbertOracle, series
 from motive_series.laurent import LaurentPoly
 
@@ -125,6 +126,7 @@ def test_route_a_and_the_oracle_match_the_semigroup(branch):
     assert {e: c.eval_one() for e, c in got.coeffs.items()} == {
         (v,): 1 for v in gamma if v <= hi
     }
+    assert curve_poincare_product(g, (hi,)).coeffs == got.coeffs
     oracle = HilbertOracle(curve, max_jet=hi + 1)
     # top-down, so the line is ranked once
     for v in range(hi + 1, -1, -1):
@@ -144,3 +146,17 @@ def test_oracle_series_match_the_semigroup(branch):
     assert series(oracle, "P", (hi,)).coeffs == {(v,): LaurentPoly.one() for v in gamma}
     pg = series(oracle, "Pg", (hi,))
     assert pg.coeffs == {(v,): LaurentPoly.q_power(k) for k, v in enumerate(gamma)}
+
+
+@pytest.mark.parametrize(
+    "gens", [(3, 4, 5), (3, 5, 7), (4, 5, 6, 7), (5, 7, 9), (6, 7, 8, 9, 10)]
+)
+def test_monomial_space_curves_count_their_semigroup(gens):
+    # (tau^a_1, ..., tau^a_n) has the value semigroup <a_1, ..., a_n>; route A
+    # has nothing for space curves, so this is the oracle's one third route.
+    # <3, 4, 5> is not symmetric: a non-Gorenstein case.
+    top = 50
+    gamma = members(gens, top)
+    oracle = HilbertOracle(Curve(len(gens), [Branch([{a: Fraction(1)} for a in gens])]))
+    for v in range(top - 1, -1, -1):  # top-down, so the line is ranked once
+        assert oracle.hilbert((v,)) == sum(1 for x in gamma if x < v), (gens, v)
