@@ -132,6 +132,14 @@ class MSeries:
             raise OutsideWindow("coefficient at %r is not determined" % (e,))
         return self.coeffs.get(e, LaurentPoly.zero())
 
+    def reader(self, lo, hi):
+        """Coefficient lookup for the points of [lo, hi]: a read of the
+        stored terms if this series knows the whole box, else `coeff`."""
+        if self.exact or vec_leq(self.lo, lo) and vec_leq(hi, self.hi):
+            zero = LaurentPoly.zero()
+            return lambda e: self.coeffs.get(e, zero)
+        return self.coeff
+
     def __eq__(self, other):
         if not isinstance(other, MSeries):
             return NotImplemented
@@ -369,11 +377,14 @@ def expand_rational(numerator: MSeries, denominator_factors, hi) -> MSeries:
 def first_mismatch(f: MSeries, g: MSeries, lo, hi):
     """First exponent in [lo, hi] (lex order) where f and g differ, or None.
 
-    Both series must know every coefficient in the box.
+    Both series must know every coefficient in the box.  Each series is
+    checked once: one that knows the whole box is read from its stored
+    terms, any other through `coeff`, which raises OutsideWindow at the
+    first point it does not know.  A mismatch is (e, f.coeff(e), g.coeff(e)).
     """
-    for e in box(tuple(lo), tuple(hi)):
-        a = f.coeff(e)
-        b = g.coeff(e)
-        if a != b:
-            return e, a, b
+    lo, hi = tuple(lo), tuple(hi)
+    a, b = f.reader(lo, hi), g.reader(lo, hi)
+    for e in box(lo, hi):
+        if a(e) != b(e):
+            return e, f.coeff(e), g.coeff(e)
     return None

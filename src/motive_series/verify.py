@@ -8,8 +8,10 @@ runs all checks and reports one line per check.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from operator import floordiv, mul
 
 from . import blowup, curves, formulas, graph, jets, laurent
 from . import mseries as mser
@@ -121,8 +123,9 @@ def _series_agreement(check, kinds, differ):
     out = []
     for name, (curve, hi) in curve_fixtures().items():
         a, b = (jets.series(curve_oracle(name), kind, hi) for kind in kinds)
-        points = mser.box(mser.zero_vec(curve.nbranches), hi)
-        bad = next((v for v in points if differ(a.coeff(v), b.coeff(v))), None)
+        zero = mser.zero_vec(curve.nbranches)
+        ca, cb = a.reader(zero, hi), b.reader(zero, hi)
+        bad = next((v for v in mser.box(zero, hi) if differ(ca(v), cb(v))), None)
         out.append(("%s/%s" % (check, name), bad is None, "first mismatch %r" % (bad,)))
     return out
 
@@ -325,34 +328,36 @@ def _naive_curve_terms(g, d, hi):
 
     Per-variable ranges are capped by the smallest contribution one unit
     makes to some bounded valuation component, which is sound because all
-    exponents are monotone in every variable.
+    exponents are monotone in every variable.  The valuation vector v is
+    linear in the tuple: a variable of vertex i adds its value times row
+    M[i] at the arrow vertices, and b~_k adds its value to v_k.  That
+    linear form filters every tuple exactly, and `term_v` re-checks each
+    tuple it accepts, so a wrong form can only drop tuples.
     """
-    import itertools
+    s, arrows = g.nvertices, g.arrows
+    r = len(arrows)
 
-    s = g.nvertices
-    bound = max(hi)
-
-    def vertex_cap(i):
-        return min(
-            hi[k] // d.M[i][g.arrows[k]] for k in range(len(g.arrows))
-        )
+    def var(i, low=1):  # the range and the v-coefficients of a vertex-i variable
+        row = tuple(d.M[i][a] for a in arrows)
+        return range(low, min(map(floordiv, hi, row)) + 1), row
 
     out = set()
     for emask in formulas._subsets(len(g.edges)):
-        for amask in formulas._subsets(len(g.arrows)):
-            ranges = []
-            for k in amask:
-                ranges.append(range(1, hi[k] + 1))  # btilde
-            for k in amask:
-                ranges.append(range(1, vertex_cap(g.arrows[k]) + 1))  # atilde
-            for sigma in emask:
-                i, j = g.edges[sigma]
-                ranges.append(range(1, vertex_cap(i) + 1))
-                ranges.append(range(1, vertex_cap(j) + 1))
-            for i in range(s):
-                ranges.append(range(0, vertex_cap(i) + 1))
-            nb, ne = len(amask), len(emask)
+        for amask in formulas._subsets(r):
+            spec = [(range(1, hi[k] + 1), mser.unit_vec(r, k)) for k in amask]  # btilde
+            spec += [var(arrows[k]) for k in amask]  # atilde
+            spec += [var(i) for sigma in emask for i in g.edges[sigma]]  # n', n''
+            spec += [var(i, 0) for i in range(s)]  # n
+            ranges, coefs = zip(*spec)
+            forms = tuple(zip(zip(*coefs), hi))  # (coefficients of v_k, hi_k)
+            nb, ne, accepted = len(amask), len(emask), []
             for vals in itertools.product(*ranges):
+                for c, b in forms:
+                    if sum(map(mul, vals, c)) > b:
+                        break
+                else:
+                    accepted.append(vals)
+            for vals in accepted:
                 btilde = vals[:nb]
                 atilde = vals[nb : 2 * nb]
                 nprime = vals[2 * nb : 2 * nb + 2 * ne : 2]

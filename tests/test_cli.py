@@ -303,14 +303,30 @@ def test_closed_stdout_exits_without_a_traceback(files):
     assert proc.stderr == b""  # no traceback, and no message either
 
 
+# the only red checks are the multi-branch class-series product identity;
+# the details pin the first mismatch and both coefficients of each
+KNOWN_FAILURES = [
+    "FAIL product-identity-Phat/transverse-lines  [first mismatch "
+    "((1, 1), LaurentPoly(2 - L), LaurentPoly(L))]",
+    "FAIL product-identity-Phat/three-lines  [first mismatch "
+    "((1, 1, 1), LaurentPoly(3 - L), LaurentPoly(2*L))]",
+    "FAIL product-identity-Phat/tangent-pair  [first mismatch "
+    "((2, 2), LaurentPoly(2 - L), LaurentPoly(L))]",
+    "FAIL product-identity-Phat/space-curve-C  [first mismatch "
+    "((2, 2), LaurentPoly(1 - L), LaurentPoly(-1 + L))]",
+    "FAIL product-identity-Phat/space-curve-Cprime  [first mismatch "
+    "((4, 4), LaurentPoly(2 - L), LaurentPoly(L))]",
+]
+
+
 def test_verify_reports_known_defect(capsys):
     code = cli.main(["verify"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 4
-    failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-    # the only red checks are the multi-branch class-series product identity
-    assert failing
-    assert all("product-identity-Phat" in l for l in failing)
+    checks = [l for l in lines if l.startswith(("ok   ", "FAIL "))]
+    assert len(checks) == 90 and lines[:-1] == checks
+    assert [l for l in checks if l.startswith("FAIL")] == KNOWN_FAILURES
+    assert lines[-1] == "85/90 checks passed"
 
 
 TWO_ARROW_GRAPH = {

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,6 +52,7 @@ from motive_series.mseries import (
     vec_add,
     zero_vec,
 )
+from motive_series.verify import _naive_curve_terms
 
 ONE = LaurentPoly.one()
 L = LaurentPoly.l_power(1)
@@ -504,6 +506,72 @@ def test_compressed_sums_match_reference_on_random_curves(branches, data):
     top = {1: 16, 2: 11, 3: 8}[len(branches)]
     curve_hi = tuple(data.draw(st.integers(3, top)) for _ in branches)
     assert_matches_reference(g, curve_hi=curve_hi)
+
+
+NAIVE_TUPLES = 2000  # product-space tuples per case of the term-level reference
+
+
+def naive_space(g, d, hi):
+    """How many tuples verify._naive_curve_terms tries for the window hi:
+    its sum over edge and arrow subsets of range-length products factors
+    into one product over vertices, edges and arrows."""
+    caps = [min(h // d.M[i][a] for h, a in zip(hi, g.arrows)) for i in range(g.nvertices)]
+    return (
+        prod(c + 1 for c in caps)
+        * prod(1 + caps[i] * caps[j] for i, j in g.edges)
+        * prod(1 + h * caps[a] for h, a in zip(hi, g.arrows))
+    )
+
+
+def distinct_resolved_graphs(count, seed):
+    """The resolution graphs of random plane curves of 1-3 branches
+    (tau^a, tau^b + c tau^(b+1)), drawn as plane_branches draws them, until
+    count graphs differ in self-intersections, edges or arrows."""
+    rng, graphs = random.Random(seed), {}
+    while len(graphs) < count:
+        branches = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(1, 3)
+            b = rng.choice([b for b in range(a + 1, 6) if gcd(a, b) == 1])
+            coords = [{a: ONE_Q}, {b: ONE_Q, b + 1: Fraction(rng.choice(PARAMS))}]
+            branch = Branch(coords[::-1] if rng.random() < 0.5 else coords)
+            if branch not in branches:
+                branches.append(branch)
+        _, g, _ = auto_resolve(Curve(2, branches))
+        graphs.setdefault((g.self_ints, g.edges, g.arrows), g)
+    return list(graphs.values())
+
+
+def reference_windows(g, d):
+    """Windows whose product space stays small enough to walk: one grown
+    from 1 entry by entry, up to 24; and, where an edge allows it, the
+    valuation of its stratum with n' = n'' = 1 and every other variable 0,
+    which puts that edge term on the boundary of every window entry."""
+    hi, grown = [1] * len(g.arrows), True
+    while grown:
+        grown = False
+        for k in range(len(hi)):
+            hi[k] += 1
+            if hi[k] > 24 or naive_space(g, d, hi) > NAIVE_TUPLES:
+                hi[k] -= 1
+            else:
+                grown = True
+    windows = [tuple(hi)]
+    if g.edges:
+        edges = (tuple(d.M[i][a] + d.M[j][a] for a in g.arrows) for i, j in g.edges)
+        windows.append(min(edges, key=lambda w: naive_space(g, d, w)))
+    return [w for w in windows if naive_space(g, d, w) <= NAIVE_TUPLES]
+
+
+@pytest.mark.parametrize("g", distinct_resolved_graphs(20, seed=23), ids=repr)
+def test_enumeration_matches_the_product_space_reference_on_random_curves(g):
+    d = build_intersection(g)
+    for hi in reference_windows(g, d):
+        fast = {
+            (t.edges, t.arrows, t.n, t.nprime, t.ndprime, t.atilde, t.btilde)
+            for t in enumerate_terms(g, d, hi, "curve")
+        }
+        assert fast == _naive_curve_terms(g, d, hi), hi
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None,

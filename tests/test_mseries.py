@@ -244,3 +244,86 @@ def test_box_edge_cases():
     assert list(box((0, 3), (5, 2))) == list(box((0, 3), (5, 2), down=True)) == []
     # an empty box builds no range, however long its other axes
     assert list(box((0, 1), (10**30, 0))) == []
+
+
+def per_point_mismatch(f, g, lo, hi):
+    """first_mismatch as one coeff call per series at every point of the box."""
+    for e in box(tuple(lo), tuple(hi)):
+        a, b = f.coeff(e), g.coeff(e)
+        if a != b:
+            return e, a, b
+    return None
+
+
+def outcome(compare, *args):
+    try:
+        return "result", compare(*args)
+    except OutsideWindow as exc:
+        return "raises", str(exc)
+
+
+@st.composite
+def windowed_pairs(draw):
+    """Two series in n <= 2 variables (each exact, floored or unfloored),
+    the second a copy of the first with a few terms changed or dropped,
+    and a box that may reach past either window on any side."""
+    n = draw(st.integers(1, 2))
+    coeffs = st.sampled_from([ONE, -ONE, L, Q, ONE - L])
+
+    def series(terms):
+        if draw(st.integers(0, 3)) == 0:
+            return MSeries.polynomial(n, terms)
+        lo = tuple(draw(st.integers(-2, 0)) for _ in range(n))
+        hi = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        kept = {e: c for e, c in terms.items() if vec_leq(lo, e) and vec_leq(e, hi)}
+        return MSeries(n, lo, hi, kept, floored=draw(st.booleans()))
+
+    exps = st.tuples(*(st.integers(-2, 3) for _ in range(n)))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+    other = dict(terms)
+    for e in draw(st.lists(exps, min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            other.pop(e, None)
+        else:
+            other[e] = draw(coeffs)
+    lo = tuple(draw(st.integers(-3, 1)) for _ in range(n))
+    hi = tuple(draw(st.integers(-1, 4)) for _ in range(n))
+    return series(terms), series(other), lo, hi
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(windowed_pairs())
+def test_first_mismatch_matches_the_per_point_loop(case):
+    f, g, lo, hi = case
+    assert outcome(first_mismatch, f, g, lo, hi) == outcome(per_point_mismatch, f, g, lo, hi)
+
+
+def test_first_mismatch_reads_an_unstored_key_as_zero():
+    f = MSeries(1, (0,), (3,), {(0,): ONE, (2,): L})
+    g = MSeries(1, (0,), (3,), {(0,): ONE})
+    e, a, b = first_mismatch(f, g, (0,), (3,))
+    assert (e, a) == ((2,), L)
+    assert isinstance(b, LaurentPoly) and b == LaurentPoly.zero()
+    assert first_mismatch(g, f, (0,), (3,)) == ((2,), LaurentPoly.zero(), L)
+
+
+def test_first_mismatch_names_the_first_point_off_a_window():
+    f = MSeries(2, (0, 0), (3, 1), {(0, 0): ONE})
+    g = MSeries(2, (0, 0), (5, 5), {(0, 0): ONE})
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(OutsideWindow, match=r"\(0, 2\)"):
+            first_mismatch(*pair, (0, 0), (4, 4))
+    # a mismatch before the first unknown point is returned, not raised
+    h = MSeries(2, (0, 0), (5, 5), {(0, 0): ONE, (0, 1): Q})
+    assert first_mismatch(f, h, (0, 0), (4, 4)) == ((0, 1), LaurentPoly.zero(), Q)
+
+
+def test_first_mismatch_of_an_exact_polynomial_and_a_window():
+    exact = MSeries.polynomial(1, {(0,): ONE, (1,): L, (6,): Q})
+    windowed = MSeries(1, (0,), (4,), {(0,): ONE, (1,): L, (3,): Q})
+    assert first_mismatch(exact, windowed, (0,), (2,)) is None
+    assert first_mismatch(exact, windowed, (0,), (4,)) == ((3,), LaurentPoly.zero(), Q)
+    # the exact side knows every point; the window's floor covers -1, not 5
+    assert first_mismatch(exact, windowed, (-1,), (2,)) is None
+    with pytest.raises(OutsideWindow, match=r"\(5,\)"):
+        first_mismatch(exact, MSeries(1, (0,), (4,), {(0,): ONE, (1,): L}), (0,), (6,))

@@ -9,7 +9,9 @@ and P(t) = sum_{gamma in Gamma} t^gamma.  Neither uses jets or blow-ups,
 so it checks route A (auto_resolve + curve_series) and route B (the jet
 oracle) on random branches with two or three characteristic exponents,
 whose resolutions are deeper than the other generators' and whose
-support forests have up to three edges.
+support forests have up to three edges.  Beside a smooth branch, such a
+branch also checks route A's M at the two arrows against the order of
+contact of the parametrizations.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from motive_series import Branch, Curve
 from motive_series.blowup import auto_resolve
 from motive_series.formulas import curve_poincare_product, curve_series
+from motive_series.graph import build_intersection
 from motive_series.jets import HilbertOracle, series
 from motive_series.laurent import LaurentPoly
 
@@ -146,6 +149,27 @@ def test_oracle_series_match_the_semigroup(branch):
     assert series(oracle, "P", (hi,)).coeffs == {(v,): LaurentPoly.one() for v in gamma}
     pg = series(oracle, "Pg", (hi,))
     assert pg.coeffs == {(v,): LaurentPoly.q_power(k) for k, v in enumerate(gamma)}
+
+
+@SEMIGROUP
+@given(branches(), st.data())
+def test_arrow_entry_of_m_is_the_intersection_multiplicity(branch, data):
+    # a smooth branch (t, y1(t)) meets (t^n, y(t)) with multiplicity
+    # ord_t(y(t) - y1(t^n)), which the resolution holds as m_(a_1 a_2); y1
+    # copies some of y's terms at multiples of n, so the contact can pass n
+    n, y, swap = branch
+    shared = [k for k in sorted(y) if k % n == 0]
+    y1 = {k // n: y[k] for k in shared[: data.draw(st.integers(0, len(shared)))]}
+    if data.draw(st.booleans()):
+        y1[data.draw(st.integers(1, 4))] = data.draw(st.sampled_from(COEFFS))
+    diff = dict(y)
+    for j, c in y1.items():
+        diff[j * n] = diff.get(j * n, 0) - c
+    contact = min(k for k, c in diff.items() if c)
+    smooth = [{1: Fraction(1)}, y1]
+    curve = Curve(2, [Branch(smooth[::-1] if swap else smooth), *as_curve(n, y, swap).branches])
+    _, g, _ = auto_resolve(curve)
+    assert build_intersection(g).M[g.arrows[0]][g.arrows[1]] == contact
 
 
 @pytest.mark.parametrize(
