@@ -669,7 +669,7 @@ def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
 
 def h_box(hfun, lo, hi):
     """{v: hfun(v)} on the box [lo, hi], asked from hi down, so that a
-    jet-rank oracle ranks each line of the box once.  The top is asked
+    jet-rank oracle ranks only the box's top line.  The top is asked
     before `box` builds its ranges, so a budget error comes first."""
     top = {hi: hfun(hi)} if vec_leq(lo, hi) else {}
     return top | {v: hfun(v) for v in islice(box(lo, hi, down=True), 1, None)}

@@ -15,13 +15,13 @@ x_j -> D_j x_j, D_j a common denominator of coordinate j's images on
 every block, scales the row of x^alpha by prod_j D_j^alpha_j.  One
 nonzero factor per row changes no rank and no prefix of the leading
 keys, so every h is that of the unscaled rows, and no row holds a
-`Fraction`.  One elimination gives h along a whole line up to a horizon
-(see `hilbert`).  `HilbertOracle` composes g with the branches of a
-curve; `blowup.DivisorialOracle` lifts g to the components of a
-modification.  `series` reads P, Pg, Phat, L, Lg and H off one table of h
-on a box, asked top-down, so each line is ranked once and the candidate
-monomials are enumerated once (see `_candidates`): L and Lg from the
-pairs (h(v), h(v + 1)), and P = -(Delta h), Pg = Delta R(1 - h) and
+`Fraction`.  One echelon basis gives h along a whole line up to a
+horizon, and restricts to any line below it (see `hilbert`).
+`HilbertOracle` composes g with the branches of a curve;
+`blowup.DivisorialOracle` lifts g to the components of a modification.
+`series` reads P, Pg, Phat, L, Lg and H off one table of h on a box,
+asked top-down, so only the box's top line is ranked: L and Lg from
+the pairs (h(v), h(v + 1)), and P = -(Delta h), Pg = Delta R(1 - h) and
 Phat = L^h(v + 1) (Delta R(-h)) by r difference passes (`formulas.ie_box`;
 Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 """
@@ -83,7 +83,7 @@ class JetRankOracle:
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
         self._horizon = 0  # the largest last coordinate asked so far
-        self._kept = ((0,) * self.nvars, [])  # a line and its candidates
+        self._lines = []  # (line, echelon basis), each line <= the one before
 
     def _candidates(self, v):
         """(alpha, acc) of the monomials x^alpha whose image can be
@@ -91,21 +91,12 @@ class JetRankOracle:
         block k is nonzero below v_k.
 
         acc[k] is the exact order sum_j alpha_j orders[k][j], except that
-        an identically-zero coordinate steps by big_k >= v_k, so it is
+        an identically-zero coordinate steps by v_k, so it is
         >= v_k once that coordinate enters.  Every order is at least 1, so
         the set is finite (of degree below max(v)) and down-closed.  Each
         qualifying prefix is extended one exponent at a time; orders only
         grow along the way, so the first failing exponent ends the prefix.
-        big is the line last enumerated, whose list is kept: a line v <= big
-        gets its order-preserving filter, acc[k] < v_k for some k, so a
-        sweep from the top of its box enumerates once.  A candidate of v has
-        an order below v_k <= big_k on a block k where alpha uses no
-        identically-zero coordinate, so the kept list holds it with that
-        acc[k]; where alpha uses one, acc[k] >= big_k >= v_k: the filter
-        drops exactly what a fresh enumeration would.
         """
-        if all(map(le, v, self._kept[0])):
-            return [c for c in self._kept[1] if any(map(lt, c[1], v))]
         level = [((), (0,) * self.nvars)]
         for j in range(len(self.orders[0])):
             step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
@@ -117,7 +108,6 @@ class JetRankOracle:
                     e += 1
                     acc = tuple(map(add, acc, step))
             level = nxt
-        self._kept = (tuple(v), level)
         return level
 
     def _rows(self, cands, v):
@@ -159,13 +149,14 @@ class JetRankOracle:
     def hilbert(self, v) -> int:
         """h(v): the rank on the candidates, which are complete at jet order max(v).
 
-        A miss at w ranks the rows at (p, top), p = w[:-1], top the
-        horizon (the largest last coordinate asked so far), and keeps
-        h(p, t) for every t <= top: the columns of (p, t) are the keys
-        below (r - 1, t << _shift), where a candidate of (p, top) that is
-        none of (p, t) has no term, so h(p, t) is the number of leading
-        keys below (r - 1, t << _shift).  A sweep from the top of its box
-        ranks each line once."""
+        A miss at w gets an echelon basis at (p, top), p = w[:-1], top the
+        horizon (the largest last coordinate asked so far), and keeps h(p, t)
+        for every t <= top: the number of leading keys below the columns of
+        (p, t), the keys below (r - 1, t << _shift) (a candidate of (p, top)
+        that is none of (p, t) has no term there).  For p' <= p the rows of
+        (p', top) are those of (p, top) without the keys (k, e >= p'_k <<
+        _shift): the basis of the nearest kept line above is restricted
+        (`linalg.restrict`).  A sweep from the top of its box ranks once."""
         v = tuple(v)
         if v in self._ranks:
             return self._ranks[v]
@@ -176,10 +167,18 @@ class JetRankOracle:
             if max(w) > self.max_jet:
                 raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
             self._horizon = top = max(w[-1], self._horizon)
-            line = w[:-1] + (top,)
-            keys = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else []
+            line, lines, shift = w[:-1] + (top,), self._lines, self._shift
+            # the horizon never falls, so a kept line >= line has its top
+            while lines and not all(map(le, line, lines[-1][0])):
+                lines.pop()
+            if lines:
+                basis = linalg.restrict(lines[-1][1], [x << shift for x in line])
+            else:
+                basis = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else {}
+            lines.append((line, basis))
+            keys = sorted(basis)
             for t in range(top + 1):
-                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t << self._shift))
+                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t << shift))
         return self._ranks[w]
 
 

@@ -1,15 +1,16 @@
 """Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
 
-``rank`` is the one exact rank kernel, for the rows of both jet-rank
+``rank`` is the one exact elimination, for the rows of both jet-rank
 oracles: it eliminates by leading key on sparse dict rows, so it never
-touches a zero, and returns the leading keys of its echelon basis.  It
-stays in the integers: a rational row is first scaled by the lcm of its
-denominators, and rows are reduced fraction-free.  Scaling a row by a
+touches a zero, and returns its echelon basis {leading key: pivot row}.
+It stays in the integers: a rational row is first scaled by the lcm of
+its denominators, and rows are reduced fraction-free.  Scaling a row by a
 nonzero number changes neither its keys nor the rank of any set of
 columns, so the rank and every prefix of the leading keys are those of
 the rows as given; the oracles build their rows integral for that
 reason (see `jets`).  Each stored pivot is divided by its content, the
 gcd of its entries, which limits the growth of the entries.
+``restrict`` derives the basis of the same rows on fewer columns.
 ``det_and_adjugate`` never leaves the integers.
 """
 
@@ -26,49 +27,78 @@ def _primitive(row):
     return row if g == 1 else {k: c // g for k, c in row.items()}
 
 
-def rank(rows) -> list:
-    """Sorted leading keys of an echelon basis of dict rows {column key:
-    int or Fraction}; their count is the rank over Q.
+def _live(row, lims):
+    """The row without its dead keys (k, e), e >= lims[k]."""
+    return {key: c for key, c in row.items() if key[1] < lims[key[0]]}
+
+
+def _insert(pivots, row, lims=None):
+    """Reduce the int row against the pivot under its smallest key until
+    that key is new, and store it there primitive; a sparser row swaps
+    places with the pivot.  A reduction, on a copy, is fraction-free:
+    row <- (a/g) row - (b/g) piv, with a = piv[key], b = row[key] and
+    g = gcd(a, b); with lims, it drops the dead keys it brings in."""
+    while row:
+        key = min(row)
+        piv = pivots.get(key)
+        if piv is None:
+            pivots[key] = _primitive(row)
+            return
+        if len(row) < len(piv):
+            piv, row = _primitive(row), piv
+            pivots[key] = piv
+        a, b = piv[key], row[key]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        row = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
+        for k, c in piv.items():
+            c = row.get(k, 0) - b * c
+            if c:
+                row[k] = c
+            else:
+                del row[k]
+        if lims is not None:
+            row = _live(row, lims)
+
+
+def rank(rows) -> dict:
+    """An echelon basis {leading key: pivot row} of dict rows {column key:
+    int or Fraction}; its size is the rank over Q.
 
     A row with an entry that is not an int (the sum of its entries is
     then not an int) is first multiplied by the lcm of its denominators.
-    Rows are taken sparsest first.  Each is reduced against the pivot row
-    stored under its smallest key until that key is new (the row becomes
-    the pivot there) or the row is empty; a row sparser than the stored
-    pivot swaps places with it.  A reduction is fraction-free:
-    row <- (a/g) row - (b/g) piv, with a = piv[key], b = row[key] and
-    g = gcd(a, b), which clears key and keeps every entry an int.  A
-    pivot is stored primitive (see `_primitive`).  The pivots span the
+    Rows are inserted sparsest first (see `_insert`).  The pivots span the
     rows and have distinct smallest keys, so for any column key c the
-    rank of the columns below c is the number of returned keys below c
-    (the prefix property).  The reductions work on copies: the input rows
-    are never modified."""
+    rank of the columns below c is the number of leading keys below c
+    (the prefix property).  The input rows are never modified."""
     rows = [
         row if type(sum(row.values())) is int else as_ints(row, common_denominator(row))
         for row in rows
     ]
     pivots = {}
     for row in sorted(rows, key=len):
-        while row:
-            key = min(row)
-            piv = pivots.get(key)
-            if piv is None:
-                pivots[key] = _primitive(row)
-                break
-            if len(row) < len(piv):
-                piv, row = _primitive(row), piv
-                pivots[key] = piv
-            a, b = piv[key], row[key]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            row = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
-            for k, c in piv.items():
-                c = row.get(k, 0) - b * c
-                if c:
-                    row[k] = c
-                else:
-                    del row[k]
-    return sorted(pivots)
+        _insert(pivots, row)
+    return pivots
+
+
+def restrict(pivots, lims) -> dict:
+    """An echelon basis, as `rank` gives, of the rows that pivots span,
+    restricted to the live keys (k, e), e < lims[k], with no elimination.
+
+    The restricted pivots span the restricted rows.  A pivot led by a live
+    key keeps it, with its dead entries, which can never lead.  Only a
+    pivot led by a dead key is cleaned and inserted again, sparsest first.
+    Dead entries never change live ones, so the result can be restricted
+    again by lims no larger.  The input basis is not modified."""
+    out, dropped = {}, []
+    for key, piv in pivots.items():
+        if key[1] < lims[key[0]]:
+            out[key] = piv
+        else:
+            dropped.append(_live(piv, lims))
+    for row in sorted(dropped, key=len):
+        _insert(out, row, lims)
+    return out
 
 
 def det_and_adjugate(matrix):

@@ -31,8 +31,7 @@ def _cached(key, build):
 
 
 def curve_oracle(name):
-    curve, _ = curve_fixtures()[name]
-    return _cached(("curve-oracle", name), lambda: jets.HilbertOracle(curve))
+    return _cached(("curve-oracle", name), lambda: jets.HilbertOracle(curve_fixtures()[name][0]))
 
 
 def divisorial_oracle(name):
@@ -41,8 +40,7 @@ def divisorial_oracle(name):
 
 
 def resolved(name):
-    curve, _ = curve_fixtures()[name]
-    return _cached(("resolved", name), lambda: blowup.auto_resolve(curve))
+    return _cached(("resolved", name), lambda: blowup.auto_resolve(curve_fixtures()[name][0]))
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -55,24 +53,27 @@ def _branch(*orders):
 
 def curve_fixtures():
     """Named curves: (curve, comparison window)."""
-    return {
-        "smooth-branch": (curves.Curve(2, [_branch(1, 0)]), (6,)),
-        "transverse-lines": (curves.Curve(2, [_branch(1, 0), _branch(0, 1)]), (4, 4)),
-        "three-lines": (
-            curves.Curve(2, [_branch(1, 0), _branch(0, 1), _branch(1, 1)]),
-            (3, 3, 3),
-        ),
-        "cusp": (curves.Curve(2, [_branch(2, 3)]), (8,)),
-        "tangent-pair": (curves.Curve(2, [_branch(1, 0), _branch(1, 2)]), (4, 4)),
-        "space-curve-C": (
-            curves.Curve(5, [_branch(2, 3, 2, 4, 5), _branch(2, 3, 4, 2, 6)]),
-            (6, 6),
-        ),
-        "space-curve-Cprime": (
-            curves.Curve(6, [_branch(3, 4, 5, 4, 5, 6), _branch(3, 4, 5, 5, 6, 7)]),
-            (6, 6),
-        ),
-    }
+    return _cached(
+        ("curves",),
+        lambda: {
+            "smooth-branch": (curves.Curve(2, [_branch(1, 0)]), (6,)),
+            "transverse-lines": (curves.Curve(2, [_branch(1, 0), _branch(0, 1)]), (4, 4)),
+            "three-lines": (
+                curves.Curve(2, [_branch(1, 0), _branch(0, 1), _branch(1, 1)]),
+                (3, 3, 3),
+            ),
+            "cusp": (curves.Curve(2, [_branch(2, 3)]), (8,)),
+            "tangent-pair": (curves.Curve(2, [_branch(1, 0), _branch(1, 2)]), (4, 4)),
+            "space-curve-C": (
+                curves.Curve(5, [_branch(2, 3, 2, 4, 5), _branch(2, 3, 4, 2, 6)]),
+                (6, 6),
+            ),
+            "space-curve-Cprime": (
+                curves.Curve(6, [_branch(3, 4, 5, 4, 5, 6), _branch(3, 4, 5, 5, 6, 7)]),
+                (6, 6),
+            ),
+        },
+    )
 
 
 SINGLE_SCRIPT = {"steps": [{"center": "origin"}]}
@@ -451,7 +452,7 @@ def check_hilbert_oracle_properties():
     for name, (curve, hi) in curve_fixtures().items():
         oracle = curve_oracle(name)
         r = curve.nbranches
-        # h top-down, one elimination per line, scanned in lex order so that
+        # h top-down, one elimination per box, scanned in lex order so that
         # a failing check names the first point a bottom-up sweep would
         h = formulas.h_box(oracle.hilbert, mser.zero_vec(r), mser.vec_add(hi, (1,) * r))
         jumps = ((v, k, h[mser.vec_add(v, mser.unit_vec(r, k))] - h[v])

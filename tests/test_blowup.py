@@ -343,10 +343,10 @@ def test_packed_key_width():
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(blowup_scripts(), st.data())
 def test_top_down_sweep_matches_fresh_oracles(script, data):
-    # the ie sweep reads h on [0, hi + 1] from one elimination per line;
-    # every point must equal a fresh oracle's single query there.  H on
-    # [0, hi] first keeps the candidates of a lower line, so the ie sweep
-    # enumerates its top line and filters that list for every line below
+    # the ie sweep reads h on [0, hi + 1] from one elimination at its top
+    # line and a restriction for every line below; every point must equal a
+    # fresh oracle's single query there.  H on [0, hi] first keeps the bases
+    # of a lower box, whose horizon the ie sweep raises, so it ranks afresh
     m = run_script(script)
     s = m.ncomponents
     hi = tuple(data.draw(st.integers(0, 2)) for _ in range(s))
@@ -355,13 +355,33 @@ def test_top_down_sweep_matches_fresh_oracles(script, data):
     hilbert_ie_series(swept.hilbert, s, hi)
     for w in box(zero_vec(s), tuple(x + 1 for x in hi)):
         assert swept._ranks[w] == DivisorialOracle(m).hilbert(w), w
-    # a line that is not below the kept one is enumerated afresh
+    # a line that is not below a kept one is ranked afresh
     far = (max(hi) + 3,) + (0,) * (s - 1)
     assert swept.hilbert(far) == DivisorialOracle(m).hilbert(far)
     # asked large-first or small-first, one oracle gives the same answers
     points = list(box(zero_vec(s), hi))
     rising = DivisorialOracle(m)
     assert [rising.hilbert(w) for w in points] == [swept.hilbert(w) for w in points]
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=4), st.data())
+def test_divisorial_sweeps_and_scrambled_queries_match_fresh_oracles(script, data):
+    # 2-4 components with packed keys: a sweep restricts its top line's basis
+    # to every line below it; a scrambled order also raises the horizon, asks
+    # lines above every kept one and lines below them
+    m = run_script(script)
+    s = m.ncomponents
+    hi = tuple(data.draw(st.integers(0, 3 if s < 4 else 2)) for _ in range(s))
+    points = list(box(zero_vec(s), tuple(x + 1 for x in hi)))
+    fresh = {w: DivisorialOracle(m).hilbert(w) for w in points}
+    swept = DivisorialOracle(m)
+    assert swept._shift > 0
+    series(swept, "P", hi)
+    assert {w: swept._ranks[w] for w in points} == fresh
+    scrambled = DivisorialOracle(m)
+    for w in data.draw(st.permutations(points)):
+        assert scrambled.hilbert(w) == fresh[w], w
 
 
 def test_huge_ie_bound_is_a_budget_error():

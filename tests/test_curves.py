@@ -102,8 +102,8 @@ def _exact_order(ords, alpha):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(orders_and_point(), st.data())
-def test_candidates_match_brute_force(case, data):
+@given(orders_and_point())
+def test_candidates_match_brute_force(case):
     orders, v = case
     # every order is >= 1, so each exponent of a candidate is below max(v)
     want = [
@@ -111,19 +111,12 @@ def test_candidates_match_brute_force(case, data):
         for alpha in product(range(max(v)), repeat=len(orders[0]))
         if any(_exact_order(ords, alpha) < vk for ords, vk in zip(orders, v))
     ]
-    # a fresh enumeration, and the filter of the list kept from a line above v,
-    # where identically-zero coordinates ran up to that line's orders
-    big = tuple(x + data.draw(st.integers(0, 4)) for x in v)
-    kept = JetRankOracle(orders)
-    kept._candidates(big)
-    for oracle in (JetRankOracle(orders), kept):
-        cands = oracle._candidates(v)
-        assert [alpha for alpha, _ in cands] == want
-        # the running orders filter each block exactly, None coordinates included
-        for alpha, acc in cands:
-            for k, ords in enumerate(orders):
-                assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
-    assert kept._kept[0] == big
+    cands = JetRankOracle(orders)._candidates(v)
+    assert [alpha for alpha, _ in cands] == want
+    # the running orders filter each block exactly, None coordinates included
+    for alpha, acc in cands:
+        for k, ords in enumerate(orders):
+            assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
     assert JetRankOracle(orders)._candidates((0,) * len(orders)) == []
 
 
@@ -144,8 +137,8 @@ def curves_with_zero_coordinates(draw):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(curves_with_zero_coordinates(), st.data())
 def test_swept_tables_match_fresh_oracles_on_random_curves(curve, data):
-    # H on [0, hi] keeps its top line's candidates, the sweep of [0, hi + 1]
-    # enumerates a larger line and filters it for every line below
+    # H on [0, hi] keeps the bases of its lines; the sweep of [0, hi + 1]
+    # raises the horizon, ranks its top line and restricts it to every line below
     r = curve.nbranches
     hi = tuple(data.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[r])) for _ in range(r))
     swept = HilbertOracle(curve)
@@ -176,20 +169,31 @@ def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
             assert kept.hilbert(v) == HilbertOracle(curve).hilbert(v), v
 
 
+def count_eliminations(monkeypatch):
+    """{"rank": fresh eliminations, "restrict": lines derived from a kept basis}."""
+    calls = {"rank": 0, "restrict": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(linalg, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "fixture, hi",
     (("curve_c", (5, 5)), ("curve_cprime", (4, 4)), ("transverse_lines", (4, 4)), ("cusp_curve", (9,))),
 )
-def test_top_down_sweep_ranks_each_line_once(request, monkeypatch, fixture, hi):
-    # P on [0, hi] reads h on [0, hi + 1]: one elimination per line of that
-    # box, and every point the same as a fresh oracle's single query
+def test_top_down_sweep_ranks_each_box_once(request, monkeypatch, fixture, hi):
+    # P on [0, hi] reads h on [0, hi + 1]: one elimination at the top line of
+    # that box, every other line restricted from a kept basis, and every
+    # point the same as a fresh oracle's single query
     curve = request.getfixturevalue(fixture)
-    calls = []
-    monkeypatch.setattr(linalg, "rank", lambda rows, rank=linalg.rank: calls.append(1) or rank(rows))
+    calls = count_eliminations(monkeypatch)
     swept = HilbertOracle(curve)
     series(swept, "P", hi)
     up = tuple(x + 1 for x in hi)
-    assert len(calls) == len(list(box((0,) * (len(hi) - 1), up[:-1])))
+    assert calls == {"rank": 1, "restrict": len(list(box((0,) * (len(hi) - 1), up[:-1]))) - 1}
     monkeypatch.undo()
     for v in box((0,) * len(hi), up):
         assert swept._ranks[v] == HilbertOracle(curve).hilbert(v), v
@@ -209,14 +213,14 @@ def test_series_at_the_jet_cap(request, fixture, hi):
 
 
 @pytest.mark.parametrize("fixture", ("transverse_lines", "curve_c"))
-@pytest.mark.parametrize("kind, ranks", (("P", 6), ("Pg", 6), ("Phat", 6), ("L", 6), ("Lg", 6), ("H", 5)))
-def test_one_elimination_per_line_of_each_series(request, monkeypatch, fixture, kind, ranks):
-    # bound (4, 4): the lines of [0, (5, 5)], or of [0, (4, 4)] for H
+@pytest.mark.parametrize("kind, lines", (("P", 6), ("Pg", 6), ("Phat", 6), ("L", 6), ("Lg", 6), ("H", 5)))
+def test_one_elimination_per_series(request, monkeypatch, fixture, kind, lines):
+    # bound (4, 4): the lines of [0, (5, 5)], or of [0, (4, 4)] for H; L and
+    # Lg also ask the line -1, which clamps to the line 0
     curve = request.getfixturevalue(fixture)
-    calls = []
-    monkeypatch.setattr(linalg, "rank", lambda rows, rank=linalg.rank: calls.append(1) or rank(rows))
+    calls = count_eliminations(monkeypatch)
     series(HilbertOracle(curve), kind, (4, 4))
-    assert len(calls) == ranks
+    assert calls == {"rank": 1, "restrict": lines - 1}
 
 
 def test_large_first_and_small_first_queries_agree(curve_c, transverse_lines):

@@ -1,8 +1,10 @@
-"""`linalg.rank` against a plain dense elimination over Fraction.
+"""`linalg.rank` and `linalg.restrict` against a plain dense elimination
+over Fraction.
 
-`rank` reduces dict rows by leading key and returns the sorted leading
-keys; the reference takes the first nonzero pivot of dense rows and
-updates every column.
+`rank` reduces dict rows by leading key and returns its echelon basis
+{leading key: pivot row}; `restrict` derives the basis of the same rows
+with a suffix of each block's columns dropped.  The reference takes the
+first nonzero pivot of dense rows and updates every column.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from math import lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motive_series.linalg import rank
+from motive_series.linalg import rank, restrict
 
 
 def dense_rank(rows):
@@ -56,12 +58,16 @@ def dict_rows(rows):
     return [{(0, j): x for j, x in enumerate(r) if x} for r in rows]
 
 
+def leading_keys(rows):
+    return sorted(rank(dict_rows(rows)))
+
+
 def check_rank(rows):
     sparse = dict_rows(rows)
     before = [dict(r) for r in sparse]
-    keys = rank(sparse)
-    assert len(keys) == dense_rank(rows)
-    assert keys == sorted(set(keys))
+    basis = rank(sparse)
+    assert len(basis) == dense_rank(rows)
+    assert all(min(row) == key for key, row in basis.items())
     assert sparse == before  # the input is not modified
 
 
@@ -133,7 +139,7 @@ def integer_matrices(draw):
 @example([[2**64, 3 * 2**63], [2**65, 3 * 2**64]])  # rank 1, content 2^63
 def test_integer_rows_with_large_entries(rows):
     check_rank(rows)
-    assert rank(dict_rows(rows)) == rank(dict_rows([[Fraction(x) for x in r] for r in rows]))
+    assert leading_keys(rows) == leading_keys([[Fraction(x) for x in r] for r in rows])
 
 
 @FEW
@@ -147,18 +153,71 @@ def test_rows_of_mixed_ints_and_fractions(rows):
         for i, r in enumerate(rows)
     ]
     check_rank(mixed)
-    assert rank(dict_rows(mixed)) == rank(dict_rows(rows))
+    assert leading_keys(mixed) == leading_keys(rows)
 
 
 @FEW
 @given(sparse_matrices(), st.data())
 def test_scaling_a_row_keeps_the_leading_keys(rows, data):
     """A nonzero rational multiple of any row gives the same leading keys."""
-    keys = rank(dict_rows(rows))
+    keys = leading_keys(rows)
     i = data.draw(st.integers(0, len(rows) - 1))
     q = data.draw(st.fractions(-50, 50, max_denominator=9).filter(bool))
     scaled = [[q * x for x in r] if k == i else r for k, r in enumerate(rows)]
-    assert rank(dict_rows(scaled)) == keys
+    assert leading_keys(scaled) == keys
     # and so does each row times the lcm of its denominators, as ints
     integral = [[int(x * lcm(*(y.denominator for y in r))) for x in r] for r in scaled]
-    assert rank(dict_rows(integral)) == keys
+    assert leading_keys(integral) == keys
+
+
+# -- restricting an echelon basis ------------------------------------------------
+
+small_entries = st.sampled_from([0] * 4) | st.integers(-3, 3)
+
+
+@st.composite
+def blocks_and_limits(draw):
+    """1-3 blocks of 1-4 columns each, keyed (block, column); 1-7 int rows
+    with up to three combinations of two rows before them; and a chain of
+    1-4 per-block limits, each no larger than the one before."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    cols = [(k, e) for k, n in enumerate(widths) for e in range(n)]
+    rows = [[draw(small_entries) for _ in cols] for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    chain, lims = [], widths
+    for _ in range(draw(st.integers(1, 4))):
+        lims = [draw(st.integers(0, n)) for n in lims]
+        chain.append(lims)
+    return cols, rows, chain
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(blocks_and_limits())
+# the pivots lead at (0, 1) and (1, 0); with (0, 1) and (1, 1) dead, the
+# first, cleaned to {(1, 0): 1}, swaps with the second, whose leftover
+# (1, 1) is dead and must be cleaned away: the restricted rank is 1
+@example(([(0, 0), (0, 1), (1, 0), (1, 1)], [[0, 0, 1, 1], [0, 1, 1, 2]], [[1, 1]]))
+# both pivots lead in the dropped block 0, and their live parts are parallel
+@example(([(0, 0), (0, 1), (1, 0)], [[1, 0, 2], [0, 1, 4]], [[0, 1], [0, 1]]))
+def test_restrict_matches_dense_elimination_of_the_live_columns(case):
+    """Each basis of a chain of restrictions has the dense rank of the rows
+    on the live columns, its leading keys are live and count the rank of
+    every prefix up to each key (last block, t) of those columns, and the
+    basis it came from is not modified."""
+    cols, rows, chain = case
+    basis = rank([{c: x for c, x in zip(cols, r) if x} for r in rows])
+    last = len(chain[0]) - 1
+    for lims in chain:
+        before = {key: dict(row) for key, row in basis.items()}
+        basis = restrict(basis, lims)
+        assert {key: dict(row) for key, row in before.items()} == before
+        live = [i for i, (k, e) in enumerate(cols) if e < lims[k]]
+        dense = [[r[i] for i in live] for r in rows]
+        assert len(basis) == dense_rank(dense)
+        assert all(min(row) == key and key[1] < lims[key[0]] for key, row in basis.items())
+        for t in range(lims[last] + 1):
+            below = sum(1 for i in live if cols[i] < (last, t))
+            assert sum(key < (last, t) for key in basis) == dense_rank([r[:below] for r in dense]), t

@@ -69,7 +69,8 @@ def test_tracer_counts_the_curve_formula(tmp_path, capsys):
 
 
 def test_tracer_counts_one_oracle_series(tmp_path, capsys):
-    # transverse lines: Pg on [0, (4, 4)] reads h on the six lines of [0, (5, 5)]
+    # transverse lines: Pg on [0, (4, 4)] reads h on the six lines of [0, (5, 5)],
+    # ranks the top one and restricts its basis to each of the other five
     lines = {"ambient_dim": 2, "branches": [{"coords": [[[1, "1"]], []]}, {"coords": [[], [[1, "1"]]]}]}
     path = tmp_path / "lines.json"
     path.write_text(json.dumps(lines))
@@ -79,7 +80,7 @@ def test_tracer_counts_one_oracle_series(tmp_path, capsys):
         argv = ["poincare", "--curve", str(path), "--kind", "Pg", "--bound", "4,4", "--format", "json"]
         assert cli.main(argv) == 0
         assert tracer.totals["jets.series"][0] == 1
-        assert tracer.metrics()["linalg.rank_calls"][0] == 6
+        assert tracer.metrics()["linalg.rank_calls"][0] == 1
     finally:
         tracer.uninstall()
     # 1, and q^(a + b - 1) - q^(a + b) at each (a, b) >= (1, 1)
