@@ -294,11 +294,12 @@ class DivisorialOracle(JetRankOracle):
 
     def __init__(self, m: Modification, max_jet: int = 64):
         maps = [(m.charts[h].xmap, m.charts[h].ymap) for h in m.hosts]
+        top_v = max(ve for pair in maps for p in pair for _, ve in p)
+        # before the base, which sizes the key blocks by it
+        s = self._shift = (max(max_jet, 1) * top_v).bit_length()
         super().__init__([tuple(map(u_order_in_first, p)) for p in maps], max_jet)
         self.m = m
         dx, dy = (common_denominator(*p) for p in zip(*maps))
-        top_v = max(ve for pair in maps for p in pair for _, ve in p)
-        s = self._shift = (max(max_jet, 1) * top_v).bit_length()
 
         def packed(p, d):
             return as_ints({(ue << s) + ve: c for (ue, ve), c in p.items()}, d)

@@ -1,21 +1,23 @@
 """Jet-rank Hilbert oracles and direct series of their filtrations.
 
 `JetRankOracle` is the shape both route-B oracles share.  The Hilbert
-function h(v) is the rank of the linear map sending a polynomial jet g
-to truncated coefficient vectors, one block of conditions per entry of
-v.  Only monomials whose image can be nonzero below the truncation
-orders enter the matrix.  Every coordinate order is >= 1, so this
-candidate set is complete at jet order max(v): its rank is h(v) exactly,
-with no search for a stable rank, and `max_jet` caps max(v).  The base
-builds the sparse rows from one table of truncated monomial images per
-block and ranks them with `linalg.rank`, the one exact kernel; a subclass
-gives only the images of the coordinates, as int-keyed dicts, and how a
-key holds a term's order.  Those maps are integral: substituting
-x_j -> D_j x_j, D_j a common denominator of coordinate j's images on
-every block, scales the row of x^alpha by prod_j D_j^alpha_j.  One
-nonzero factor per row changes no rank and no prefix of the leading
-keys, so every h is that of the unscaled rows, and no row holds a
-`Fraction`.  One echelon basis gives h along a whole line up to a
+function h(v) is the rank of the linear map sending a polynomial jet g to
+truncated coefficient vectors, one block of conditions per entry of v.
+Only monomials whose image can be nonzero below the truncation orders
+enter the matrix.  Every coordinate order is >= 1, so this candidate set
+is complete at jet order max(v): its rank is h(v) exactly, with no search
+for a stable rank, and `max_jet` caps max(v).  A curve is a finite
+C{x_j}-module for a coordinate x_j that vanishes on no branch, so only
+monomials of degree < sum_k ord_k(x_j) in the others need a row (see
+`_candidates`).  The base builds the sparse rows from one table of
+truncated monomial images per block and ranks them with `linalg.rank`, the
+one exact kernel; a subclass gives only the images of the coordinates, as
+int-keyed dicts, and how a key holds a term's order.  Those maps are
+integral: substituting x_j -> D_j x_j, D_j a common denominator of
+coordinate j's images on every block, scales the row of x^alpha by prod_j
+D_j^alpha_j.  One nonzero factor per row changes no rank and no prefix of
+the leading keys, so every h is that of the unscaled rows, and no row
+holds a `Fraction`.  One echelon basis gives h along a whole line up to a
 horizon, and restricts to any line below it (see `hilbert`).
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
@@ -29,6 +31,7 @@ Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 from operator import add, le, lt
 
 from . import linalg
@@ -65,8 +68,11 @@ class JetRankOracle:
     truncated product stops early), whose keys add under products, so
     that the image of x^alpha is the `umul` product of maps;
     and `_shift`, which says how a key holds a term's order: the terms of
-    order below t are those with keys below t << _shift.  The maps are
-    the coordinates' images after one substitution x_j -> D_j x_j for
+    order below t are those with keys below t << _shift.  A row keys term
+    e of block k by one int, (k << _width) + e, _width the bit length of
+    (2 max(max_jet, 1)) << _shift: a table's order stays below 2 max_jet,
+    so block k's keys lie in [k << _width, (k + 1) << _width).  The maps
+    are the coordinates' images after one substitution x_j -> D_j x_j for
     every block, which makes them integral: it scales the row of x^alpha
     by prod_j D_j^alpha_j, one nonzero factor, which changes no rank and
     no prefix of the leading keys.  Queries clamp negative components to
@@ -74,12 +80,14 @@ class JetRankOracle:
     """
 
     _shift = 0
+    _module = None  # (j, N): keep only a C{x_j}-module generating set (see `_candidates`)
 
     def __init__(self, orders, max_jet: int = 64):
         self.orders = orders
         self.nvars = len(orders)
         self.max_jet = max_jet
         self._ranks = {}
+        self._width = ((2 * max(max_jet, 1)) << self._shift).bit_length()
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
         self._horizon = 0  # the largest last coordinate asked so far
@@ -96,14 +104,22 @@ class JetRankOracle:
         the set is finite (of degree below max(v)) and down-closed.  Each
         qualifying prefix is extended one exponent at a time; orders only
         grow along the way, so the first failing exponent ends the prefix.
+
+        With `_module` = (j, N) only the x^alpha with sum_{l != j} alpha_l < N
+        are kept; they span the same rows.  O is a C{x_j}-submodule of
+        prod_k C{t}, free of rank N, so O is free of rank d <= N; the maximal
+        ideal of O/x_j O has m^d = 0, and by Nakayama the monomials of degree
+        < N in the other coordinates generate O over C{x_j}: each dropped row
+        is a finite combination of kept rows x_j^a m.
         """
+        cut, cap = self._module or (len(self.orders[0]), inf)
         level = [((), (0,) * self.nvars)]
         for j in range(len(self.orders[0])):
             step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
             nxt = []
             for alpha, acc in level:
-                e = 0
-                while any(map(lt, acc, v)):
+                e, room = 0, inf if j == cut else cap - sum(alpha[:cut]) - sum(alpha[cut + 1:])
+                while e < room and any(map(lt, acc, v)):
                     nxt.append((alpha + (e,), acc))
                     e += 1
                     acc = tuple(map(add, acc, step))
@@ -112,24 +128,25 @@ class JetRankOracle:
 
     def _rows(self, cands, v):
         """The candidates' dict rows: their images' terms of order < v_k on
-        every block k where that image is nonzero below v_k, keyed (k, key).
+        every block k where that image is nonzero below v_k.
 
-        Block k's table holds the images truncated at an order >= v_k; it
-        is kept across queries, and restarted from x^0 at max(v_k, twice
-        its order) when a query needs more.  cands is sorted and
-        down-closed, and alpha - e_j (j the first nonzero index of alpha)
-        has no larger order, so it is in the table before alpha, and one
-        product with the map of coordinate j, truncated, extends it."""
+        Block k's table holds the images truncated at an order >= v_k, from
+        x^0 = {k << _width: 1}, so every key keeps the block's offset; it is
+        kept across queries, and restarted at max(v_k, twice its order) when
+        a query needs more.  cands is sorted and down-closed, and alpha - e_j
+        (j the first nonzero index of alpha) has no larger order, so it is
+        in the table before alpha, and one product with the map of
+        coordinate j, truncated, extends it."""
         rows = [{} for _ in cands]
-        shift = self._shift
+        shift, width = self._shift, self._width
         for k, bound in enumerate(v):
             if not bound:
                 continue
             if bound > self._tops[k]:
                 self._tops[k] = max(bound, 2 * self._tops[k])
-                self._tables[k] = {(0,) * len(self.orders[k]): {0: 1}}
-            table, maps = self._tables[k], self._maps[k]
-            top, below = self._tops[k] << shift, bound << shift
+                self._tables[k] = {(0,) * len(self.orders[k]): {k << width: 1}}
+            table, maps, cut = self._tables[k], self._maps[k], self._tops[k] > bound
+            top, below = (k << width) + (self._tops[k] << shift), (k << width) + (bound << shift)
             for row, (alpha, acc) in zip(rows, cands):
                 if acc[k] < bound:
                     image = table.get(alpha)
@@ -139,9 +156,7 @@ class JetRankOracle:
                             j += 1
                         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
                         image = table[alpha] = umul(table[prev], maps[j], top)
-                    for e, c in image.items():
-                        if e < below:
-                            row[(k, e)] = c
+                    row.update({e: c for e, c in image.items() if e < below} if cut else image)
         return rows
 
     # -- the Hilbert function ------------------------------------------------
@@ -152,11 +167,11 @@ class JetRankOracle:
         A miss at w gets an echelon basis at (p, top), p = w[:-1], top the
         horizon (the largest last coordinate asked so far), and keeps h(p, t)
         for every t <= top: the number of leading keys below the columns of
-        (p, t), the keys below (r - 1, t << _shift) (a candidate of (p, top)
-        that is none of (p, t) has no term there).  For p' <= p the rows of
-        (p', top) are those of (p, top) without the keys (k, e >= p'_k <<
-        _shift): the basis of the nearest kept line above is restricted
-        (`linalg.restrict`).  A sweep from the top of its box ranks once."""
+        (p, t), those below ((r - 1) << _width) + (t << _shift) (a candidate
+        of (p, top) that is none of (p, t) has no term there).  For p' <= p,
+        (p', top) drops block k's keys from (k << _width) + (p'_k << _shift)
+        on: the basis of the nearest kept line above is restricted
+        (`linalg.restrict`), so a sweep from the top of its box ranks once."""
         v = tuple(v)
         if v in self._ranks:
             return self._ranks[v]
@@ -167,18 +182,19 @@ class JetRankOracle:
             if max(w) > self.max_jet:
                 raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
             self._horizon = top = max(w[-1], self._horizon)
-            line, lines, shift = w[:-1] + (top,), self._lines, self._shift
+            line, lines, shift, width = w[:-1] + (top,), self._lines, self._shift, self._width
             # the horizon never falls, so a kept line >= line has its top
             while lines and not all(map(le, line, lines[-1][0])):
                 lines.pop()
             if lines:
-                basis = linalg.restrict(lines[-1][1], [x << shift for x in line])
+                lims = [(k << width) + (x << shift) for k, x in enumerate(line)]
+                basis = linalg.restrict(lines[-1][1], lims, width)
             else:
                 basis = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else {}
             lines.append((line, basis))
-            keys = sorted(basis)
+            keys, last = sorted(basis), (self.nvars - 1) << width
             for t in range(top + 1):
-                self._ranks[w[:-1] + (t,)] = bisect_left(keys, (self.nvars - 1, t << shift))
+                self._ranks[w[:-1] + (t,)] = bisect_left(keys, last + (t << shift))
         return self._ranks[w]
 
 
@@ -200,6 +216,8 @@ class HilbertOracle(JetRankOracle):
         orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
         super().__init__(orders, max_jet)
         self.curve = curve
+        finite = [(sum(o[j] for o in orders), j) for j in range(curve.ambient_dim) if all(o[j] for o in orders)]
+        self._module = min(finite)[::-1] if finite else None
         dens = [common_denominator(*coord) for coord in zip(*(b.coords for b in curve.branches))]
         self._maps = [[as_ints(x, d) for x, d in zip(b.coords, dens)] for b in curve.branches]
 

@@ -27,12 +27,12 @@ def _primitive(row):
     return row if g == 1 else {k: c // g for k, c in row.items()}
 
 
-def _live(row, lims):
-    """The row without its dead keys (k, e), e >= lims[k]."""
-    return {key: c for key, c in row.items() if key[1] < lims[key[0]]}
+def _live(row, lims, width):
+    """The row without its dead keys, key >= lims[key >> width]."""
+    return {key: c for key, c in row.items() if key < lims[key >> width]}
 
 
-def _insert(pivots, row, lims=None):
+def _insert(pivots, row, lims=None, width=0):
     """Reduce the int row against the pivot under its smallest key until
     that key is new, and store it there primitive; a sparser row swaps
     places with the pivot.  A reduction, on a copy, is fraction-free:
@@ -58,7 +58,7 @@ def _insert(pivots, row, lims=None):
             else:
                 del row[k]
         if lims is not None:
-            row = _live(row, lims)
+            row = _live(row, lims, width)
 
 
 def rank(rows) -> dict:
@@ -81,9 +81,10 @@ def rank(rows) -> dict:
     return pivots
 
 
-def restrict(pivots, lims) -> dict:
+def restrict(pivots, lims, width) -> dict:
     """An echelon basis, as `rank` gives, of the rows that pivots span,
-    restricted to the live keys (k, e), e < lims[k], with no elimination.
+    restricted to the live keys, key < lims[key >> width] (block k's keys
+    lie in [k << width, (k + 1) << width)), with no elimination.
 
     The restricted pivots span the restricted rows.  A pivot led by a live
     key keeps it, with its dead entries, which can never lead.  Only a
@@ -92,12 +93,12 @@ def restrict(pivots, lims) -> dict:
     again by lims no larger.  The input basis is not modified."""
     out, dropped = {}, []
     for key, piv in pivots.items():
-        if key[1] < lims[key[0]]:
+        if key < lims[key >> width]:
             out[key] = piv
         else:
-            dropped.append(_live(piv, lims))
+            dropped.append(_live(piv, lims, width))
     for row in sorted(dropped, key=len):
-        _insert(out, row, lims)
+        _insert(out, row, lims, width)
     return out
 
 

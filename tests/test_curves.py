@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_series import Branch, Curve, linalg, valuation
+from motive_series.blowup import DivisorialOracle, run_script
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
 from motive_series.formulas import h_box
 from motive_series.jets import (
@@ -19,6 +20,7 @@ from motive_series.jets import (
 )
 from motive_series.laurent import LaurentPoly
 from motive_series.mseries import box
+from test_formulas import blowup_scripts
 
 ONE = Fraction(1)
 UNIT = LaurentPoly.one()
@@ -118,6 +120,16 @@ def test_candidates_match_brute_force(case):
         for k, ords in enumerate(orders):
             assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
     assert JetRankOracle(orders)._candidates((0,) * len(orders)) == []
+    # a module generating set (j, N) keeps the x^alpha with sum_{l != j}
+    # alpha_l < N, in the same lex order and with the same exact orders
+    for j, cap in product(range(len(orders[0])), (1, 2, 4)):
+        oracle = JetRankOracle(orders)
+        oracle._module = (j, cap)
+        capped = oracle._candidates(v)
+        assert [alpha for alpha, _ in capped] == [alpha for alpha in want if sum(alpha) - alpha[j] < cap]
+        for alpha, acc in capped:
+            for k, ords in enumerate(orders):
+                assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
 
 
 @st.composite
@@ -146,6 +158,89 @@ def test_swept_tables_match_fresh_oracles_on_random_curves(curve, data):
     h = h_box(swept.hilbert, (0,) * r, tuple(x + 1 for x in hi))
     for v, value in h.items():
         assert value == HilbertOracle(curve).hilbert(v), v
+
+
+def _pruned_and_full(curve, hi):
+    """(sorted leading keys at the line hi + 1, h on [0, hi + 1]) for an
+    oracle that ranks a C{x_j}-module generating set, and for one that
+    ranks every candidate."""
+    top = tuple(x + 1 for x in hi)
+    out = []
+    for module in ("kept", None):
+        oracle = HilbertOracle(curve)
+        with pytest.MonkeyPatch.context() as mp:
+            if module is None:
+                mp.setattr(oracle, "_module", None)
+            keys = sorted(linalg.rank(oracle._rows(oracle._candidates(top), top)))
+            out.append((keys, h_box(oracle.hilbert, (0,) * len(hi), top)))
+    return out
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates(), st.data())
+def test_pruned_candidates_span_the_full_rows(curve, data):
+    r = curve.nbranches
+    hi = tuple(data.draw(st.integers(0, {1: 6, 2: 3, 3: 2}[r])) for _ in range(r))
+    pruned, full = _pruned_and_full(curve, hi)
+    assert pruned == full
+
+
+@pytest.mark.parametrize("branches", (
+    [[{3: ONE}, {4: ONE}, {5: ONE}]],  # the monomial space curve <3, 4, 5>
+    [[{2: ONE}, {4: ONE}]],  # a branch parametrized twice over
+    [[{1: ONE}, {}], [{2: ONE}, {}]],  # (t, 0), (t^2, 0): rank 1 over C{x}, N = 3
+))
+def test_pruned_candidates_span_the_full_rows_on_special_curves(branches):
+    curve = Curve(len(branches[0]), [Branch(b) for b in branches])
+    hi = (9,) * len(branches)
+    pruned, full = _pruned_and_full(curve, hi)
+    assert pruned == full
+
+
+def test_cusp_ranks_a_module_generating_set():
+    # (t^2, t^3) is free over C{x} on 1, y: only x^a y^b with b < 2 is a row
+    oracle = HilbertOracle(Curve(2, [Branch([{2: ONE}, {3: ONE}])]))
+    assert oracle._module == (0, 2)
+    cands = oracle._candidates((40,))
+    assert len(cands) == sum(1 for a, b in product(range(40), range(2)) if 2 * a + 3 * b < 40)
+    assert oracle.hilbert((40,)) == 39  # the values 0, 2, 3, ..., 39 of <2, 3>
+
+
+def _assert_keys_in_their_blocks(oracle, v):
+    """Every table key of block k, and every key of a row built on block k
+    alone, lies in [k << _width, (k + 1) << _width)."""
+    width, cands = oracle._width, oracle._candidates(v)
+    for k in range(oracle.nvars):
+        only = tuple(x if i == k else 0 for i, x in enumerate(v))
+        keys = [key for row in oracle._rows(cands, only) for key in row]
+        keys += [key for image in (oracle._tables[k] or {}).values() for key in image]
+        assert all(key >> width == k for key in keys), k
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=4), st.data())
+def test_divisorial_keys_stay_in_their_blocks(script, data):
+    m = run_script(script)
+    cap = data.draw(st.integers(2, 7))
+    oracle = DivisorialOracle(m, max_jet=cap)
+    s = m.ncomponents
+    # a query below the cap, then one at it, doubles the tables
+    for top in (cap - 1, cap):
+        v = tuple(data.draw(st.integers(1, top)) for _ in range(s - 1)) + (top,)
+        assert oracle.hilbert(v) == DivisorialOracle(m).hilbert(v)
+        _assert_keys_in_their_blocks(oracle, v)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates(), st.integers(2, 12))
+def test_curve_keys_stay_in_their_blocks_at_the_jet_cap(curve, cap):
+    # asked just below the cap, then at it, every table doubles to 2 cap - 2
+    oracle = HilbertOracle(curve, max_jet=cap)
+    for top in (cap - 1, cap):
+        v = (top,) * curve.nbranches
+        assert oracle.hilbert(v) == HilbertOracle(curve).hilbert(v)
+    assert oracle._tops == [2 * cap - 2] * curve.nbranches
+    _assert_keys_in_their_blocks(oracle, v)
 
 
 def test_branch_terms_in_any_order():

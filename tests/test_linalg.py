@@ -206,18 +206,21 @@ def test_restrict_matches_dense_elimination_of_the_live_columns(case):
     """Each basis of a chain of restrictions has the dense rank of the rows
     on the live columns, its leading keys are live and count the rank of
     every prefix up to each key (last block, t) of those columns, and the
-    basis it came from is not modified."""
+    basis it came from is not modified.  Column (k, e) is the int key
+    (k << width) + e, and a limit is absolute, as the oracles key them."""
     cols, rows, chain = case
-    basis = rank([{c: x for c, x in zip(cols, r) if x} for r in rows])
+    width = 2  # the tightest: every column e and every limit is at most 4 = 1 << width
+    keys = [(k << width) + e for k, e in cols]
+    basis = rank([{c: x for c, x in zip(keys, r) if x} for r in rows])
     last = len(chain[0]) - 1
     for lims in chain:
         before = {key: dict(row) for key, row in basis.items()}
-        basis = restrict(basis, lims)
-        assert {key: dict(row) for key, row in before.items()} == before
+        old, basis = basis, restrict(basis, [(k << width) + x for k, x in enumerate(lims)], width)
+        assert {key: dict(row) for key, row in old.items()} == before
         live = [i for i, (k, e) in enumerate(cols) if e < lims[k]]
         dense = [[r[i] for i in live] for r in rows]
         assert len(basis) == dense_rank(dense)
-        assert all(min(row) == key and key[1] < lims[key[0]] for key, row in basis.items())
+        assert all(min(row) == key and key % (1 << width) < lims[key >> width] for key, row in basis.items())
         for t in range(lims[last] + 1):
             below = sum(1 for i in live if cols[i] < (last, t))
-            assert sum(key < (last, t) for key in basis) == dense_rank([r[:below] for r in dense]), t
+            assert sum(key < (last << width) + t for key in basis) == dense_rank([r[:below] for r in dense]), t
