@@ -216,7 +216,7 @@ class HilbertOracle(JetRankOracle):
         orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
         super().__init__(orders, max_jet)
         self.curve = curve
-        finite = [(sum(o[j] for o in orders), j) for j in range(curve.ambient_dim) if all(o[j] for o in orders)]
+        finite = [(sum(col), j) for j, col in enumerate(zip(*orders)) if all(col)]
         self._module = min(finite)[::-1] if finite else None
         dens = [common_denominator(*coord) for coord in zip(*(b.coords for b in curve.branches))]
         self._maps = [[as_ints(x, d) for x, d in zip(b.coords, dens)] for b in curve.branches]

@@ -166,10 +166,10 @@ def _pruned_and_full(curve, hi):
     ranks every candidate."""
     top = tuple(x + 1 for x in hi)
     out = []
-    for module in ("kept", None):
+    for prune in (True, False):
         oracle = HilbertOracle(curve)
         with pytest.MonkeyPatch.context() as mp:
-            if module is None:
+            if not prune:
                 mp.setattr(oracle, "_module", None)
             keys = sorted(linalg.rank(oracle._rows(oracle._candidates(top), top)))
             out.append((keys, h_box(oracle.hilbert, (0,) * len(hi), top)))

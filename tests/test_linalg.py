@@ -223,4 +223,5 @@ def test_restrict_matches_dense_elimination_of_the_live_columns(case):
         assert all(min(row) == key and key % (1 << width) < lims[key >> width] for key, row in basis.items())
         for t in range(lims[last] + 1):
             below = sum(1 for i in live if cols[i] < (last, t))
-            assert sum(key < (last << width) + t for key in basis) == dense_rank([r[:below] for r in dense]), t
+            prefix = dense_rank([r[:below] for r in dense])
+            assert sum(key < (last << width) + t for key in basis) == prefix, t
