@@ -6,7 +6,8 @@ component records a host chart in which it is the axis {first
 coordinate = 0} and its free points are visible; corners (pairwise intersections) record a chart in
 which both components are coordinate axes through the origin.  The dual
 graph and M = -A^-1 are maintained incrementally, and M is certified
-after every step (`graph.certify_inverse`).
+after every step (`graph.certify_inverse`), on the rows the step
+changes when the modification was reached from the base.
 
 `DivisorialOracle` is route B for the divisorial filtration: a
 `jets.JetRankOracle` whose monomial images are their lifts to the host
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from operator import add
 
 from .curves import Curve
 from .errors import (
@@ -115,7 +117,11 @@ class Chart:
 
 class Modification:
     """Immutable snapshot of a blow-up sequence, with M = -A^-1 of its dual
-    graph (a tuple of int row tuples)."""
+    graph (a tuple of int row tuples).
+
+    ``certified`` is set only on `base` and on what `blow_up_at` returns:
+    a modification reached from the base by blow-ups, each certified.
+    Only then does the next step check just the rows it changes."""
 
     __slots__ = (
         "charts",
@@ -126,6 +132,7 @@ class Modification:
         "consumed",
         "nsteps",
         "M",
+        "certified",
     )
 
     def __init__(self, charts, self_ints, hosts, edges, corners, consumed, nsteps, M):
@@ -137,10 +144,13 @@ class Modification:
         self.consumed = consumed
         self.nsteps = nsteps
         self.M = M
+        self.certified = False
 
     @staticmethod
     def base():
-        return Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0, ())
+        out = Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0, ())
+        out.certified = True  # no component: A and M are empty
+        return out
 
     @property
     def ncomponents(self):
@@ -162,10 +172,8 @@ class Modification:
         chart2 = Chart(chart, (pu, pv), False, {new: "v", **{c: "u" for c, ax in through if ax == "u"}})
         charts = self.charts + (chart1, chart2)
         idx1, idx2 = len(charts) - 2, len(charts) - 1
-        self_ints = tuple(
-            e - (1 if any(c == i for c, _ in through) else 0)
-            for i, e in enumerate(self.self_ints)
-        ) + (-1,)
+        lowered = {c for c, _ in through}
+        self_ints = tuple(e - (i in lowered) for i, e in enumerate(self.self_ints)) + (-1,)
         hosts = self.hosts + (idx1,)
         edges = set(self.edges)
         corners = dict(self.corners)
@@ -183,11 +191,18 @@ class Modification:
         # and its multiplicity on the new component is the sum over through
         row = [sum(col) for col in zip(*(self.M[c] for c, _ in through))]
         row.append(1 + sum(row[c] for c, _ in through))
-        M = tuple(old + (x,) for old, x in zip(self.M, row)) + (tuple(row),)
+        M = tuple(map(add, self.M, zip(row))) + (tuple(row),)  # old + (x,) per row
         out = Modification(
             charts, self_ints, hosts, frozenset(edges), corners, consumed, self.nsteps + 1, M
         )
-        certify_inverse(out.graph(), M)  # a unimodular tree after every step
+        # a unimodular tree after every step.  The step changes only the
+        # rows of A at the centre's components T and at the new one, and
+        # keeps every old row of M with one more entry; so on a certified
+        # self, the other rows of A M = -I still hold, given the new row:
+        # the new column of row i not in T is sum_(c in T) (A M)_ic = 0
+        changed = [c for c, _ in through] + [new] if self.certified else None
+        certify_inverse(out.graph(), M, changed)
+        out.certified = True
         return out
 
     # -- script-level centers --------------------------------------------------

@@ -15,26 +15,27 @@ each vertex), |I|, |K| and b~, and two exact identities collapse the rest:
   where codim(nhat) is term_codimension without its sum b~;
 * summing over the ways to split nhat_i into n_i plus r_i parts >= 1
   gives sym_power_class(chi_i + r_i, nhat_i - r_i), and 0 when
-  r_i > nhat_i.  r_i counts the edges of I and the arrows of K at i,
-  so chi_i + r_i <= 2 always holds.
+  r_i > nhat_i.  r_i counts the edges of I and the arrows of K at i.
 
-So the sums run over the nhat in the window, the subsets I of the forest
-of edges inside the support of nhat, and (curve mode) the subsets K.
 ``_nhats`` yields w = nhat M with each nhat, and sum_ij m_ij nhat_i nhat_j
 = nhat.w, so codim(nhat) = (nhat.w + nhat.lin) / 2, with lin_i = sum_j m_ij
 chi_bullet(j) + 1 per graph: O(s) per nhat (``nhat_codimension``, O(s^2),
 is the reference).
 
-Every coefficient is a kernel dict {L-power: int} (`polys`) from its
-first product to its last: it is built in place and wrapped into a
-LaurentPoly once, in the MSeries returned.  The sum over I is a transfer
-up each tree of the support forest, rooted, rather than a loop over its
-2^|forest| subsets.  A vertex v keeps two sums over its subtree: with its
-parent edge in I (p = 1) and without (p = 0).  Its children combine by
-the count k of their edges in I, each edge in I bringing a factor L - 1
-(a shift and a subtraction), and v's sum is sum_k by_count[k]
-sym_power_class(chi_v + a_v + k + p, nhat_v - a_v - k - p), a_v its
-arrows in K.  That is O(sum_v deg(v)^2) products per tree.
+The sum over I is a coefficient of the class series Phat below, twisted
+by q^codim.  sym_power_class(c, n) is [x^n] Z_c(x), with Z_c(x) =
+(1 - x)^(1-c) / (1 - L x), and Z_(c+r) = Z_c (1 - x)^(-r).  With chi_i =
+chi_bullet(i) = 2 - deg(i), the generating function of sum_I (L-1)^|I|
+prod_i sym_power_class(chi_i + r_i, nhat_i - r_i) is therefore
+prod_i Z_chi_i(x_i) prod_edges (1 + (L-1) x_i x_j / (1 - x_i)(1 - x_j)),
+which is F(x) of Phat.  So the divisorial Pg at w(nhat) is L^-codim(nhat)
+times the Phat coefficient c(nhat).  In curve mode chi_open(i) is chi_i
+less the arrows at i, and an arrow of K at i brings (L-1) x_i / (1 - x_i):
+each arrow at i multiplies F by (L-1) x_i if it is in K and by 1 - x_i
+if not.  Per K, ``curve_series`` runs one pass per arrow a over a copy of
+the c(nhat), in place and in reverse lex order, c <- (L-1) c(nhat - e_a)
+(0 where nhat_a = 0) or c <- c - c(nhat - e_a); then the L^-codim c that
+share a floor w(nhat)[attach] are summed and spread over the b~ of K.
 
 The divisorial Phat and P are series F(x) in x_i = t^m_i.  M is
 invertible with positive entries, so x^nhat lands at the one w = nhat M,
@@ -47,7 +48,8 @@ with c = 0 off it:
   place, in reverse lex order so that the right-hand side is still the
   old c.  Each c is one int, c(2^B) (`_class_width`): every step is a
   ring operation of Z[L] at L = 2^B, a product with L^k a shift by B k
-  bits, and the digits are read off once, in `_series`;
+  bits, and the digits are read off once (`_unpack`), already shifted
+  by -codim for Pg;
 * P: c(nhat) = prod_i [x^nhat_i] (1 - x)^(-chi_i), an integer that is 0
   once nhat_i > -chi_i >= 0.
 
@@ -73,9 +75,8 @@ from .graph import (
     chi_open,
     w_of_nhat,
 )
-from .laurent import ONE, LaurentPoly, sym_power_class
+from .laurent import ONE, LaurentPoly
 from .mseries import MSeries, box, expand_rational, unit_vec, vec_add, vec_leq, zero_vec
-from .polys import mul
 
 
 @dataclass(frozen=True)
@@ -321,103 +322,12 @@ def _add_into(acc, p, k=0, sign=1):
     return acc
 
 
-def _times_l_minus_one(p):
-    """(L - 1) p, by shift and subtract."""
-    return _add_into({e + 1: c for e, c in p.items()}, p, sign=-1)
-
-
-@lru_cache(maxsize=4096)
-def _sym_terms(chi, n):
-    """sym_power_class(chi, n) as a kernel dict, {} when n < 0 (no room for
-    the parts).  Shared: callers never change it."""
-    return sym_power_class(chi, n).terms if n >= 0 else {}
-
-
-def _forest(g, nhat):
-    """The forest of the edges inside the support of nhat, as rooted trees:
-    each a list of (vertex, parent) pairs, every vertex before its parent
-    and the root (parent None) last."""
-    nbrs = {i: [] for i, x in enumerate(nhat) if x}
-    for i, j in g.edges:
-        if nhat[i] and nhat[j]:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-    trees, parent = [], {}
-    for root in nbrs:
-        if root in parent:
-            continue
-        parent[root] = None
-        order = [root]
-        for v in order:
-            for u in nbrs[v]:
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-        trees.append([(v, parent[v]) for v in reversed(order)])
-    return trees
-
-
-def _at_vertex(by_count, chi, n):
-    """sum_k by_count[k] sym_power_class(chi + k, n - k); by_count None
-    stands for [1] (no child edge)."""
-    if by_count is None:
-        return _sym_terms(chi, n)
-    out = {}
-    for k, c in enumerate(by_count[: n + 1]):
-        _add_into(out, mul(c, _sym_terms(chi + k, n - k)))
-    return out
-
-
-def _with_child(by_count, f0, f1):
-    """by_count after one more child, whose edge is out of I (sum f0) or in
-    it (sum f1, which carries the edge's factor L - 1)."""
-    if by_count is None:
-        return [f0, f1]
-    out = [{} for _ in range(len(by_count) + 1)]
-    for k, c in enumerate(by_count):
-        _add_into(out[k], mul(c, f0))
-        _add_into(out[k + 1], mul(c, f1))
-    return out
-
-
-def _vertex_sum(trees, chi, nhat, arrows_at):
-    """sum over the edge sets I of the support forest ``trees`` (`_forest`)
-    of (L-1)^(|I|+|K|) prod_i sym_power_class(chi_i + r_i, nhat_i - r_i),
-    where r_i counts the edges of I at i plus the ``arrows_at[i]`` arrows
-    of K at i; a kernel dict.
-
-    A transfer up each tree (module docstring): by_count[v][k] is the sum
-    over v's subtree below v with k of v's child edges in I, and v's sum
-    with its parent edge in I (p = 1) or not (p = 0) is sum_k
-    by_count[v][k] sym_power_class(chi_v + a_v + k + p, nhat_v - a_v - k - p).
-    """
-    out = None  # the product over the trees done so far
-    for tree in trees:
-        by_count = {}
-        for v, up in tree:
-            below = by_count.pop(v, None)
-            a, n = chi[v] + arrows_at[v], nhat[v] - arrows_at[v]
-            f0 = _at_vertex(below, a, n)
-            if up is None:
-                out = f0 if out is None else mul(out, f0)
-            else:
-                f1 = _at_vertex(below, a + 1, n - 1)
-                by_count[up] = _with_child(by_count.get(up), f0, _times_l_minus_one(f1))
-        if not out:
-            return {}
-    if out is None:
-        out = {0: 1}
-    for _ in range(sum(arrows_at)):
-        out = _times_l_minus_one(out)
-    return out
-
-
-def _unpack(v, width):
-    """The kernel dict of the polynomial p with p(2^width) = v whose
-    coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced digits
-    in base 2^width, lowest first.  A negative digit c leaves v - c one
-    more than (v >> width) times 2^width: that is the carry."""
-    out, e, mask, half = {}, 0, (1 << width) - 1, 1 << (width - 1)
+def _unpack(v, width, low=0):
+    """The kernel dict of L^low p, for the polynomial p with p(2^width) = v
+    whose coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced
+    digits in base 2^width, lowest first.  A negative digit c leaves v - c
+    one more than (v >> width) times 2^width: that is the carry."""
+    out, e, mask, half = {}, low, (1 << width) - 1, 1 << (width - 1)
     while v:
         c = v & mask
         if c >= half:
@@ -429,15 +339,12 @@ def _unpack(v, width):
     return out
 
 
-def _series(hi, coeffs, label, symbol, width=None):
+def _series(hi, coeffs, label, symbol):
     """The MSeries on [0, hi] of kernel-dict coefficients, each asserted to
     be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative).
-    With a ``width``, each coefficient is an int p(2^width) (`_unpack`).
     The sums keep every exponent in [0, hi], so the series is trusted."""
     out = {}
     for e, c in coeffs.items():
-        if width is not None:
-            c = _unpack(c, width)
         if not c:
             continue
         if max(c) > 0 if symbol == "q" else min(c) < 0:
@@ -448,126 +355,44 @@ def _series(hi, coeffs, label, symbol, width=None):
     return MSeries._trusted(hi, out)
 
 
-def _curve_window(g: DualGraph, hi):
-    """The checked curve-mode bound, and the caps on w it sets: at each
-    vertex with arrows, the least bound among them."""
-    if not g.arrows:
-        raise InvalidInput("curve series needs at least one arrow")
-    hi = _checked_bound(g, hi, "curve")
-    caps = {}
-    for k, j in enumerate(g.arrows):
-        caps[j] = min(hi[k], caps.get(j, hi[k]))
-    return hi, caps
-
-
-def curve_series(g: DualGraph, hi, data=None) -> MSeries:
-    """Generalized Poincare series of the branch filtration, from a resolution.
-
-    The graph must carry one arrow per branch; ``hi`` has one entry per
-    arrow.  The sum runs over nhat, then I and K, with the identities of
-    the module docstring: a term's summand is q^codim(nhat) q^(sum b~)
-    (L-1)^(|I|+|K|) prod_i sym_power_class(chi_i, n_i), and its splits at
-    vertex i sum to sym_power_class(chi_i + r_i, nhat_i - r_i), where
-    chi_i is the Euler characteristic of E_i minus the edge and arrow
-    points and r_i counts the edges of I and the arrows of K at i (so
-    chi_i + r_i <= 2).  The (nhat, K) sum lands at v_k = w(nhat)[attach_k]
-    + b~_k with the factor q^(sum b~), for each b~ >= 1 on K in the window.
-    Coefficients come out as polynomials in q (nonpositive L-powers),
-    which is asserted.
-    """
-    hi, caps = _curve_window(g, hi)
-    d = data if data is not None else build_intersection(g)
-    s, attach = g.nvertices, g.arrows
-    chi = [chi_open(g, i) for i in range(s)]
-    lin = _codim_lin(d, g)
-    coeffs = {}
-    for nhat, w in _nhats(d, caps):
-        floor = tuple(w[j] for j in attach)
-        codim = _codim(nhat, w, lin)
-        # an arrow joins K only if its vertex is in the support and b~ >= 1 fits
-        live = [k for k, j in enumerate(attach) if nhat[j] and floor[k] < hi[k]]
-        trees = _forest(g, nhat)
-        for K in _subsets(len(live)):
-            K = [live[pos] for pos in K]
-            arrows_at = [0] * s
-            for k in K:
-                arrows_at[attach[k]] += 1
-            c = _vertex_sum(trees, chi, nhat, arrows_at)
-            if not c:
-                continue
-            for bt in product(*(range(1, hi[k] - floor[k] + 1) for k in K)):
-                v = list(floor)
-                for k, b in zip(K, bt):
-                    v[k] += b
-                # q^(codim + sum b~) c, added into the coefficient at v
-                _add_into(coeffs.setdefault(tuple(v), {}), c, -codim - sum(bt))
-    # cancelled coefficients are empty dicts, which _series drops
-    return _series(hi, coeffs, "curve-series", "q")
-
-
-def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
-    """Generalized Poincare series of the divisorial filtration.
-
-    Arrows on the graph are ignored; the series lives in one t-variable
-    per exceptional component, and ``hi`` has one entry per vertex.  As in
-    curve_series, the sum over terms (I, n, n', n'') is taken per nhat:
-    its coefficient at w(nhat) is q^codim(nhat) sum_I (L-1)^|I|
-    prod_i sym_power_class(chi_i + r_i, nhat_i - r_i), with chi_i the
-    Euler characteristic of E_i minus the other components and r_i the
-    edges of I at i, so again chi_i + r_i <= 2.
-    """
-    hi = _checked_bound(g, hi, "divisorial")
-    d = data if data is not None else build_intersection(g)
-    s = g.nvertices
-    chi = [chi_bullet(g, i) for i in range(s)]
-    lin, zeros = _codim_lin(d, g), [0] * s
-    coeffs = {}
-    for nhat, w in _nhats(d, dict(enumerate(hi))):
-        # w(nhat) is one-to-one, M being invertible
-        c = _vertex_sum(_forest(g, nhat), chi, nhat, zeros)
-        if c:
-            coeffs[w] = _shift(c, -_codim(nhat, w, lin))
-    return _series(hi, coeffs, "divisorial-series", "q")
-
-
-def _class_width(tops, nedges: int) -> int:
-    """The digit width B of semigroup_class_series: the bit length of
-    4^nedges prod_i (top_i + 1), plus 2, where top_i = min_j hi_j // m_ij
-    is the largest nhat_i of the window (every m_ij is positive).
+def _class_width(tops, nedges: int, narrows: int = 0) -> int:
+    """The digit width B of the packed class recursion (`_class_recursion`):
+    the bit length of 2^narrows 4^nedges prod_i (top_i + 1), plus 2, where
+    top_i is the largest nhat_i of the window.
 
     That product bounds |c_e| for every L-power e of every coefficient:
     prod_i [P^nhat_i] has nonnegative coefficients summing to
-    prod_i (nhat_i + 1), and an edge step sums four old coefficients, one
-    times L, so it at most quadruples the largest sum of |c_e|.  So
-    |c_e| < 2^(B-2), which leaves a sign bit and one spare bit.  Only the
-    final digits must fit, |c_e| < 2^(B-1) (`_unpack`): the steps are ring
-    operations of Z[L] evaluated at L = 2^B, which hold for any B.
+    prod_i (nhat_i + 1); an edge step sums four old coefficients, one
+    times L, so it at most quadruples the largest sum of |c_e|; and an
+    arrow pass of curve_series sums two, one times L, so it at most
+    doubles it.  So |c_e| < 2^(B-2), which leaves a sign bit and one spare
+    bit.  Only the final digits must fit, |c_e| < 2^(B-1) (`_unpack`): the
+    steps are ring operations of Z[L] evaluated at L = 2^B, which hold for
+    any B.
     """
-    return (prod(t + 1 for t in tops) << 2 * nedges).bit_length() + 2
+    return (prod(t + 1 for t in tops) << 2 * nedges + narrows).bit_length() + 2
 
 
-def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
-    """Motivic class series of the projectivized extended divisorial semigroup,
-    prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j)) / prod_i (1 - t^m_i)(1 - L t^m_i),
-    computed in nhat space (module docstring), each coefficient packed
-    as one int c(2^B), B = `_class_width`, and unpacked by `_series`.
-    Coefficients are polynomials in L (nonnegative powers), which is
-    asserted.
-    """
-    hi = _checked_bound(g, hi, "divisorial")
-    d = data if data is not None else build_intersection(g)
-    s = g.nvertices
-    tops = [min(h // m for h, m in zip(hi, row)) for row in d.M]
-    width = _class_width(tops, len(g.edges))
+def _class_recursion(g: DualGraph, d: IntersectionData, caps, narrows=0):
+    """The Phat coefficients c(nhat) on the window of `_nhats(d, caps)`, by
+    the edge recursion of the module docstring, each packed as one int
+    c(2^B).  Returns the lists nhats, ws and coeffs in lex order, pred
+    (pred[i][n]: the index of nhat - e_i, or None) and B =
+    `_class_width`, with room for ``narrows`` arrow passes.  Every m_ij is
+    positive, so top_i = min_j caps_j // m_ij bounds nhat_i."""
+    s = d.size
+    tops = [min(cap // row[j] for j, cap in caps.items()) for row in d.M]
+    width = _class_width(tops, len(g.edges), narrows)
     # nhat is indexed by its mixed-radix key sum_i nhat_i radix_i, nhat_i <= top_i
     radix = [1] * s
     for i in range(s - 2, -1, -1):
         radix[i] = radix[i + 1] * (tops[i + 1] + 1)
-    index, ws, coeffs = {}, [], []
-    pred = [[] for _ in range(s)]  # pred[i][n]: index of nhat - e_i, or None
-    for nhat, w in _nhats(d, dict(enumerate(hi))):
+    index, nhats, ws, coeffs = {}, [], [], []
+    pred = [[] for _ in range(s)]
+    for nhat, w in _nhats(d, caps):
         key = sum(map(mul_ints, nhat, radix))
         index[key] = n = len(ws)
+        nhats.append(nhat)
         ws.append(w)
         k = None  # the last i with nhat_i > 0
         for i, x in enumerate(nhat):
@@ -595,12 +420,117 @@ def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
                     coeffs[n] -= coeffs[a]
             elif b is not None:
                 coeffs[n] -= coeffs[b]
-    return _series(hi, dict(zip(ws, coeffs)), "semigroup-class", "L", width)
+    return nhats, ws, pred, coeffs, width
 
 
-def _shift(p, k):
-    """L^k p for a kernel dict p."""
-    return {e + k: c for e, c in p.items()}
+def _curve_window(g: DualGraph, hi):
+    """The checked curve-mode bound, and the caps on w it sets: at each
+    vertex with arrows, the least bound among them."""
+    if not g.arrows:
+        raise InvalidInput("curve series needs at least one arrow")
+    hi = _checked_bound(g, hi, "curve")
+    caps = {}
+    for k, j in enumerate(g.arrows):
+        caps[j] = min(hi[k], caps.get(j, hi[k]))
+    return hi, caps
+
+
+def curve_series(g: DualGraph, hi, data=None) -> MSeries:
+    """Generalized Poincare series of the branch filtration, from a resolution.
+
+    The graph must carry one arrow per branch; ``hi`` has one entry per
+    arrow.  A term's summand is q^codim(nhat) q^(sum b~) (L-1)^(|I|+|K|)
+    prod_i sym_power_class(chi_i, n_i), with chi_i the Euler
+    characteristic of E_i minus the edge and arrow points; summed over I
+    and the splits of nhat, it is L^-codim(nhat) times the coefficient of
+    x^nhat in F(x) prod_(a in K) (L-1) x_a prod_(a not in K) (1 - x_a),
+    F that of Phat (module docstring).  The (nhat, K) sum lands at v_k =
+    w(nhat)[attach_k] + b~_k with the factor q^(sum b~), for each b~ >= 1
+    on K in the window.  Coefficients come out as polynomials in q
+    (nonpositive L-powers), which is asserted.
+    """
+    hi, caps = _curve_window(g, hi)
+    d = data if data is not None else build_intersection(g)
+    attach = g.arrows
+    nhats, ws, pred, base, width = _class_recursion(g, d, caps, len(attach))
+    lin = _codim_lin(d, g)
+    floors = [tuple(w[j] for j in attach) for w in ws]
+    codims = [_codim(nhat, w, lin) for nhat, w in zip(nhats, ws)]
+    coeffs = {}
+    for K in _subsets(len(attach)):
+        c = list(base)  # one K's coefficients at a time
+        for k, a in enumerate(attach):
+            pa = pred[a]
+            # in place, in reverse lex order: c(nhat - e_a) is still the old one
+            if k in K:  # (L - 1) x_a
+                for n in range(len(c) - 1, -1, -1):
+                    p = pa[n]
+                    c[n] = 0 if p is None else (c[p] << width) - c[p]
+            else:  # 1 - x_a
+                for n in range(len(c) - 1, -1, -1):
+                    p = pa[n]
+                    if p is not None:
+                        c[n] -= c[p]
+        # the L^-codim c of one floor share their spread over b~ >= 1
+        sums = {}
+        for x, floor, codim in zip(c, floors, codims):
+            if x and all(floor[k] < hi[k] for k in K):
+                p = _unpack(x, width, -codim)
+                if floor in sums:
+                    _add_into(sums[floor], p)
+                else:
+                    sums[floor] = p
+        for floor, p in sums.items():
+            if not p:
+                continue
+            for bt in product(*(range(1, hi[k] - floor[k] + 1) for k in K)):
+                v = list(floor)
+                for k, b in zip(K, bt):
+                    v[k] += b
+                # q^(sum b~) times the sum, added into the coefficient at v
+                _add_into(coeffs.setdefault(tuple(v), {}), p, -sum(bt))
+    # cancelled coefficients are empty dicts, which _series drops
+    return _series(hi, coeffs, "curve-series", "q")
+
+
+def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
+    """Generalized Poincare series of the divisorial filtration.
+
+    Arrows on the graph are ignored; the series lives in one t-variable
+    per exceptional component, and ``hi`` has one entry per vertex.  As in
+    curve_series, the sum over terms (I, n, n', n'') is taken per nhat:
+    its coefficient at w(nhat) is q^codim(nhat) sum_I (L-1)^|I|
+    prod_i sym_power_class(chi_i + r_i, nhat_i - r_i), with chi_i the
+    Euler characteristic of E_i minus the other components and r_i the
+    edges of I at i; that is L^-codim(nhat) times the Phat coefficient of
+    x^nhat (module docstring).
+    """
+    hi = _checked_bound(g, hi, "divisorial")
+    d = data if data is not None else build_intersection(g)
+    nhats, ws, _, coeffs, width = _class_recursion(g, d, dict(enumerate(hi)))
+    lin = _codim_lin(d, g)
+    # w(nhat) is one-to-one, M being invertible
+    out = {
+        w: _unpack(c, width, -_codim(nhat, w, lin))
+        for nhat, w, c in zip(nhats, ws, coeffs)
+        if c
+    }
+    return _series(hi, out, "divisorial-series", "q")
+
+
+def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
+    """Motivic class series of the projectivized extended divisorial semigroup,
+    prod_edges (1 - t^m_i - t^m_j + L t^(m_i+m_j)) / prod_i (1 - t^m_i)(1 - L t^m_i),
+    computed in nhat space (module docstring), each coefficient packed
+    as one int c(2^B) by `_class_recursion` and unpacked once.
+    Coefficients are polynomials in L (nonnegative powers), which is
+    asserted.
+    """
+    hi = _checked_bound(g, hi, "divisorial")
+    d = data if data is not None else build_intersection(g)
+    _, ws, _, coeffs, width = _class_recursion(g, d, dict(enumerate(hi)))
+    out = {w: _unpack(c, width) for w, c in zip(ws, coeffs)}
+    return _series(hi, out, "semigroup-class", "L")
 
 
 @lru_cache(maxsize=4096)

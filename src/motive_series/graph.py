@@ -8,7 +8,8 @@ closed formula downstream.  ``build_intersection`` certifies M in
 integer arithmetic: |det A| = 1, M = -det(A) adj(A), every entry
 positive, M symmetric.  ``certify_inverse`` certifies an integer M
 given with the graph (a blow-up sequence carries one) by A M = -I
-instead, in O(s^2) and without an elimination.
+instead, in O(s^2) and without an elimination, or in O(s) on the rows
+that one blow-up changes.
 """
 
 from __future__ import annotations
@@ -122,11 +123,14 @@ def intersection_matrix(g: DualGraph) -> tuple:
     return tuple(map(tuple, A))
 
 
-def _check_positive_symmetric(M):
-    if min(map(min, M)) <= 0:
-        i, j = next((i, j) for i, row in enumerate(M) for j, x in enumerate(row) if x <= 0)
+def _check_positive_symmetric(M, rows=None):
+    """Every entry of M positive and M symmetric; with ``rows``, only on
+    those rows (and so, by symmetry, on those columns)."""
+    rows = range(len(M)) if rows is None else rows
+    if any(min(M[i]) <= 0 for i in rows):
+        i, j = next((i, j) for i in rows for j, x in enumerate(M[i]) if x <= 0)
         raise NotBlowupGraph("entry m[%d][%d] = %s not positive" % (i, j, M[i][j]))
-    if tuple(zip(*M)) != tuple(M):
+    if any(M[i] != tuple(row[i] for row in M) for i in rows):
         raise NotBlowupGraph("inverse not symmetric")
 
 
@@ -148,7 +152,7 @@ def build_intersection(g: DualGraph) -> IntersectionData:
     return IntersectionData(A, M)
 
 
-def certify_inverse(g: DualGraph, M) -> None:
+def certify_inverse(g: DualGraph, M, rows=None) -> None:
     """Certify M, a tuple of int row tuples, as -A^-1 for g's A, or raise.
 
     A M = -I is checked row by row over the sparse rows of A (its
@@ -156,6 +160,11 @@ def certify_inverse(g: DualGraph, M) -> None:
     positive and M symmetric.  Integer A and M with A M = -I have
     det A det M = (-1)^s, so |det A| = 1: the guarantee of
     ``build_intersection``, without an elimination.
+
+    With ``rows``, only those rows of A M = -I, and of M for positivity
+    and symmetry, are checked: O(s) per row of bounded degree.  That
+    certifies M only where every other row is known to hold already, as
+    after one blow-up of a certified modification (`blowup.Modification`).
     """
     s = g.nvertices
     if len(M) != s or any(len(row) != s for row in M):
@@ -164,14 +173,14 @@ def certify_inverse(g: DualGraph, M) -> None:
     for (i, j) in g.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    for i, e in enumerate(g.self_ints):
-        row = [e * x for x in M[i]]
+    for i in range(s) if rows is None else rows:
+        row = [g.self_ints[i] * x for x in M[i]]
         for k in nbrs[i]:
             row = list(map(add, row, M[k]))
         row[i] += 1
         if any(row):
             raise NotUnimodular("row %d of A M is not that of -I: M is not -A^-1" % i)
-    _check_positive_symmetric(M)
+    _check_positive_symmetric(M, rows)
 
 
 def chi_open(g: DualGraph, i: int) -> int:

@@ -299,19 +299,22 @@ def _prod_tk_minus_one(r):
     return out
 
 
-def product_identity_mismatch(oracle: JetRankOracle, kind: str, hi):
+def product_identity_mismatch(oracle: JetRankOracle, kind: str, hi, s=None):
     """Check (t_1...t_r - 1) * S = T * prod_k (t_k - 1) on [0, hi].
 
     kind "P" pairs the classical series with L, "Pg" the generalized
     series with Lg, "Phat" the semigroup class series with the series of
-    quotient-space classes.  Returns None or the first mismatch.
+    quotient-space classes.  ``s`` is S, series(oracle, kind, hi), where
+    the caller has it already.  Returns None or the first mismatch.
     """
     jumps = {"P": "L", "Pg": "Lg", "Phat": "Lhat"}.get(kind)
     if jumps is None:
         raise InvalidInput("no product identity for kind %r" % kind)
     r = oracle.nvars
     hi = tuple(hi)
-    lhs = mseries_mul(series(oracle, kind, hi), _tprod_minus_one(r))
+    if s is None:
+        s = series(oracle, kind, hi)
+    lhs = mseries_mul(s, _tprod_minus_one(r))
     rhs = mseries_mul(_jump_series(oracle, _JUMPS[jumps], hi), _prod_tk_minus_one(r))
     return first_mismatch(lhs, rhs, zero_vec(r), hi)
 

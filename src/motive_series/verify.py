@@ -39,6 +39,12 @@ def divisorial_oracle(name):
     return _cached(("div-oracle", name), lambda: blowup.DivisorialOracle(m))
 
 
+def oracle_series(name, kind):
+    """jets.series of kind on the named curve fixture's oracle and window."""
+    hi = curve_fixtures()[name][1]
+    return _cached(("series", name, kind, hi), lambda: jets.series(curve_oracle(name), kind, hi))
+
+
 def resolved(name):
     return _cached(("resolved", name), lambda: blowup.auto_resolve(curve_fixtures()[name][0]))
 
@@ -123,7 +129,7 @@ def _series_agreement(check, kinds, differ):
     holds for the coefficients of the two series kinds."""
     out = []
     for name, (curve, hi) in curve_fixtures().items():
-        a, b = (jets.series(curve_oracle(name), kind, hi) for kind in kinds)
+        a, b = (oracle_series(name, kind) for kind in kinds)
         zero = mser.zero_vec(curve.nbranches)
         ca, cb = a.reader(zero, hi), b.reader(zero, hi)
         bad = next((v for v in mser.box(zero, hi) if differ(ca(v), cb(v))), None)
@@ -149,7 +155,7 @@ def check_product_identities():
     for name, (curve, hi) in curve_fixtures().items():
         oracle = curve_oracle(name)
         for kind in ("P", "Pg", "Phat"):
-            mm = jets.product_identity_mismatch(oracle, kind, hi)
+            mm = jets.product_identity_mismatch(oracle, kind, hi, oracle_series(name, kind))
             out.append(
                 (
                     "product-identity-%s/%s" % (kind, name),
@@ -168,7 +174,7 @@ def check_curve_formula_vs_oracle():
             continue
         _, g, _ = resolved(name)
         formula = formulas.curve_series(g, hi)
-        oracle = jets.series(curve_oracle(name), "Pg", hi)
+        oracle = oracle_series(name, "Pg")
         mm = mser.first_mismatch(
             formula, oracle, mser.zero_vec(curve.nbranches), hi
         )
@@ -297,11 +303,9 @@ def check_coefficient_shapes():
     ok_q = all(c.only_nonpos_powers() for c in t2.coeffs.values())
     t3 = formulas.semigroup_class_series(cuspg, (6, 6, 6))
     ok_l = all(c.only_nonneg_powers() for c in t3.coeffs.values())
-    curve, hi = curve_fixtures()["space-curve-C"]
-    oracle = jets.HilbertOracle(curve)
-    pg = jets.series(oracle, "Pg", hi)
+    pg = oracle_series("space-curve-C", "Pg")
     ok_q2 = all(c.only_nonpos_powers() for c in pg.coeffs.values())
-    ph = jets.series(oracle, "Phat", hi)
+    ph = oracle_series("space-curve-C", "Phat")
     ok_l2 = all(c.only_nonneg_powers() for c in ph.coeffs.values())
     out.append(("coefficient-shapes/q", ok_q and ok_q2, ""))
     out.append(("coefficient-shapes/L", ok_l and ok_l2, ""))

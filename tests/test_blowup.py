@@ -26,7 +26,7 @@ from motive_series.formulas import (
     hilbert_ie_series,
     semigroup_class_series,
 )
-from motive_series.graph import build_intersection, hoskin_deligne, w_of_nhat
+from motive_series.graph import build_intersection, certify_inverse, hoskin_deligne, w_of_nhat
 from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
 from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
@@ -528,6 +528,27 @@ def test_tampered_modification_fails_the_certificate():
         for center in ({"on": 3, "param": "1"}, {"on": 1, "param": "2"}, {"on": 2, "param": "1"}):
             with pytest.raises((NotUnimodular, NotBlowupGraph)):
                 bad.blow_up(center)
+
+
+def test_blow_ups_from_the_base_check_only_the_rows_they_change(monkeypatch):
+    from motive_series import blowup
+
+    checked = []
+
+    def spy(g, M, rows=None):
+        checked.append(rows)
+        certify_inverse(g, M, rows)
+
+    monkeypatch.setattr(blowup, "certify_inverse", spy)
+    m = run_script(CUSP_SCRIPT)
+    # origin, then a point of component 1, then the corner of 1 and 2: the
+    # components through the centre and the new one
+    assert checked == [[0], [0, 1], [0, 1, 2]]
+    assert m.blow_up({"on": 3, "param": "1"}).certified
+    assert checked[-1] == [2, 3]
+    # built by the constructor: the whole certificate, which then certifies it
+    out = _with(m).blow_up({"on": 3, "param": "1"})
+    assert checked[-1] is None and out.certified and not _with(m).certified
 
 
 def test_blow_ups_make_no_elimination(monkeypatch):

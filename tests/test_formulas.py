@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -12,15 +14,14 @@ from motive_series.errors import InternalInconsistency, InvalidInput
 from motive_series.formulas import (
     TermIndex,
     _add_into,
+    _class_recursion,
     _class_width,
     _codim,
     _codim_lin,
-    _forest,
     _nhats,
     _series,
     _subsets,
     _unpack,
-    _vertex_sum,
     curve_poincare_product,
     curve_series,
     divisorial_poincare_product,
@@ -52,6 +53,7 @@ from motive_series.mseries import (
     vec_add,
     zero_vec,
 )
+from motive_series.polys import mul
 from motive_series.verify import _naive_curve_terms
 
 ONE = LaurentPoly.one()
@@ -331,6 +333,14 @@ def test_compressed_sums_match_reference_on_resolved_fixtures():
         assert_matches_reference(m.graph(), div_hi=hi)
 
 
+def curve_caps(g, hi):
+    """The caps on w of a curve window: per arrow vertex, its least bound."""
+    caps = {}
+    for k, j in enumerate(g.arrows):
+        caps[j] = min(hi[k], caps.get(j, hi[k]))
+    return caps
+
+
 def fixture_windows():
     """(graph, caps) of every fixture window above, as curve_series and
     divisorial_series cap w: per arrow vertex, or per vertex."""
@@ -343,10 +353,7 @@ def fixture_windows():
     fixtures += [(m.graph(), None, hi) for m, hi in verify.modification_fixtures().values()]
     for g, curve_hi, div_hi in fixtures:
         if curve_hi is not None:
-            caps = {}
-            for k, j in enumerate(g.arrows):
-                caps[j] = min(curve_hi[k], caps.get(j, curve_hi[k]))
-            yield g, caps
+            yield g, curve_caps(g, curve_hi)
         if div_hi is not None:
             yield g, dict(enumerate(div_hi))
 
@@ -372,7 +379,132 @@ def test_odd_codimension_names_its_input():
     assert _codim((1, 2), (3, 5), [1, 0]) == 7
 
 
-# -- the tree transfer against subset enumeration ------------------------------
+# -- the tree transfer: the dict-kernel reference of the q^codim twist ---------
+#
+# curve_series and divisorial_series take the sum over the edge sets I from
+# the packed class recursion.  The tree transfer below sums it per nhat
+# instead, up each tree of the support forest, with kernel dicts: a vertex
+# v keeps two sums over its subtree, with its parent edge in I (p = 1) and
+# without (p = 0); its children combine by the count k of their edges in
+# I, each bringing a factor L - 1, and v's sum is sum_k by_count[k]
+# sym_power_class(chi_v + a_v + k + p, nhat_v - a_v - k - p), a_v its
+# arrows in K.
+
+
+@lru_cache(maxsize=4096)
+def sym_terms(chi, n):
+    """sym_power_class(chi, n) as a kernel dict, {} when n < 0."""
+    return sym_power_class(chi, n).terms if n >= 0 else {}
+
+
+def times_l_minus_one(p):
+    return _add_into({e + 1: c for e, c in p.items()}, p, sign=-1)
+
+
+def support_forest(g, nhat):
+    """The forest of the edges inside the support of nhat, as rooted trees:
+    each a list of (vertex, parent) pairs, every vertex before its parent
+    and the root (parent None) last."""
+    nbrs = {i: [] for i, x in enumerate(nhat) if x}
+    for i, j in g.edges:
+        if nhat[i] and nhat[j]:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    trees, parent = [], {}
+    for root in nbrs:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:
+            for u in nbrs[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        trees.append([(v, parent[v]) for v in reversed(order)])
+    return trees
+
+
+def at_vertex(by_count, chi, n):
+    """sum_k by_count[k] sym_power_class(chi + k, n - k); None is [1]."""
+    if by_count is None:
+        return sym_terms(chi, n)
+    out = {}
+    for k, c in enumerate(by_count[: n + 1]):
+        _add_into(out, mul(c, sym_terms(chi + k, n - k)))
+    return out
+
+
+def with_child(by_count, f0, f1):
+    """by_count after one more child, whose edge is out of I (f0) or in it (f1)."""
+    if by_count is None:
+        return [f0, f1]
+    out = [{} for _ in range(len(by_count) + 1)]
+    for k, c in enumerate(by_count):
+        _add_into(out[k], mul(c, f0))
+        _add_into(out[k + 1], mul(c, f1))
+    return out
+
+
+def tree_vertex_sum(trees, chi, nhat, arrows_at):
+    """sum over the edge sets I of the forest ``trees`` of (L-1)^(|I|+|K|)
+    prod_i sym_power_class(chi_i + r_i, nhat_i - r_i), r_i the edges of I
+    at i plus the ``arrows_at[i]`` arrows of K at i; a kernel dict."""
+    out = None  # the product over the trees done so far
+    for tree in trees:
+        by_count = {}
+        for v, up in tree:
+            below = by_count.pop(v, None)
+            a, n = chi[v] + arrows_at[v], nhat[v] - arrows_at[v]
+            f0 = at_vertex(below, a, n)
+            if up is None:
+                out = f0 if out is None else mul(out, f0)
+            else:
+                f1 = at_vertex(below, a + 1, n - 1)
+                by_count[up] = with_child(by_count.get(up), f0, times_l_minus_one(f1))
+        if not out:
+            return {}
+    if out is None:
+        out = {0: 1}
+    for _ in range(sum(arrows_at)):
+        out = times_l_minus_one(out)
+    return out
+
+
+def tree_transfer_curve_series(g, hi):
+    """curve_series by the tree transfer, one (nhat, K) summand at a time."""
+    d = build_intersection(g)
+    s, attach = g.nvertices, g.arrows
+    chi = [chi_open(g, i) for i in range(s)]
+    coeffs = {}
+    for nhat, w in _nhats(d, curve_caps(g, hi)):
+        floor = tuple(w[j] for j in attach)
+        codim = nhat_codimension(nhat, d, g)
+        live = [k for k, j in enumerate(attach) if nhat[j] and floor[k] < hi[k]]
+        trees = support_forest(g, nhat)
+        for K in _subsets(len(live)):
+            K = [live[pos] for pos in K]
+            arrows_at = [0] * s
+            for k in K:
+                arrows_at[attach[k]] += 1
+            c = tree_vertex_sum(trees, chi, nhat, arrows_at)
+            for bt in product(*(range(1, hi[k] - floor[k] + 1) for k in K)):
+                v = list(floor)
+                for k, b in zip(K, bt):
+                    v[k] += b
+                _add_into(coeffs.setdefault(tuple(v), {}), c, -codim - sum(bt))
+    return _series(tuple(hi), coeffs, "curve-series", "q")
+
+
+def tree_transfer_divisorial_series(g, hi):
+    """divisorial_series by the tree transfer, one nhat at a time."""
+    d = build_intersection(g)
+    chi = [chi_bullet(g, i) for i in range(g.nvertices)]
+    zeros, coeffs = [0] * g.nvertices, {}
+    for nhat, w in _nhats(d, dict(enumerate(hi))):
+        c = tree_vertex_sum(support_forest(g, nhat), chi, nhat, zeros)
+        coeffs[w] = {e - nhat_codimension(nhat, d, g): x for e, x in c.items()}
+    return _series(tuple(hi), coeffs, "divisorial-series", "q")
 
 
 def reference_vertex_sum(g, chi, nhat, arrows_at):
@@ -420,24 +552,24 @@ def weighted_trees(draw):
 def test_tree_transfer_matches_subset_enumeration(tree):
     g, nhat, arrows_at = tree
     chi = [chi_open(g, i) for i in range(g.nvertices)]
-    got = _vertex_sum(_forest(g, nhat), chi, nhat, arrows_at)
+    got = tree_vertex_sum(support_forest(g, nhat), chi, nhat, arrows_at)
     assert LaurentPoly(got) == reference_vertex_sum(g, chi, nhat, arrows_at)
     if not any(arrows_at):
         chi = [chi_bullet(g, i) for i in range(g.nvertices)]
-        got = _vertex_sum(_forest(g, nhat), chi, nhat, arrows_at)
+        got = tree_vertex_sum(support_forest(g, nhat), chi, nhat, arrows_at)
         assert LaurentPoly(got) == reference_vertex_sum(g, chi, nhat, arrows_at)
 
 
 def test_forest_roots_each_tree_of_the_support():
     # a path 0-1-2-3-4 with nhat_2 = 0: two trees, every vertex before its parent
     g = DualGraph((-2,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    trees = _forest(g, (1, 1, 0, 2, 1))
+    trees = support_forest(g, (1, 1, 0, 2, 1))
     assert sorted(sorted(v for v, _ in t) for t in trees) == [[0, 1], [3, 4]]
     for t in trees:
         assert t[-1][1] is None and all(up is not None for _, up in t[:-1])
         order = [v for v, _ in t]
         assert all(order.index(v) < order.index(up) for v, up in t[:-1])
-    assert _forest(g, (0,) * 5) == []
+    assert support_forest(g, (0,) * 5) == []
 
 
 PARAMS = ("1", "-1", "2", "1/2", "-3")
@@ -523,16 +655,17 @@ def naive_space(g, d, hi):
     )
 
 
-def distinct_resolved_graphs(count, seed):
+def distinct_resolved_graphs(count, seed, a_max=3, b_max=5):
     """The resolution graphs of random plane curves of 1-3 branches
-    (tau^a, tau^b + c tau^(b+1)), drawn as plane_branches draws them, until
-    count graphs differ in self-intersections, edges or arrows."""
+    (tau^a, tau^b + c tau^(b+1)), a <= a_max < b <= b_max (by default as
+    plane_branches draws them), until count graphs differ in
+    self-intersections, edges or arrows."""
     rng, graphs = random.Random(seed), {}
     while len(graphs) < count:
         branches = []
         for _ in range(rng.randint(1, 3)):
-            a = rng.randint(1, 3)
-            b = rng.choice([b for b in range(a + 1, 6) if gcd(a, b) == 1])
+            a = rng.randint(1, a_max)
+            b = rng.choice([b for b in range(a + 1, b_max + 1) if gcd(a, b) == 1])
             coords = [{a: ONE_Q}, {b: ONE_Q, b + 1: Fraction(rng.choice(PARAMS))}]
             branch = Branch(coords[::-1] if rng.random() < 0.5 else coords)
             if branch not in branches:
@@ -572,6 +705,55 @@ def test_enumeration_matches_the_product_space_reference_on_random_curves(g):
             for t in enumerate_terms(g, d, hi, "curve")
         }
         assert fast == _naive_curve_terms(g, d, hi), hi
+
+
+# 1-15 vertices and 1-3 arrows
+TWIST_GRAPHS = distinct_resolved_graphs(16, seed=7, a_max=7, b_max=12)
+
+
+@pytest.mark.parametrize("g", TWIST_GRAPHS, ids=repr)
+def test_twisted_class_series_match_the_tree_transfer_on_random_curves(g):
+    m = build_intersection(g).M
+    hi = tuple(min(2 * m[a][a], 40) for a in g.arrows)
+    assert curve_series(g, hi).coeffs == tree_transfer_curve_series(g, hi).coeffs
+    div_hi = tuple(3 * m[j][j] for j in range(g.nvertices))
+    assert divisorial_series(g, div_hi).coeffs == tree_transfer_divisorial_series(g, div_hi).coeffs
+    # and the term-by-term sum over enumerate_terms, which walks all 2^|edges|
+    # edge subsets, on the graphs of up to 9 vertices and smaller windows
+    if g.nvertices <= 9:
+        small = tuple(min(m[a][a], 10) for a in g.arrows)
+        assert_matches_reference(g, small, tuple(m[j][j] for j in range(g.nvertices)))
+
+
+@pytest.mark.parametrize("g", TWIST_GRAPHS, ids=repr)
+def test_curve_width_holds_every_arrow_pass(g, monkeypatch):
+    # every (nhat, K) coefficient before its q^codim twist is a tree
+    # transfer; the width curve_series packs with, one bit per arrow pass
+    # more than _class_width's, holds all of its digits with a sign bit and
+    # one spare bit left
+    from motive_series import formulas
+
+    windows = []
+    monkeypatch.setattr(
+        formulas, "_class_recursion", lambda *a: windows.append(_class_recursion(*a)) or windows[-1]
+    )
+    d = build_intersection(g)
+    hi = tuple(min(2 * d.M[a][a], 40) for a in g.arrows)
+    curve_series(g, hi, d)
+    nhats, _, _, _, width = windows.pop()
+    caps = curve_caps(g, hi)
+    tops = [min(cap // row[j] for j, cap in caps.items()) for row in d.M]
+    bound = 2 ** len(g.arrows) * 4 ** len(g.edges) * prod(t + 1 for t in tops)
+    assert bound < 2 ** (width - 2)
+    chi = [chi_open(g, i) for i in range(g.nvertices)]
+    for nhat in nhats:
+        trees = support_forest(g, nhat)
+        for K in _subsets(len(g.arrows)):
+            arrows_at = [0] * g.nvertices
+            for k in K:
+                arrows_at[g.arrows[k]] += 1
+            c = tree_vertex_sum(trees, chi, nhat, arrows_at)
+            assert all(abs(x) <= bound for x in c.values())
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None,

@@ -200,6 +200,20 @@ def test_certify_inverse_accepts_build_intersection():
         certify_inverse(g, build_intersection(g).M)
 
 
+def test_certify_inverse_on_given_rows():
+    M = build_intersection(CUSP).M
+    for rows in ([0], [2], [0, 1, 2]):
+        certify_inverse(CUSP, M, rows)
+    with pytest.raises(NotUnimodular):  # row 0 of A M sees M[2] through the edge (0, 2)
+        certify_inverse(CUSP, M[:2] + ((2, 3, 5),), [0])
+    # the true inverse of a unimodular tree, with an entry <= 0 in every row
+    g = DualGraph((-1, -1, -1), ((0, 1), (1, 2)))
+    det, adj = det_and_adjugate([[-1, 1, 0], [1, -1, 1], [0, 1, -1]])
+    for i in range(3):
+        with pytest.raises(NotBlowupGraph):
+            certify_inverse(g, tuple(tuple(-det * x for x in row) for row in adj), [i])
+
+
 def test_certify_inverse_rejects():
     M = build_intersection(CUSP).M
     with pytest.raises(NotUnimodular):  # one entry off: A M is not -I

@@ -11,14 +11,15 @@ oracle) on random branches with two or three characteristic exponents,
 whose resolutions are deeper than the other generators' and whose
 support forests have up to three edges.  Beside a smooth branch, such a
 branch also checks route A's M at the two arrows against the order of
-contact of the parametrizations.
+contact of the parametrizations, and two of them against Zariski's
+intersection multiplicity, one determinant over Z[t].
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from motive_series import Branch, Curve
@@ -63,13 +64,13 @@ def conductor(gens):
 
 
 @st.composite
-def branches(draw):
+def branches(draw, chains=CHAINS):
     """(n, y, swap): y has characteristic exponents beta_1 < ... < beta_g
-    with gcd(e_(i-1), beta_i) = e_i along a chain of CHAINS, and one to
+    with gcd(e_(i-1), beta_i) = e_i along one of the chains, and one to
     three more terms that keep the semigroup: each at beta_i + m e_i for
     some i >= 0 (beta_0 = e_0 = n) and m in 1..3, a multiple of e_i and
     so of every later e_j.  Coefficients are rational."""
-    es = draw(st.sampled_from(CHAINS))
+    es = draw(st.sampled_from(chains))
     y, betas = {}, [es[0]]
     for e_prev, e in zip(es, es[1:]):
         lo = betas[-1] // e + 1
@@ -184,3 +185,125 @@ def test_monomial_space_curves_count_their_semigroup(gens):
     oracle = HilbertOracle(Curve(len(gens), [Branch([{a: Fraction(1)} for a in gens])]))
     for v in range(top - 1, -1, -1):  # top-down, so the line is ranked once
         assert oracle.hilbert((v,)) == sum(1 for x in gamma if x < v), (gens, v)
+
+
+# -- the contact of two branches, as one determinant over Z[t] -----------------
+#
+# For branches (t^a, y_1(t)) and (s^n, y_2(s)), let S be the companion
+# matrix of s^n - t^a, so that S^n = t^a I and the eigenvalues of S are
+# the zeta t^(a/n), zeta^n = 1.  Then det(y_1(t) I - y_2(S)) is the
+# Halphen-Zariski product prod_zeta (y_1(t) - y_2(zeta t^(a/n))), that is
+# the equation of the second branch on the first, and its order in t is
+# the intersection multiplicity.  It is identically 0 when the two
+# parametrizations trace one curve.  Scaling y by the common denominator
+# D of both branches keeps the contact and makes every entry an integer
+# polynomial, a dict {exponent: int}.
+
+
+def tpoly_sub(p, q, scale=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) - scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def tpoly_mul(p, q):
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def tpoly_div_exact(p, q):
+    """p / q for a q that divides p in Z[t], by long division from the top."""
+    top, lead = max(q), q[max(q)]
+    out = {}
+    while p:
+        e = max(p)
+        c, rest = divmod(p[e], lead)
+        assert not rest and e >= top, "q does not divide p"
+        out[e - top] = c
+        p = tpoly_sub(p, {f + e - top: d for f, d in q.items()}, c)
+    return out
+
+
+def bareiss_det(rows):
+    """The determinant of a square matrix over Z[t], fraction-free: each
+    step divides exactly by the pivot before it."""
+    m, sign, prev = [list(r) for r in rows], 1, {0: 1}
+    n = len(m)
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return {}
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                cross = tpoly_sub(tpoly_mul(m[i][j], m[k][k]), tpoly_mul(m[i][k], m[k][j]))
+                m[i][j] = tpoly_div_exact(cross, prev)
+        prev = m[k][k]
+    return {e: sign * c for e, c in m[-1][-1].items()}
+
+
+def contact_determinant(a, y1, n, y2):
+    """det(D y1(t) I - D y2(S)), S the companion matrix of s^n - t^a, D the
+    common denominator of y1 and y2: column j of S^k is
+    t^(a ((j + k) // n)) e_((j + k) % n)."""
+    den = lcm(*(Fraction(c).denominator for c in (*y1.values(), *y2.values())))
+    m = [[{} for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        m[j][j] = {e: int(c * den) for e, c in y1.items()}
+        for k, c in y2.items():
+            i = (j + k) % n
+            m[i][j] = tpoly_sub(m[i][j], {a * ((j + k) // n): int(c * den)})
+    return bareiss_det(m)
+
+
+def test_contact_determinant_worked_cases():
+    one = Fraction(1)
+    # the Halphen sum 4 + 3 over the two square roots of t^2
+    assert min(contact_determinant(2, {3: one}, 2, {3: one, 4: one})) == 7
+    # (t^2, t^3) and (t^2, -t^3) trace one cusp: the determinant is 0
+    assert contact_determinant(2, {3: one}, 2, {3: -one}) == {}
+    curve = Curve(2, [Branch([{2: one}, {3: one}]), Branch([{2: one}, {3: one, 4: one}])])
+    _, g, _ = auto_resolve(curve)
+    assert build_intersection(g).M[g.arrows[0]][g.arrows[1]] == 7
+
+
+# multiplicity at most 8: the determinant is n x n
+PAIR_CHAINS = tuple(es for es in CHAINS if es[0] <= 8)
+
+
+@st.composite
+def branch_pairs(draw):
+    """Two branches of `branches` along PAIR_CHAINS, drawn apart or the
+    second a copy of the first with one coefficient changed, which keeps
+    its semigroup (and so primitivity) and raises the contact."""
+    n, y, swap = draw(branches(PAIR_CHAINS))
+    if draw(st.booleans()):
+        n2, y2, _ = draw(branches(PAIR_CHAINS))
+    else:
+        n2, y2 = n, dict(y)
+        k = draw(st.sampled_from(sorted(y)))
+        y2[k] = draw(st.sampled_from([c for c in COEFFS if c != y[k]]))
+    return (n, y), (n2, y2), swap
+
+
+@settings(
+    max_examples=15,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(branch_pairs())
+def test_contact_determinant_is_route_a_arrow_entry(pair):
+    (n1, y1), (n2, y2), swap = pair
+    det = contact_determinant(n1, y1, n2, y2)
+    assume(det)  # distinct branches
+    assert min(det) == min(contact_determinant(n2, y2, n1, y1))
+    # swapping x and y on both branches keeps their contact
+    _, g, _ = auto_resolve(Curve(2, [*as_curve(n1, y1, swap).branches, *as_curve(n2, y2, swap).branches]))
+    assert build_intersection(g).M[g.arrows[0]][g.arrows[1]] == min(det)
