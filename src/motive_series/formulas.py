@@ -62,9 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import count, islice, product
 from math import comb, inf, prod
-from operator import le, mul as mul_ints
+from operator import gt, le, mul as mul_ints
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -597,39 +597,29 @@ def divisorial_poincare_product_edges(g: DualGraph, hi, data=None) -> MSeries:
 # -- series of a Hilbert function, by finite differences on a box -------------
 
 
-def h_box(hfun, lo, hi):
-    """{v: hfun(v)} on the box [lo, hi], asked from hi down, so that a
-    jet-rank oracle ranks only the box's top line.  The top is asked
-    before `box` builds its ranges, so a budget error comes first."""
-    top = {hi: hfun(hi)} if vec_leq(lo, hi) else {}
-    return top | {v: hfun(v) for v in islice(box(lo, hi, down=True), 1, None)}
-
-
-def _axis_pairs(lo, hi, k):
-    """(u, u + e_k) for every u in [lo, hi], in lex order."""
-    e = unit_vec(len(lo), k)
-    return zip(box(lo, hi), box(vec_add(lo, e), vec_add(hi, e)))
-
-
-# the difference along axis 0, from h(u) and h(u + e_0), as a kernel dict:
-# -(1 - E_0) h for P, and R(x(u)) - R(x(u + e_0)), one run of L-powers, for
-# x = 1 - h (Pg) and x = -h (Phat)
-_FIRST_DIFFERENCE = {
-    "P": lambda h, up: {0: up - h} if up != h else {},
-    "Pg": lambda h, up: dict.fromkeys(range(1 - up, 1 - h), 1),
-    "Phat": lambda h, up: dict.fromkeys(range(-up, -h), 1),
-}
+def h_lines(lines, lo, hi):
+    """{p: [h(p, t) for t in lo[-1]..hi[-1]]} for p in [lo[:-1], hi[:-1]], by
+    the line query `lines`, top line first: a jet-rank oracle ranks only that
+    line, and a budget error comes before `box` builds its ranges."""
+    if not vec_leq(lo, hi):
+        return {}
+    p0, t0, t1 = hi[:-1], lo[-1], hi[-1]
+    top = {p0: lines(p0, t0, t1)}
+    return top | {p: lines(p, t0, t1) for p in islice(box(lo[:-1], p0, down=True), 1, None)}
 
 
 def ie_box(hfun, nvars, kind, lo, hi):
     """{v: coefficient}, the nonzero ones on [lo, hi], of the series of kind
-    "P", "Pg", "Phat" or "H" of a Hilbert function hfun, which is asked
-    once per point of [lo, hi + 1] ([lo, hi] for H, which is h).
+    "P", "Pg", "Phat" or "H" of a Hilbert function hfun, read a line at a
+    time on [lo, hi + 1] ([lo, hi] for H, which is h): by `hilbert_line`
+    if hfun is a jet-rank oracle's bound `hilbert`, else point by point.
 
     With Delta = prod_k (1 - E_k), E_k the shift by e_k, and R(x) the sum
     of L^e over e < x, the inclusion-exclusion sums over the v + 1_S are
     P = -(Delta h), Pg = Delta R(1 - h) and Phat = L^h(v + 1) (Delta R(-h)).
-    The passes after the first subtract in place, in lex order, so that
+    The difference along the last axis is taken inside each line, one run
+    of L-powers per R difference; the pass along each other axis k
+    subtracts line p + e_k from line p, in place and in lex order, so that
     the right-hand side is still the old value.
     """
     lo, hi = tuple(lo), tuple(hi)
@@ -637,25 +627,40 @@ def ie_box(hfun, nvars, kind, lo, hi):
         raise InvalidInput(
             "box bounds of lengths %d and %d for %d variables" % (len(lo), len(hi), nvars)
         )
-    if kind == "H":
-        return {v: LaurentPoly.const(c) for v, c in h_box(hfun, lo, hi).items() if c}
-    top = tuple(x + 1 for x in hi)
-    h = h_box(hfun, lo, top)
+    lines = getattr(getattr(hfun, "__self__", None), "hilbert_line", None) or (
+        lambda p, t0, t1: [hfun(p + (t,)) for t in range(t0, t1 + 1)])
+    q, t0, top = nvars - 1, lo[-1], hi if kind == "H" else tuple(x + 1 for x in hi)
+    h = h_lines(lines, lo, top)
+    if kind == "H" or not h:  # H is h; an empty table has no coefficient
+        return {p + (t,): LaurentPoly.const(c) for p in h for t, c in enumerate(h[p], t0) if c}
     for k in range(nvars if kind != "P" else 0):  # the runs need h nondecreasing
-        for u, w in _axis_pairs(lo, top[:k] + hi[k:k + 1] + top[k + 1:], k):
-            if h[u] > h[w]:
+        e = unit_vec(q, k)  # u and u + e_k for u in [lo, top], u_k <= hi_k, in lex order
+        for p in box(lo[:-1], (top[:k] + hi[k:k + 1] + top[k + 1:])[:-1]):
+            a, b = (h[p], h[vec_add(p, e)]) if k < q else (h[p][:-1], h[p][1:])
+            if any(map(gt, a, b)):
+                t, x, y = next(c for c in zip(count(t0), a, b) if c[1] > c[2])
                 raise InvalidInput(
                     "Hilbert function decreases along axis %d at %r: %d, then %d"
-                    % (k, u, h[u], h[w])
+                    % (k, p + (t,), x, y)
                 )
-    d = {u: _FIRST_DIFFERENCE[kind](h[u], h[w]) for u, w in _axis_pairs(lo, hi[:1] + top[1:], 0)}
-    for k in range(1, nvars):
-        for u, w in _axis_pairs(lo, hi[:k + 1] + top[k + 1:], k):
-            _add_into(d[u], d[w], sign=-1)
-    out = {}
-    for v, w in zip(box(lo, hi), box(tuple(x + 1 for x in lo), top)):
-        if d[v]:
-            out[v] = LaurentPoly._trusted(_add_into({}, d[v], h[w]) if kind == "Phat" else d[v])
+    if kind == "P":  # -(1 - E) h
+        d = {p: [{0: y - x} if y != x else {} for x, y in zip(hs, hs[1:])] for p, hs in h.items()}
+    else:  # R(x(u)) - R(x(u + e)), for x = 1 - h (Pg) and x = -h (Phat)
+        s = kind == "Pg"
+        d = {p: [dict.fromkeys(range(s - y, s - x), 1) for x, y in zip(hs, hs[1:])]
+             for p, hs in h.items()}
+    for k in range(q):
+        e = unit_vec(q, k)
+        for p in box(lo[:-1], hi[:k + 1] + top[k + 1:q]):
+            for x, y in zip(d[p], d[vec_add(p, e)]):
+                _add_into(x, y, sign=-1)
+    out, one = {}, (1,) * q
+    for p in box(lo[:-1], hi[:-1]):
+        # Phat's L^h(v + 1) is on the line p + 1, one step further along
+        for t, c, up in zip(count(t0), d[p], h[vec_add(p, one)][1:]):
+            if c:
+                c = {j + up: x for j, x in c.items()} if kind == "Phat" else c
+                out[p + (t,)] = LaurentPoly._trusted(c)
     return out
 
 

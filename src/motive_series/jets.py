@@ -18,12 +18,12 @@ coordinate j's images on every block, scales the row of x^alpha by prod_j
 D_j^alpha_j.  One nonzero factor per row changes no rank and no prefix of
 the leading keys, so every h is that of the unscaled rows, and no row
 holds a `Fraction`.  One echelon basis gives h along a whole line up to a
-horizon, and restricts to any line below it (see `hilbert`).
+horizon, and restricts to any line below it (see `hilbert_line`).
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
-`series` reads P, Pg, Phat, L, Lg and H off one table of h on a box,
-asked top-down, so only the box's top line is ranked: L and Lg from
-the pairs (h(v), h(v + 1)), and P = -(Delta h), Pg = Delta R(1 - h) and
+`series` reads P, Pg, Phat, L, Lg and H off a table of h on a box, a list
+per line asked top-down, so only the box's top line is ranked: L and Lg
+from the pairs (h(v), h(v + 1)), P = -(Delta h), Pg = Delta R(1 - h) and
 Phat = L^h(v + 1) (Delta R(-h)) by r difference passes (`formulas.ie_box`;
 Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 """
@@ -31,13 +31,14 @@ Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import count
 from math import inf
 from operator import add, le, lt
 
 from . import linalg
 from .curves import Curve
 from .errors import InvalidInput, PrecisionExhausted
-from .formulas import _subsets, h_box, ie_box
+from .formulas import _subsets, h_lines, ie_box
 from .formulas import hilbert_ie_coeff  # noqa: F401  (perfbench/spans.py patches it here)
 from .laurent import LaurentPoly, projective_class, qgeom
 from .mseries import (
@@ -76,7 +77,7 @@ class JetRankOracle:
     every block, which makes them integral: it scales the row of x^alpha
     by prod_j D_j^alpha_j, one nonzero factor, which changes no rank and
     no prefix of the leading keys.  Queries clamp negative components to
-    zero, and ranks are kept per clamped point.
+    zero, and h is kept as one list per clamped line (`hilbert_line`).
     """
 
     _shift = 0
@@ -86,7 +87,7 @@ class JetRankOracle:
         self.orders = orders
         self.nvars = len(orders)
         self.max_jet = max_jet
-        self._ranks = {}
+        self._hs = {}  # clamped p -> [h(p, t) for t in 0..top]
         self._width = ((2 * max(max_jet, 1)) << self._shift).bit_length()
         self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
         self._tops = [0] * len(orders)  # the order each table is truncated at
@@ -162,27 +163,32 @@ class JetRankOracle:
     # -- the Hilbert function ------------------------------------------------
 
     def hilbert(self, v) -> int:
-        """h(v): the rank on the candidates, which are complete at jet order max(v).
+        """h(v), read off `hilbert_line` (an empty v fails its length check)."""
+        *p, t = tuple(v) or (0,) * (self.nvars + 1)
+        return self.hilbert_line(p, t, t)[0]
 
-        A miss at w gets an echelon basis at (p, top), p = w[:-1], top the
-        horizon (the largest last coordinate asked so far), and keeps h(p, t)
-        for every t <= top: the number of leading keys below the columns of
+    def hilbert_line(self, p, t0, t1) -> list:
+        """[h(p, t) for t in t0..t1], negative entries of p and t read as 0:
+        the ranks on the candidates, which are complete at jet order max(p, t1).
+
+        A miss gets an echelon basis at (p, top), top the horizon (the
+        largest t1 asked so far), and keeps the list of h(p, t) for every
+        t <= top: the number of leading keys below the columns of
         (p, t), those below ((r - 1) << _width) + (t << _shift) (a candidate
         of (p, top) that is none of (p, t) has no term there).  For p' <= p,
         (p', top) drops block k's keys from (k << _width) + (p'_k << _shift)
         on: the basis of the nearest kept line above is restricted
         (`linalg.restrict`), so a sweep from the top of its box ranks once."""
-        v = tuple(v)
-        if v in self._ranks:
-            return self._ranks[v]
-        w = vec_clamp0(v)
-        if len(w) != self.nvars:
+        p = vec_clamp0(p)
+        if len(p) + 1 != self.nvars:
             raise InvalidInput("query length != number of %s" % self._blocks)
-        if w not in self._ranks:
-            if max(w) > self.max_jet:
-                raise PrecisionExhausted("jet order %d needed, cap is %d" % (max(w), self.max_jet))
-            self._horizon = top = max(w[-1], self._horizon)
-            line, lines, shift, width = w[:-1] + (top,), self._lines, self._shift, self._width
+        hs = self._hs.get(p)
+        if hs is None or t1 >= len(hs):
+            need = max(p + (t1, 0))
+            if need > self.max_jet:
+                raise PrecisionExhausted("jet order %d needed, cap is %d" % (need, self.max_jet))
+            self._horizon = top = max(t1, self._horizon)
+            line, lines, shift, width = p + (top,), self._lines, self._shift, self._width
             # the horizon never falls, so a kept line >= line has its top
             while lines and not all(map(le, line, lines[-1][0])):
                 lines.pop()
@@ -193,9 +199,9 @@ class JetRankOracle:
                 basis = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else {}
             lines.append((line, basis))
             keys, last = sorted(basis), (self.nvars - 1) << width
-            for t in range(top + 1):
-                self._ranks[w[:-1] + (t,)] = bisect_left(keys, last + (t << shift))
-        return self._ranks[w]
+            hs = self._hs[p] = [bisect_left(keys, last + (t << shift)) for t in range(top + 1)]
+        # the t < 0 of [t0, t1] read h(p, 0); no slice end below 0
+        return [hs[0]] * max(0, min(t1 + 1, 0) - t0) + hs[max(t0, 0):max(t1 + 1, 0)]
 
 
 class HilbertOracle(JetRankOracle):
@@ -234,14 +240,14 @@ _JUMPS = {
 def _jump_series(oracle: JetRankOracle, coeff, hi) -> MSeries:
     """sum over v in [-1, hi] of coeff(h(v), h(v + 1)) t^v."""
     r = oracle.nvars
-    lo, one = (-1,) * r, (1,) * r
-    top = vec_add(hi, one)
-    h = h_box(oracle.hilbert, lo, top)
+    lo, one = (-1,) * r, (1,) * (r - 1)
+    h = h_lines(oracle.hilbert_line, lo, vec_add(hi, (1,) * r))
     coeffs = {}
-    for v, w in zip(box(lo, hi), box(zero_vec(r), top)):
-        c = coeff(h[v], h[w])
-        if c:
-            coeffs[v] = c
+    for p in box(lo[:-1], hi[:-1]):
+        for t, x, up in zip(count(-1), h[p], h[vec_add(p, one)][1:]):  # h(v), h(v + 1)
+            c = coeff(x, up)
+            if c:
+                coeffs[p + (t,)] = c
     return MSeries(r, lo, hi, coeffs, floored=False)
 
 
@@ -257,10 +263,11 @@ def series(oracle: JetRankOracle, kind: str, hi) -> MSeries:
     hi = tuple(hi)
     if len(hi) != r:
         raise InvalidInput("bound length != number of %s" % oracle._blocks)
+    if min(hi) < 0:
+        raise InvalidInput("window must contain the zero exponent")
     if kind in _JUMPS:
         return _jump_series(oracle, _JUMPS[kind], hi)
-    lo = zero_vec(r)
-    return MSeries(r, lo, hi, ie_box(oracle.hilbert, r, kind, lo, hi), floored=True)
+    return MSeries._trusted(hi, ie_box(oracle.hilbert, r, kind, zero_vec(r), hi))
 
 
 def subsystem_series(curve: Curve, keep, kind: str, hi) -> MSeries:

@@ -458,9 +458,10 @@ def check_hilbert_oracle_properties():
         r = curve.nbranches
         # h top-down, one elimination per box, scanned in lex order so that
         # a failing check names the first point a bottom-up sweep would
-        h = formulas.h_box(oracle.hilbert, mser.zero_vec(r), mser.vec_add(hi, (1,) * r))
-        jumps = ((v, k, h[mser.vec_add(v, mser.unit_vec(r, k))] - h[v])
-                 for v in mser.box(mser.zero_vec(r), hi) for k in range(r))
+        h = formulas.h_lines(oracle.hilbert_line, mser.zero_vec(r), mser.vec_add(hi, (1,) * r))
+        jumps = ((v, k, h[u[:-1]][u[-1]] - h[v[:-1]][v[-1]])
+                 for v in mser.box(mser.zero_vec(r), hi) for k in range(r)
+                 for u in (mser.vec_add(v, mser.unit_vec(r, k)),))
         bad = next((("jump", v, k) for v, k, d in jumps if d not in (0, 1)), None)
         if bad is None:
             if oracle.hilbert((-3,) * r) != oracle.hilbert((0,) * r):

@@ -31,6 +31,7 @@ from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
 from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
 from motive_series.verify import modification_fixtures
+from test_curves import assert_line_reads_match_point_reads, by_point
 from test_formulas import LONG_PARAMS, blowup_scripts
 
 ONE = Fraction(1)
@@ -261,7 +262,7 @@ def test_divisorial_oracle_matches_unloading(script, data):
     for w in box(zero_vec(d.size), hi):
         assert oracle.hilbert(w) == unloaded_codim(g, d, w), w
     # P, Pg and Phat on [0, hi - 1] read h only on the box ranked above
-    ranked = len(oracle._ranks)
+    ranked = len(by_point(oracle._hs))
     top = tuple(x - 1 for x in hi)
     for kind, formula in (
         ("P", divisorial_poincare_product),
@@ -270,7 +271,7 @@ def test_divisorial_oracle_matches_unloading(script, data):
     ):
         got = series(oracle, kind, top)
         assert first_mismatch(got, formula(g, top), zero_vec(d.size), top) is None, kind
-    assert len(oracle._ranks) == ranked
+    assert len(by_point(oracle._hs)) == ranked
 
 
 # the params of blowup_scripts, each sent to a rational with another
@@ -353,8 +354,9 @@ def test_top_down_sweep_matches_fresh_oracles(script, data):
     swept = DivisorialOracle(m)
     series(swept, "H", hi)
     hilbert_ie_series(swept.hilbert, s, hi)
+    ranks = by_point(swept._hs)
     for w in box(zero_vec(s), tuple(x + 1 for x in hi)):
-        assert swept._ranks[w] == DivisorialOracle(m).hilbert(w), w
+        assert ranks[w] == DivisorialOracle(m).hilbert(w), w
     # a line that is not below a kept one is ranked afresh
     far = (max(hi) + 3,) + (0,) * (s - 1)
     assert swept.hilbert(far) == DivisorialOracle(m).hilbert(far)
@@ -378,10 +380,18 @@ def test_divisorial_sweeps_and_scrambled_queries_match_fresh_oracles(script, dat
     swept = DivisorialOracle(m)
     assert swept._shift > 0
     series(swept, "P", hi)
-    assert {w: swept._ranks[w] for w in points} == fresh
+    ranks = by_point(swept._hs)
+    assert {w: ranks[w] for w in points} == fresh
     scrambled = DivisorialOracle(m)
     for w in data.draw(st.permutations(points)):
         assert scrambled.hilbert(w) == fresh[w], w
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=4), st.data())
+def test_line_reads_match_point_reads_on_random_scripts(script, data):
+    m = run_script(script)
+    assert_line_reads_match_point_reads(DivisorialOracle(m), DivisorialOracle(m), data)
 
 
 def test_huge_ie_bound_is_a_budget_error():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from motive_series import Branch, Curve, linalg, valuation
 from motive_series.blowup import DivisorialOracle, run_script
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
-from motive_series.formulas import h_box
+from motive_series.formulas import h_lines
 from motive_series.jets import (
     HilbertOracle,
     JetRankOracle,
@@ -25,6 +25,12 @@ from test_formulas import blowup_scripts
 ONE = Fraction(1)
 UNIT = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
+
+
+def by_point(lines):
+    """{v: h(v)} of a line table {p: [h(p, 0), h(p, 1), ...]}, such as an
+    oracle's kept lines `_hs`."""
+    return {p + (t,): x for p, hs in lines.items() for t, x in enumerate(hs)}
 
 
 def x(i, n):
@@ -155,9 +161,35 @@ def test_swept_tables_match_fresh_oracles_on_random_curves(curve, data):
     hi = tuple(data.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[r])) for _ in range(r))
     swept = HilbertOracle(curve)
     series(swept, "H", hi)
-    h = h_box(swept.hilbert, (0,) * r, tuple(x + 1 for x in hi))
+    h = by_point(h_lines(swept.hilbert_line, (0,) * r, tuple(x + 1 for x in hi)))
     for v, value in h.items():
         assert value == HilbertOracle(curve).hilbert(v), v
+
+
+def assert_line_reads_match_point_reads(oracle, points, data):
+    """oracle.hilbert_line(p, t0, t1) against points.hilbert at each point
+    of the line, points another oracle of the same curve or modification:
+    p with negative entries, lines from t0 = -1, lines wholly below 0
+    (t1 < -1) and an empty one, asked before and after the horizon rises."""
+    def prefix():
+        return tuple(data.draw(st.integers(-2, 2)) for _ in range(oracle.nvars - 1))
+
+    neg = (-1,) + prefix()[1:] if oracle.nvars > 1 else ()
+    for horizon, cases in (
+        (3, [(neg, -1, 2), (prefix(), -3, -2), (prefix(), 1, 3), (prefix(), -1, -1)]),
+        (6, [(prefix(), 4, 6), (neg, -1, 5), (prefix(), -4, -2), (prefix(), 3, 2),
+             (prefix(), -2, 6)]),
+    ):
+        for p, t0, t1 in cases:
+            want = [points.hilbert(p + (t,)) for t in range(t0, t1 + 1)]
+            assert oracle.hilbert_line(p, t0, t1) == want, (p, t0, t1)
+        assert oracle._horizon == horizon
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates(), st.data())
+def test_line_reads_match_point_reads_on_random_curves(curve, data):
+    assert_line_reads_match_point_reads(HilbertOracle(curve), HilbertOracle(curve), data)
 
 
 def _pruned_and_full(curve, hi):
@@ -172,7 +204,7 @@ def _pruned_and_full(curve, hi):
             if not prune:
                 mp.setattr(oracle, "_module", None)
             keys = sorted(linalg.rank(oracle._rows(oracle._candidates(top), top)))
-            out.append((keys, h_box(oracle.hilbert, (0,) * len(hi), top)))
+            out.append((keys, h_lines(oracle.hilbert_line, (0,) * len(hi), top)))
     return out
 
 
@@ -290,8 +322,9 @@ def test_top_down_sweep_ranks_each_box_once(request, monkeypatch, fixture, hi):
     up = tuple(x + 1 for x in hi)
     assert calls == {"rank": 1, "restrict": len(list(box((0,) * (len(hi) - 1), up[:-1]))) - 1}
     monkeypatch.undo()
+    ranks = by_point(swept._hs)
     for v in box((0,) * len(hi), up):
-        assert swept._ranks[v] == HilbertOracle(curve).hilbert(v), v
+        assert ranks[v] == HilbertOracle(curve).hilbert(v), v
 
 
 @pytest.mark.parametrize("fixture, hi", (("smooth_branch", (5,)), ("transverse_lines", (4, 4))))
@@ -335,7 +368,8 @@ def test_query_past_the_cap_leaves_the_horizon(curve_c):
     assert oracle._horizon == 5
     # the next line is ranked up to the old horizon only
     assert oracle.hilbert((3, 1)) == HilbertOracle(curve_c).hilbert((3, 1))
-    assert (3, 5) in oracle._ranks and (3, 6) not in oracle._ranks
+    ranks = by_point(oracle._hs)
+    assert (3, 5) in ranks and (3, 6) not in ranks
 
 
 def test_poincare_coeff_lines(transverse_lines):

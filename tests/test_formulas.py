@@ -270,6 +270,31 @@ def test_ie_coeff_rejects_a_decreasing_function():
         hilbert_ie_series(lambda w: w[0] + min(w[1], 4 - w[1]), 2, (3, 3))
 
 
+def _drops(*at):
+    """10 |w|, less 25 for each (axis k, c) of at with w_k >= c: nondecreasing
+    along every axis but those k, where it drops from w_k = c - 1 to c."""
+    return lambda w: 10 * sum(w) - 25 * sum(w[k] >= c for k, c in at)
+
+
+@pytest.mark.parametrize("nvars, h, lo, hi, message", (
+    (2, _drops((0, 2)), (0, 0), (2, 2), r"axis 0 at \(1, 0\): 10, then -5"),
+    (2, _drops((1, 3)), (0, 0), (3, 3), r"axis 1 at \(0, 2\): 20, then 5"),
+    (3, _drops((0, 3)), (1, 0, 2), (3, 2, 4), r"axis 0 at \(2, 0, 2\): 40, then 25"),
+    (3, _drops((1, 2)), (1, 0, 2), (3, 2, 4), r"axis 1 at \(1, 1, 2\): 40, then 25"),
+    (3, _drops((2, 4)), (1, 0, 2), (3, 2, 4), r"axis 2 at \(1, 0, 3\): 40, then 25"),
+    # the lowest axis with a decrease is named, though a later axis drops at
+    # a point that comes first in lex order
+    (3, _drops((1, 2), (2, 3)), (1, 0, 2), (3, 2, 4), r"axis 1 at \(1, 1, 2\): 40, then 25"),
+    (3, _drops((0, 2), (2, 3)), (1, 0, 2), (3, 2, 4), r"axis 0 at \(1, 0, 2\): 30, then 15"),
+))
+def test_ie_box_names_the_first_decrease(nvars, h, lo, hi, message):
+    match = "^Hilbert function decreases along " + message + "$"
+    for kind in ("Pg", "Phat"):
+        with pytest.raises(InvalidInput, match=match):
+            ie_box(h, nvars, kind, lo, hi)
+    ie_box(h, nvars, "P", lo, hi)  # P = -(Delta h) needs no run of L-powers
+
+
 def test_ie_series_rejects_a_bound_of_the_wrong_length():
     with pytest.raises(InvalidInput, match="lengths 2 and 1 for 2 variables"):
         hilbert_ie_series(lambda w: sum(w), 2, (3,))
