@@ -14,6 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import blowup, formulas, graph, jets
@@ -200,23 +201,32 @@ def _int_list(xs, pad):
     return "[" + pad + " " + ("," + pad + " ").join(map(str, xs)) + pad + "]" if xs else "[]"
 
 
-def _series_json(series):
-    """_json_text(series.to_json()), written in one pass over the sorted
-    coefficients: one string template per [power, "coeff"] pair."""
-    terms = []
-    for e in sorted(series.coeffs):
-        c = series.coeffs[e].terms
-        pairs = ",\n    ".join(['[\n     %d,\n     "%d"\n    ]' % (k, c[k]) for k in sorted(c)])
-        terms.append(
-            '{\n   "coeff": %s,\n   "exp": %s\n  }'
-            % ("[\n    " + pairs + "\n   ]" if pairs else "[]", _int_list(e, "\n   "))
-        )
-    return '{\n "hi": %s,\n "lo": %s,\n "terms": %s,\n "vars": %d\n}' % (
-        _int_list(series.hi, "\n "),
-        _int_list(series.lo, "\n "),
-        "[\n  " + ",\n  ".join(terms) + "\n ]" if terms else "[]",
-        series.nvars,
+@lru_cache(maxsize=256)
+def _term_template(npairs, nvars):
+    """The text of a series term with npairs [power, "coeff"] pairs and an
+    exponent of nvars entries, with a %d for each int."""
+    pairs = ",\n    ".join(['[\n     %d,\n     "%d"\n    ]'] * npairs)
+    return '{\n   "coeff": %s,\n   "exp": %s\n  }' % (
+        "[\n    " + pairs + "\n   ]" if npairs else "[]", _int_list(["%d"] * nvars, "\n   ")
     )
+
+
+def _series_json(series):
+    """_json_text(series.to_json()), filled in by one % format: a template
+    per term shape takes the term's sorted pairs and then its exponent,
+    and the window's ints come first and the number of variables last."""
+    coeffs, nvars = series.coeffs, series.nvars
+    shapes, values = [], [*series.hi, *series.lo]
+    for e in sorted(coeffs):
+        c = coeffs[e].terms
+        shapes.append(_term_template(len(c), nvars))
+        values += chain.from_iterable(sorted(c.items()))
+        values += e
+    values.append(nvars)
+    ints = _int_list(["%d"] * nvars, "\n ")
+    terms = "[\n  " + ",\n  ".join(shapes) + "\n ]" if shapes else "[]"
+    template = '{\n "hi": ' + ints + ',\n "lo": ' + ints + ',\n "terms": ' + terms
+    return (template + ',\n "vars": %d\n}') % tuple(values)
 
 
 def _emit(fmt, doc, pretty, text=_json_text):

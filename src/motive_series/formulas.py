@@ -17,7 +17,7 @@ each vertex), |I|, |K| and b~, and two exact identities collapse the rest:
   gives sym_power_class(chi_i + r_i, nhat_i - r_i), and 0 when
   r_i > nhat_i.  r_i counts the edges of I and the arrows of K at i.
 
-``_nhats`` yields w = nhat M with each nhat, and sum_ij m_ij nhat_i nhat_j
+``_nhats`` lists w = nhat M with each nhat, and sum_ij m_ij nhat_i nhat_j
 = nhat.w, so codim(nhat) = (nhat.w + nhat.lin) / 2, with lin_i = sum_j m_ij
 chi_bullet(j) + 1 per graph: O(s) per nhat (``nhat_codimension``, O(s^2),
 is the reference).
@@ -63,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, product
-from math import comb, inf, prod
-from operator import gt, le, mul as mul_ints
+from math import comb, prod
+from operator import floordiv, gt, mul as mul_ints, sub
 
 from .errors import InternalInconsistency, InvalidInput
 from .graph import (
@@ -282,30 +282,29 @@ def enumerate_terms(g: DualGraph, d: IntersectionData, hi, mode: str):
 
 def _nhats(d: IntersectionData, caps, limits=None):
     """Every (nhat, w(nhat)) with w[j] <= caps[j] for each capped column j
-    and nhat_i <= limits[i] where given, in lex order (an odometer, the
-    last vertex turning fastest).  Every entry of M is positive, so raising
-    any nhat_i raises every w_j: the bound prunes soundly and the window
-    is downward closed.
+    and nhat_i <= limits[i] where given, as a list in lex order.  Every
+    entry of M is positive, so raising any nhat_i raises every w_j: the
+    window is downward closed, and it is built one vertex at a time, a
+    prefix with w = w(prefix) taking nhat_i = 0..min_j (caps_j - w_j) // m_ij.
+    An uncapped column j is capped by sum_i top_i m_ij, its largest w_j on
+    the box nhat_i <= top_i = min_j caps_j // m_ij that holds the window,
+    so that cap never binds.
     """
-    s, rows = d.size, d.M
-    caps = [caps.get(j, inf) for j in range(s)]
-    limits = limits or [None] * s
-    nhat = [0] * s
-    ws = [zero_vec(s)] * s  # ws[i]: w of nhat with the entries after i set to 0
-    while True:
-        yield tuple(nhat), ws[-1]
-        i = s - 1
-        while i >= 0:
-            if limits[i] is None or nhat[i] < limits[i]:
-                w = vec_add(ws[i], rows[i])
-                if all(map(le, w, caps)):
-                    nhat[i] += 1
-                    ws[i:] = [w] * (s - i)
-                    break
-            nhat[i] = 0
-            i -= 1
-        else:
-            return
+    tops = [min(cap // row[j] for j, cap in caps.items()) for row in d.M]
+    capv = [caps.get(j, sum(map(mul_ints, tops, col))) for j, col in enumerate(zip(*d.M))]
+    out = [((), zero_vec(d.size))]
+    for i, row in enumerate(d.M):
+        limit, grown = limits[i] if limits else None, []
+        for nhat, w in out:
+            top = min(map(floordiv, map(sub, capv, w), row))
+            if limit is not None and limit < top:
+                top = limit
+            grown.append((nhat + (0,), w))
+            for x in range(1, top + 1):
+                w = vec_add(w, row)
+                grown.append((nhat + (x,), w))
+        out = grown
+    return out
 
 
 def _add_into(acc, p, k=0, sign=1):

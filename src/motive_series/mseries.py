@@ -19,8 +19,8 @@ factor 1 - c t^m out of the numerator in place.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import add as add_int, sub
+from itertools import product, repeat
+from operator import add as add_int, le, sub
 
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from .laurent import LaurentPoly
@@ -34,19 +34,19 @@ def vec_add(a, b):
 
 
 def vec_min(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def vec_max(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vec_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def vec_clamp0(a):
-    return tuple(max(x, 0) for x in a)
+    return tuple(map(max, a, repeat(0)))
 
 
 def zero_vec(n):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import lshift
 
 # -- the kernel ------------------------------------------------------------
@@ -186,7 +186,9 @@ def u_order_in_first(p):
 
 class TaylorSeries:
     """The Taylor series at tau = 0 of a quotient N/D of polynomials with
-    D(0) != 0; each coefficient is computed on first use and kept.
+    D(0) != 0; each coefficient, a Fraction, is computed on first use and
+    kept.  A quotient (`div_exact`) sums the products of a term in ints,
+    over the lcm of their denominators, and makes one Fraction per term.
 
     N and D are never built: the series carries only the ints dn >= deg N
     and dd >= deg D.  A nonzero such series has the order of N, at most
@@ -232,7 +234,11 @@ class TaylorSeries:
 
     def order(self):
         """Vanishing order at tau = 0; None for the zero series."""
-        return next((k for k in range(self.dn + 1) if self.term(k)), None)
+        terms = self._terms
+        for k in range(self.dn + 1):
+            if terms[k] if k < len(terms) else self.term(k):
+                return k
+        return None
 
     def sub_const(self, c):
         """self - c, which is (N - c D)/D."""
@@ -259,7 +265,14 @@ class TaylorSeries:
 
         def next_term(s):
             k = len(s)
-            return (a[k + c] - sum(s[i] * b[k + c - i] for i in range(k))) / lead
+            x = a[k + c]
+            num, den = x.numerator, x.denominator
+            for y, z in zip(s, b[k + c : c : -1]):
+                if y and z:
+                    pn, pd = y.numerator * z.numerator, y.denominator * z.denominator
+                    g = gcd(den, pd)
+                    num, den = num * (pd // g) - pn * (den // g), den // g * pd
+            return Fraction(num * lead.denominator, den * lead.numerator)
 
         dn, dd = self.dn + other.dd - c, other.dn + self.dd - c
         return TaylorSeries(next_term, dn, dd, (self, other), c)

@@ -779,6 +779,37 @@ def test_series_writer_on_empty_and_signed_series():
         assert cli._series_json(series) == want == cli._json_text(series.to_json())
 
 
+def dumps(series):
+    return json.dumps(series.to_json(), sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def test_series_writer_sorts_dicts_built_in_descending_order():
+    # curve_series' _add_into can leave the keys of a coefficient descending
+    coeffs = {
+        e: LaurentPoly({4: 1, 3: -e[0], 0: 2**65, -2: 5 - e[1]}) for e in ((3, 1), (2, 2), (0, 1))
+    }
+    assert all(list(c.terms) == sorted(c.terms, reverse=True) for c in coeffs.values())
+    series = MSeries._trusted((3, 2), coeffs)
+    assert cli._series_json(series) == dumps(series)
+
+
+def test_series_writer_on_a_series_in_no_variables():
+    for coeffs in ({}, {(): LaurentPoly({1: -2, 0: 7})}):
+        series = MSeries(0, (), (), coeffs)
+        assert cli._series_json(series) == dumps(series)
+
+
+def test_series_writer_past_the_template_cache():
+    # more (pairs, variables) shapes than the cache holds, each written twice
+    shapes = [(k, n) for n in range(1, 10) for k in range(1, 31)]
+    assert len(shapes) > cli._term_template.cache_info().maxsize
+    for _ in range(2):
+        for k, n in shapes:
+            coeff = LaurentPoly(dict.fromkeys(range(k), -k))
+            series = MSeries._trusted((1,) * n, {(1,) * n: coeff})
+            assert cli._series_json(series) == dumps(series)
+
+
 # -- the --poly parser against sympy --------------------------------------------
 
 POLY_ATOMS = st.sampled_from(["x", "y", "0", "1", "2", "7", "1/2", "3/4", "10/6"]) | st.builds(

@@ -86,6 +86,64 @@ def test_div_exact_is_the_cancelled_quotient(pair, da, db):
     assert_quotient(q, shift_down(mul(na, db), c), shift_down(mul(nb, da), c))
 
 
+def recurrence(a, b, c, n):
+    """The first n coefficients of a / b after cancelling tau^c, for lists a
+    and b of Fractions (zero past their ends), by the Fraction recurrence
+    s_k = (a_(k+c) - sum_(i<k) s_i b_(k+c-i)) / b_c: the reference that the
+    integer sums of div_exact must reproduce exactly."""
+    s = []
+    for k in range(n):
+        top = a[k + c] if k + c < len(a) else Fraction(0)
+        products = (s[i] * b[k + c - i] for i in range(max(0, k + c + 1 - len(b)), k))
+        s.append((top - sum(products, Fraction(0))) / b[c])
+    return s
+
+
+def coefficients(p):
+    return [Fraction(p.get(e, 0)) for e in range(max(p, default=-1) + 1)]
+
+
+def assert_recurrence(q, a, b, c, n=K):
+    want = recurrence(a, b, c, n)
+    got = [q.term(k) for k in range(n)]
+    assert got == want and all(type(x) is Fraction for x in got)
+
+
+@SERIES
+@given(cancelled_pairs(), units(), units())
+def test_div_exact_terms_equal_the_fraction_recurrence(pair, da, db):
+    c, na, nb = pair
+    a = recurrence(coefficients(na), coefficients(da), 0, K + c)
+    b = recurrence(coefficients(nb), coefficients(db), 0, K + c)
+    assert_recurrence(quotient(na, da).div_exact(quotient(nb, db), c), a, b, c)
+
+
+@pytest.mark.parametrize(
+    "na, nb, c",
+    [
+        # a negative lead, and gaps that put zero terms inside every sum
+        ({1: 1, 4: "-2/3", 9: "5/7"}, {1: "-3/2", 3: "4/9", 7: -1}, 1),
+        ({0: "-5/6", 2: 3}, {0: "-7/4", 4: "1/3"}, 0),
+        ({2: "1/2"}, {2: "-1/9", 3: 0, 6: "2/3"}, 2),
+    ],
+)
+def test_div_exact_with_negative_leads_and_zero_terms(na, nb, c):
+    na, nb = ({e: Fraction(v) for e, v in p.items()} for p in (na, nb))
+    q = TaylorSeries.from_poly(na).div_exact(TaylorSeries.from_poly(clean(nb)), c)
+    assert_recurrence(q, coefficients(na), coefficients(nb), c, 30)
+
+
+def test_a_chain_of_400_terms_over_mixed_denominators():
+    # 1 / prod_d (1 - tau/d), one quotient at a time, each term an lcm of
+    # the denominators 3, 5, 7, 9, 11 and their powers
+    s, want = TaylorSeries.from_poly({0: Fraction(1)}), [Fraction(1)]
+    for d in (3, 5, 7, 9, 11):
+        b = [Fraction(1), Fraction(-1, d)]
+        s = s.div_exact(TaylorSeries.from_poly(dict(enumerate(b))), 0)
+        want = recurrence(want, b, 0, 400)
+    assert [s.term(k) for k in range(400)] == want
+
+
 def test_a_long_chain_of_quotients_needs_no_deep_recursion():
     # 1/(1 - tau)^n, one quotient at a time: tau^k has coefficient C(n + k - 1, k)
     n, s = 3000, TaylorSeries.from_poly({0: Fraction(1)})
