@@ -1,13 +1,14 @@
 """Point blow-ups of (C^2, 0): charts, components, and embedded resolution.
 
 Every blow-up step adds two affine charts, whose maps to the base plane
-are computed only on first use (see `Chart`).  Each exceptional
-component records a host chart in which it is the axis {first
-coordinate = 0} and its free points are visible; corners (pairwise intersections) record a chart in
-which both components are coordinate axes through the origin.  The dual
-graph and M = -A^-1 are maintained incrementally, and M is certified
-after every step (`graph.certify_inverse`), on the rows the step
-changes when the modification was reached from the base.
+are computed only on first use (see `Chart`).  Step c adds component c
+and the charts 2c + 1 and 2c + 2; the first, charts[2c + 1], is c's host:
+c is its axis {u = 0}, and its free points are visible there.  Corners
+(pairwise intersections) record a chart in which both components are
+coordinate axes through the origin; they are the edges of the dual
+graph.  M = -A^-1 is maintained incrementally, and certified after
+every step (`graph.certify_inverse`), on the rows the step changes when
+the modification was reached from the base.
 
 `DivisorialOracle` is route B for the divisorial filtration: a
 `jets.JetRankOracle` whose monomial images are their lifts to the host
@@ -39,7 +40,7 @@ from .errors import (
     CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted,
     json_number,
 )
-from .graph import DualGraph, IntersectionData, certify_inverse, intersection_matrix
+from .graph import DualGraph, IntersectionData, certify_inverse
 from .graph import build_intersection  # noqa: F401  (unused; perfbench/spans.py patches it here)
 from .jets import JetRankOracle
 from .polys import TaylorSeries, as_ints, clean, common_denominator, u_order_in_first
@@ -116,39 +117,31 @@ class Chart:
 
 
 class Modification:
-    """Immutable snapshot of a blow-up sequence, with M = -A^-1 of its dual
-    graph (a tuple of int row tuples).
+    """Immutable snapshot of a blow-up sequence: its charts, the
+    self-intersections of its components, its corners {(i, j), i < j: chart
+    index} and M = -A^-1 of its dual graph (a tuple of int row tuples).
+
+    Everything else is read off these.  Component c's host chart is
+    charts[2c + 1].  The dual graph's edges are the corners' keys.  A point
+    of chart i has been blown up exactly when some chart has charts[i] as
+    its parent and that point.
 
     ``certified`` is set only on `base` and on what `blow_up_at` returns:
     a modification reached from the base by blow-ups, each certified.
     Only then does the next step check just the rows it changes."""
 
-    __slots__ = (
-        "charts",
-        "self_ints",
-        "hosts",
-        "edges",
-        "corners",
-        "consumed",
-        "nsteps",
-        "M",
-        "certified",
-    )
+    __slots__ = ("charts", "self_ints", "corners", "M", "certified")
 
-    def __init__(self, charts, self_ints, hosts, edges, corners, consumed, nsteps, M):
+    def __init__(self, charts, self_ints, corners, M):
         self.charts = charts
         self.self_ints = self_ints
-        self.hosts = hosts
-        self.edges = edges
         self.corners = corners
-        self.consumed = consumed
-        self.nsteps = nsteps
         self.M = M
         self.certified = False
 
     @staticmethod
     def base():
-        out = Modification((Chart(None, None, None, {}),), (), (), frozenset(), {}, {}, 0, ())
+        out = Modification((Chart(None, None, None, {}),), (), {}, ())
         out.certified = True  # no component: A and M are empty
         return out
 
@@ -163,9 +156,9 @@ class Modification:
         if not (0 <= chart_idx < len(self.charts)):
             raise CenterNotFound("no chart %d" % chart_idx)
         pu, pv = Fraction(point[0]), Fraction(point[1])
-        if (pu, pv) in self.consumed.get(chart_idx, ()):
-            raise CenterNotFound("point already blown up")
         chart = self.charts[chart_idx]
+        if any(c.parent is chart and c.point == (pu, pv) for c in self.charts):
+            raise CenterNotFound("point already blown up")
         through = chart.through((pu, pv))
         new = self.ncomponents
         chart1 = Chart(chart, (pu, pv), True, {new: "u", **{c: "v" for c, ax in through if ax == "v"}})
@@ -174,27 +167,17 @@ class Modification:
         idx1, idx2 = len(charts) - 2, len(charts) - 1
         lowered = {c for c, _ in through}
         self_ints = tuple(e - (i in lowered) for i, e in enumerate(self.self_ints)) + (-1,)
-        hosts = self.hosts + (idx1,)
-        edges = set(self.edges)
         corners = dict(self.corners)
         if len(through) == 2:
-            pair = tuple(sorted(c for c, _ in through))
-            edges.discard(pair)
-            corners.pop(pair, None)
+            corners.pop(tuple(sorted(lowered)), None)
         for c, axis in through:
-            edges.add(tuple(sorted((c, new))))
-            corner_chart = idx2 if axis == "u" else idx1
-            corners[tuple(sorted((c, new)))] = corner_chart
-        consumed = {k: set(v) for k, v in self.consumed.items()}
-        consumed.setdefault(chart_idx, set()).add((pu, pv))
+            corners[(c, new)] = idx2 if axis == "u" else idx1
         # a curvette at an old component misses the point: its row stays,
         # and its multiplicity on the new component is the sum over through
         row = [sum(col) for col in zip(*(self.M[c] for c, _ in through))]
         row.append(1 + sum(row[c] for c, _ in through))
         M = tuple(map(add, self.M, zip(row))) + (tuple(row),)  # old + (x,) per row
-        out = Modification(
-            charts, self_ints, hosts, frozenset(edges), corners, consumed, self.nsteps + 1, M
-        )
+        out = Modification(charts, self_ints, corners, M)
         # a unimodular tree after every step.  The step changes only the
         # rows of A at the centre's components T and at the new one, and
         # keeps every old row of M with one more entry; so on a certified
@@ -210,7 +193,7 @@ class Modification:
     def blow_up(self, center):
         """Blow up "origin", {"on": id, "param": q} or {"corner": [i, j]}."""
         if center == "origin":
-            if self.nsteps != 0:
+            if self.ncomponents:
                 raise CenterNotFound("origin center is only valid as the first step")
             return self.blow_up_at(0, (Fraction(0), Fraction(0)))
         try:
@@ -226,7 +209,7 @@ class Modification:
         if on:
             if not (0 <= comp < self.ncomponents):
                 raise CenterNotFound("no component %s" % center["on"])
-            host = self.hosts[comp]
+            host = 2 * comp + 1
             for other, axis in self.charts[host].divisors.items():
                 if other != comp and axis == "v" and param == 0:
                     raise CornerAmbiguous(
@@ -241,11 +224,11 @@ class Modification:
     # -- queries ---------------------------------------------------------------
 
     def graph(self, arrows=()) -> DualGraph:
-        return DualGraph(self.self_ints, tuple(sorted(self.edges)), tuple(arrows))
+        return DualGraph(self.self_ints, tuple(sorted(self.corners)), tuple(arrows))
 
     def intersection(self) -> IntersectionData:
-        """A and the certified M of the dual graph, with no elimination."""
-        return IntersectionData(intersection_matrix(self.graph()), self.M)
+        """The certified M of the dual graph, with no elimination."""
+        return IntersectionData(self.M)
 
     def multiplicity(self, comp, g) -> int:
         """Vanishing order of the lift of g along the component."""
@@ -255,7 +238,7 @@ class Modification:
         if not (0 <= comp < self.ncomponents):
             raise CenterNotFound("no component %d" % (comp + 1))
         # a lift is one injective substitution per chart: nonzero, as g is
-        return u_order_in_first(self.charts[self.hosts[comp]].lift(g))
+        return u_order_in_first(self.charts[2 * comp + 1].lift(g))
 
     def multiplicity_vector(self, g):
         return tuple(self.multiplicity(i, g) for i in range(self.ncomponents))
@@ -308,12 +291,11 @@ class DivisorialOracle(JetRankOracle):
     hilbert = JetRankOracle.hilbert
 
     def __init__(self, m: Modification, max_jet: int = 64):
-        maps = [(m.charts[h].xmap, m.charts[h].ymap) for h in m.hosts]
+        maps = [(host.xmap, host.ymap) for host in m.charts[1::2]]
         top_v = max(ve for pair in maps for p in pair for _, ve in p)
         # before the base, which sizes the key blocks by it
         s = self._shift = (max(max_jet, 1) * top_v).bit_length()
         super().__init__([tuple(map(u_order_in_first, p)) for p in maps], max_jet)
-        self.m = m
         dx, dy = (common_denominator(*p) for p in zip(*maps))
 
         def packed(p, d):

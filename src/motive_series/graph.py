@@ -2,11 +2,11 @@
 
 A dual graph is a tree of exceptional components with negative
 self-intersections, plus optional arrows marking where strict transforms
-of curve branches attach.  Intersection data is the matrix A together
-with M = -A^{-1}, whose rows are the exponent vectors driving every
-closed formula downstream.  ``build_intersection`` certifies M in
-integer arithmetic: |det A| = 1, M = -det(A) adj(A), every entry
-positive, M symmetric.  ``certify_inverse`` certifies an integer M
+of curve branches attach.  Intersection data is M = -A^{-1}, A the
+intersection matrix (`intersection_matrix`), whose rows are the exponent
+vectors driving every closed formula downstream.
+``build_intersection`` certifies M in integer arithmetic: |det A| = 1,
+M = -det(A) adj(A), every entry positive, M symmetric.  ``certify_inverse`` certifies an integer M
 given with the graph (a blow-up sequence carries one) by A M = -I
 instead, in O(s^2) and without an elimination, or in O(s) on the rows
 that one blow-up changes.
@@ -94,12 +94,11 @@ class DualGraph:
 
 
 class IntersectionData:
-    """A, M = -A^{-1} and the rows m_i, all exact integers."""
+    """M = -A^{-1} and its rows m_i, all exact integers."""
 
-    __slots__ = ("A", "M")
+    __slots__ = ("M",)
 
-    def __init__(self, A, M):
-        self.A = A
+    def __init__(self, M):
         self.M = M
 
     @property
@@ -149,7 +148,7 @@ def build_intersection(g: DualGraph) -> IntersectionData:
         raise NotUnimodular("intersection determinant is %s, not +-1" % det)
     M = tuple(tuple(-det * x for x in row) for row in adj)
     _check_positive_symmetric(M)
-    return IntersectionData(A, M)
+    return IntersectionData(M)
 
 
 def certify_inverse(g: DualGraph, M, rows=None) -> None:

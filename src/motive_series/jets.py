@@ -9,16 +9,17 @@ is complete at jet order max(v): its rank is h(v) exactly, with no search
 for a stable rank, and `max_jet` caps max(v).  A curve is a finite
 C{x_j}-module for a coordinate x_j that vanishes on no branch, so only
 monomials of degree < sum_k ord_k(x_j) in the others need a row (see
-`_candidates`).  The base builds the sparse rows from one table of
-truncated monomial images per block and ranks them with `linalg.rank`, the
-one exact kernel; a subclass gives only the images of the coordinates, as
-int-keyed dicts, and how a key holds a term's order.  Those maps are
-integral: substituting x_j -> D_j x_j, D_j a common denominator of
-coordinate j's images on every block, scales the row of x^alpha by prod_j
-D_j^alpha_j.  One nonzero factor per row changes no rank and no prefix of
-the leading keys, so every h is that of the unscaled rows, and no row
-holds a `Fraction`.  One echelon basis gives h along a whole line up to a
-horizon, and restricts to any line below it (see `hilbert_line`).
+`_candidates`).  The base builds the sparse rows of a line from the
+monomial images on each block, truncated at that line, and ranks them
+with `linalg.rank`, the one exact kernel; a subclass gives only the
+images of the coordinates, as int-keyed dicts, and how a key holds a
+term's order.  Those maps are integral: substituting x_j -> D_j x_j,
+D_j a common denominator of coordinate j's images on every block,
+scales the row of x^alpha by prod_j D_j^alpha_j.  One nonzero factor
+per row changes no rank and no prefix of the leading keys, so every h is
+that of the unscaled rows, and no row holds a `Fraction`.  One echelon
+basis gives h along a whole line up to a horizon, and restricts to any
+line below it (see `hilbert_line`).
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
 `series` reads P, Pg, Phat, L, Lg and H off a table of h on a box, a list
@@ -71,8 +72,8 @@ class JetRankOracle:
     and `_shift`, which says how a key holds a term's order: the terms of
     order below t are those with keys below t << _shift.  A row keys term
     e of block k by one int, (k << _width) + e, _width the bit length of
-    (2 max(max_jet, 1)) << _shift: a table's order stays below 2 max_jet,
-    so block k's keys lie in [k << _width, (k + 1) << _width).  The maps
+    max(max_jet, 1) << _shift: a row is truncated at v_k <= max_jet, so
+    block k's keys lie in [k << _width, (k + 1) << _width).  The maps
     are the coordinates' images after one substitution x_j -> D_j x_j for
     every block, which makes them integral: it scales the row of x^alpha
     by prod_j D_j^alpha_j, one nonzero factor, which changes no rank and
@@ -88,9 +89,7 @@ class JetRankOracle:
         self.nvars = len(orders)
         self.max_jet = max_jet
         self._hs = {}  # clamped p -> [h(p, t) for t in 0..top]
-        self._width = ((2 * max(max_jet, 1)) << self._shift).bit_length()
-        self._tables = [None] * len(orders)  # block k: alpha -> truncated image of x^alpha
-        self._tops = [0] * len(orders)  # the order each table is truncated at
+        self._width = (max(max_jet, 1) << self._shift).bit_length()
         self._horizon = 0  # the largest last coordinate asked so far
         self._lines = []  # (line, echelon basis), each line <= the one before
 
@@ -131,23 +130,18 @@ class JetRankOracle:
         """The candidates' dict rows: their images' terms of order < v_k on
         every block k where that image is nonzero below v_k.
 
-        Block k's table holds the images truncated at an order >= v_k, from
-        x^0 = {k << _width: 1}, so every key keeps the block's offset; it is
-        kept across queries, and restarted at max(v_k, twice its order) when
-        a query needs more.  cands is sorted and down-closed, and alpha - e_j
-        (j the first nonzero index of alpha) has no larger order, so it is
-        in the table before alpha, and one product with the map of
-        coordinate j, truncated, extends it."""
+        Block k's images are built for this line alone, truncated at v_k,
+        from x^0 = {k << _width: 1}, so every key keeps the block's offset.
+        cands is sorted and down-closed, and alpha - e_j (j the first
+        nonzero index of alpha) has no larger order, so its image is built
+        before alpha's, and one product with the map of coordinate j,
+        truncated, extends it."""
         rows = [{} for _ in cands]
-        shift, width = self._shift, self._width
         for k, bound in enumerate(v):
             if not bound:
                 continue
-            if bound > self._tops[k]:
-                self._tops[k] = max(bound, 2 * self._tops[k])
-                self._tables[k] = {(0,) * len(self.orders[k]): {k << width: 1}}
-            table, maps, cut = self._tables[k], self._maps[k], self._tops[k] > bound
-            top, below = (k << width) + (self._tops[k] << shift), (k << width) + (bound << shift)
+            table, maps = {(0,) * len(self.orders[k]): {k << self._width: 1}}, self._maps[k]
+            top = (k << self._width) + (bound << self._shift)
             for row, (alpha, acc) in zip(rows, cands):
                 if acc[k] < bound:
                     image = table.get(alpha)
@@ -157,7 +151,7 @@ class JetRankOracle:
                             j += 1
                         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
                         image = table[alpha] = umul(table[prev], maps[j], top)
-                    row.update({e: c for e, c in image.items() if e < below} if cut else image)
+                    row.update(image)
         return rows
 
     # -- the Hilbert function ------------------------------------------------
@@ -221,7 +215,6 @@ class HilbertOracle(JetRankOracle):
     def __init__(self, curve: Curve, max_jet: int = 64):
         orders = [[b.coordinate_order(j) for j in range(curve.ambient_dim)] for b in curve.branches]
         super().__init__(orders, max_jet)
-        self.curve = curve
         finite = [(sum(col), j) for j, col in enumerate(zip(*orders)) if all(col)]
         self._module = min(finite)[::-1] if finite else None
         dens = [common_denominator(*coord) for coord in zip(*(b.coords for b in curve.branches))]

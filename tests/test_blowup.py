@@ -26,7 +26,9 @@ from motive_series.formulas import (
     hilbert_ie_series,
     semigroup_class_series,
 )
-from motive_series.graph import build_intersection, certify_inverse, hoskin_deligne, w_of_nhat
+from motive_series.graph import (
+    build_intersection, certify_inverse, hoskin_deligne, intersection_matrix, w_of_nhat,
+)
 from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
 from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
@@ -34,7 +36,7 @@ from motive_series.verify import modification_fixtures
 from test_curves import assert_line_reads_match_point_reads, by_point
 from test_formulas import LONG_PARAMS, blowup_scripts
 
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 SINGLE_SCRIPT = {"steps": [{"center": "origin"}]}
 CHAIN_SCRIPT = {"steps": [{"center": "origin"}, {"center": {"on": 1, "param": "0"}}]}
@@ -88,7 +90,7 @@ def assert_lifts_match_composition(m, g):
         assert (chart.xmap, chart.ymap) == maps[id(chart)]
         assert all(list(p) == sorted(p) for p in (chart.xmap, chart.ymap))
         assert chart.lift(g) == poly2_compose(g, *maps[id(chart)])
-    want = tuple(u_order_in_first(poly2_compose(g, *maps[id(m.charts[h])])) for h in m.hosts)
+    want = tuple(u_order_in_first(poly2_compose(g, *maps[id(host)])) for host in m.charts[1::2])
     assert m.multiplicity_vector(g) == want
 
 
@@ -237,7 +239,7 @@ def unloaded_codim(g, d, w):
     over -E_i^2 until nothing changes gives the least w' >= w with
     -w'A >= 0, and J(w) = J(w'), whose codimension is Hoskin-Deligne at
     nhat = -w'A (d = build_intersection(g))."""
-    s, A, w = d.size, d.A, list(w)
+    s, A, w = d.size, intersection_matrix(g), list(w)
     changed = True
     while changed:
         changed = False
@@ -324,7 +326,7 @@ def test_packed_key_width():
     g = m.graph()
     d = build_intersection(g)
     s = d.size
-    top_v = max(ve for h in m.hosts for p in (m.charts[h].xmap, m.charts[h].ymap) for _, ve in p)
+    top_v = max(ve for host in m.charts[1::2] for p in (host.xmap, host.ymap) for _, ve in p)
     assert top_v == 11
     points = [w_of_nhat(d, tuple(int(j == i) for j in range(s))) for i in range(s)]
     points += [(3,) * s, (1, 2, 3, 4, 5, 6, 7), (9, 1, 1, 1, 1, 1, 1)]
@@ -516,13 +518,12 @@ def test_carried_inverse_matches_build_intersection(script):
     m = Modification.base()
     for step in script["steps"]:
         m = m.blow_up(step["center"])
-        d, ref = m.intersection(), build_intersection(m.graph())
-        assert (d.A, d.M) == (ref.A, ref.M)
+        assert m.intersection().M == build_intersection(m.graph()).M
 
 
 def _with(m, **fields):
     """A copy of the modification m with some fields replaced."""
-    names = ("charts", "self_ints", "hosts", "edges", "corners", "consumed", "nsteps", "M")
+    names = ("charts", "self_ints", "corners", "M")
     return Modification(*(fields.get(n, getattr(m, n)) for n in names))
 
 
@@ -531,7 +532,7 @@ def test_tampered_modification_fails_the_certificate():
     tampered = (
         _with(m, self_ints=(-3, -2, -2)),
         _with(m, self_ints=(-2, -2, -1)),
-        _with(m, edges=frozenset({(0, 1), (1, 2)})),
+        _with(m, corners={(0, 1): m.corners[(0, 2)], (1, 2): m.corners[(1, 2)]}),
         _with(m, M=m.M[:2] + ((2, 3, 7),)),
     )
     for bad in tampered:
@@ -570,4 +571,33 @@ def test_blow_ups_make_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "det_and_adjugate", refuse)
     m = run_script(CUSP_SCRIPT)
     assert m.intersection().M == ((1, 1, 2), (1, 2, 3), (2, 3, 6))
-    assert m.intersection().A == ((-3, 0, 1), (0, -2, 1), (1, 1, -1))
+    assert intersection_matrix(m.graph()) == ((-3, 0, 1), (0, -2, 1), (1, 1, -1))
+
+
+# -- state read off the charts, self-intersections, corners and M ---------------
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=7, params=LONG_PARAMS), st.data())
+def test_hosts_edges_and_blown_up_points_read_off_the_charts(script, data):
+    m = Modification.base()
+    for step in script["steps"]:
+        m = m.blow_up(step["center"])
+        assert sorted(m.corners) == list(m.graph().edges)
+        # step c adds component c, and its host chart 2c + 1 has it as {u = 0}
+        assert all(m.charts[2 * c + 1].divisors[c] == "u" for c in range(m.ncomponents))
+        for pair, idx in m.corners.items():
+            assert [c for c, _ in m.charts[idx].through((ZERO, ZERO))] == list(pair)
+    # a free point (no script param is 5) is refused once blown up, and a
+    # snapshot taken before still accepts it
+    host, point = 2 * data.draw(st.integers(0, m.ncomponents - 1)) + 1, (ZERO, Fraction(5))
+    m1 = m.blow_up_at(host, point)
+    with pytest.raises(CenterNotFound, match="already blown up"):
+        m1.blow_up_at(host, point)
+    assert m.blow_up_at(host, point).ncomponents == m1.ncomponents
+    # so is a corner chart's origin, once that corner is blown up
+    i, j = pair = data.draw(st.sampled_from(sorted(m.corners)))
+    m2 = m.blow_up({"corner": [i + 1, j + 1]})
+    assert pair not in m2.corners
+    with pytest.raises(CenterNotFound, match="already blown up"):
+        m2.blow_up_at(m.corners[pair], (ZERO, ZERO))

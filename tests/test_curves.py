@@ -239,14 +239,14 @@ def test_cusp_ranks_a_module_generating_set():
 
 
 def _assert_keys_in_their_blocks(oracle, v):
-    """Every table key of block k, and every key of a row built on block k
-    alone, lies in [k << _width, (k + 1) << _width)."""
+    """_width is the bit length of max_jet << _shift, and every key of a
+    row built on block k alone lies in [k << _width, (k + 1) << _width)."""
     width, cands = oracle._width, oracle._candidates(v)
+    assert width == (oracle.max_jet << oracle._shift).bit_length()
     for k in range(oracle.nvars):
         only = tuple(x if i == k else 0 for i, x in enumerate(v))
         keys = [key for row in oracle._rows(cands, only) for key in row]
-        keys += [key for image in (oracle._tables[k] or {}).values() for key in image]
-        assert all(key >> width == k for key in keys), k
+        assert keys and all(key >> width == k for key in keys), k
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
@@ -256,7 +256,7 @@ def test_divisorial_keys_stay_in_their_blocks(script, data):
     cap = data.draw(st.integers(2, 7))
     oracle = DivisorialOracle(m, max_jet=cap)
     s = m.ncomponents
-    # a query below the cap, then one at it, doubles the tables
+    # a query below the cap, then one at it: rows truncated at the cap
     for top in (cap - 1, cap):
         v = tuple(data.draw(st.integers(1, top)) for _ in range(s - 1)) + (top,)
         assert oracle.hilbert(v) == DivisorialOracle(m).hilbert(v)
@@ -266,12 +266,12 @@ def test_divisorial_keys_stay_in_their_blocks(script, data):
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(curves_with_zero_coordinates(), st.integers(2, 12))
 def test_curve_keys_stay_in_their_blocks_at_the_jet_cap(curve, cap):
-    # asked just below the cap, then at it, every table doubles to 2 cap - 2
+    # asked just below the cap, then at it: the rows of the line at the cap
+    # reach order cap - 1 on every branch, and stay in their blocks
     oracle = HilbertOracle(curve, max_jet=cap)
     for top in (cap - 1, cap):
         v = (top,) * curve.nbranches
         assert oracle.hilbert(v) == HilbertOracle(curve).hilbert(v)
-    assert oracle._tops == [2 * cap - 2] * curve.nbranches
     _assert_keys_in_their_blocks(oracle, v)
 
 
@@ -287,8 +287,8 @@ def test_branch_terms_in_any_order():
 
 
 def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):
-    # one oracle asked in a scrambled order, so that its tables are
-    # rebuilt at doubled orders and reused below them
+    # one oracle asked in a scrambled order, so that it ranks lines above
+    # the kept ones afresh and restricts kept bases to the lines below them
     for curve, hi in ((curve_c, (9, 9)), (transverse_lines, (6, 6))):
         kept = HilbertOracle(curve)
         points = sorted(box((0, 0), hi), key=lambda v: (v[0] * 7 + v[1] * 3) % 11)
