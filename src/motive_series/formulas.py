@@ -48,8 +48,8 @@ with c = 0 off it:
   place, in reverse lex order so that the right-hand side is still the
   old c.  Each c is one int, c(2^B) (`_class_width`): every step is a
   ring operation of Z[L] at L = 2^B, a product with L^k a shift by B k
-  bits, and the digits are read off once (`_unpack`), already shifted
-  by -codim for Pg;
+  bits, and the digits are read off once by `polys.unpack`, the reader
+  that series products share (`mseries_mul`), shifted by -codim for Pg;
 * P: c(nhat) = prod_i [x^nhat_i] (1 - x)^(-chi_i), an integer that is 0
   once nhat_i > -chi_i >= 0.
 
@@ -77,6 +77,7 @@ from .graph import (
 )
 from .laurent import ONE, LaurentPoly
 from .mseries import MSeries, box, expand_rational, unit_vec, vec_add, vec_leq, zero_vec
+from .polys import unpack
 
 
 @dataclass(frozen=True)
@@ -321,23 +322,6 @@ def _add_into(acc, p, k=0, sign=1):
     return acc
 
 
-def _unpack(v, width, low=0):
-    """The kernel dict of L^low p, for the polynomial p with p(2^width) = v
-    whose coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced
-    digits in base 2^width, lowest first.  A negative digit c leaves v - c
-    one more than (v >> width) times 2^width: that is the carry."""
-    out, e, mask, half = {}, low, (1 << width) - 1, 1 << (width - 1)
-    while v:
-        c = v & mask
-        if c >= half:
-            c -= 1 << width
-        if c:
-            out[e] = c
-        v = (v >> width) + (c < 0)
-        e += 1
-    return out
-
-
 def _series(hi, coeffs, label, symbol):
     """The MSeries on [0, hi] of kernel-dict coefficients, each asserted to
     be a polynomial in ``symbol`` (q: nonpositive L-powers, L: nonnegative).
@@ -365,7 +349,7 @@ def _class_width(tops, nedges: int, narrows: int = 0) -> int:
     times L, so it at most quadruples the largest sum of |c_e|; and an
     arrow pass of curve_series sums two, one times L, so it at most
     doubles it.  So |c_e| < 2^(B-2), which leaves a sign bit and one spare
-    bit.  Only the final digits must fit, |c_e| < 2^(B-1) (`_unpack`): the
+    bit.  Only the final digits must fit, |c_e| < 2^(B-1) (`polys.unpack`): the
     steps are ring operations of Z[L] evaluated at L = 2^B, which hold for
     any B.
     """
@@ -474,7 +458,7 @@ def curve_series(g: DualGraph, hi, data=None) -> MSeries:
         sums = {}
         for x, floor, codim in zip(c, floors, codims):
             if x and all(floor[k] < hi[k] for k in K):
-                p = _unpack(x, width, -codim)
+                p = unpack(x, width, -codim)
                 if floor in sums:
                     _add_into(sums[floor], p)
                 else:
@@ -510,7 +494,7 @@ def divisorial_series(g: DualGraph, hi, data=None) -> MSeries:
     lin = _codim_lin(d, g)
     # w(nhat) is one-to-one, M being invertible
     out = {
-        w: _unpack(c, width, -_codim(nhat, w, lin))
+        w: unpack(c, width, -_codim(nhat, w, lin))
         for nhat, w, c in zip(nhats, ws, coeffs)
         if c
     }
@@ -528,7 +512,7 @@ def semigroup_class_series(g: DualGraph, hi, data=None) -> MSeries:
     hi = _checked_bound(g, hi, "divisorial")
     d = data if data is not None else build_intersection(g)
     _, ws, _, coeffs, width = _class_recursion(g, d, dict(enumerate(hi)))
-    out = {w: _unpack(c, width) for w, c in zip(ws, coeffs)}
+    out = {w: unpack(c, width) for w, c in zip(ws, coeffs)}
     return _series(hi, out, "semigroup-class", "L")
 
 

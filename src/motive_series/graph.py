@@ -168,13 +168,15 @@ def certify_inverse(g: DualGraph, M, rows=None) -> None:
     s = g.nvertices
     if len(M) != s or any(len(row) != s for row in M):
         raise NotUnimodular("M is not %d x %d" % (s, s))
-    nbrs = [[] for _ in range(s)]
+    nbrs = {i: [] for i in (range(s) if rows is None else rows)}  # of checked rows only
     for (i, j) in g.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    for i in range(s) if rows is None else rows:
+        if i in nbrs:
+            nbrs[i].append(j)
+        if j in nbrs:
+            nbrs[j].append(i)
+    for i, adjacent in nbrs.items():
         row = [g.self_ints[i] * x for x in M[i]]
-        for k in nbrs[i]:
+        for k in adjacent:
             row = list(map(add, row, M[k]))
         row[i] += 1
         if any(row):

@@ -12,19 +12,22 @@ An MSeries models partial knowledge of a formal series in t_1..t_r:
 Multiplication keeps a coefficient only when every pair of exponents
 that could contribute to it is exactly known in both operands, and
 shrinks the result window accordingly.  All windowed identities in this
-library are therefore exact, never approximate.  Every product goes
-through the polys kernel (`pmul`); `expand_rational` divides each
-factor 1 - c t^m out of the numerator in place.
+library are therefore exact, never approximate.  A product packs each
+Laurent coefficient as one int at L = 2^B, convolves with `polys.pmul`
+and reads each kept coefficient back once (`polys.unpack`), as route A
+does (`formulas`); `expand_rational` divides each factor 1 - c t^m out
+of the numerator in place.
 """
 
 from __future__ import annotations
 
 from itertools import product, repeat
+from math import prod
 from operator import add as add_int, le, sub
 
 from .errors import InvalidInput, NonconvergentFactor, OutsideWindow
 from .laurent import LaurentPoly
-from .polys import add, pmul
+from .polys import add, pmul, unpack
 
 # -- exponent-vector helpers (plain int tuples) ---------------------------
 
@@ -132,13 +135,20 @@ class MSeries:
             raise OutsideWindow("coefficient at %r is not determined" % (e,))
         return self.coeffs.get(e, LaurentPoly.zero())
 
+    def box_terms(self, lo, hi):
+        """The stored terms in [lo, hi] if this series knows the whole box,
+        else None.  No series stores a term outside its window."""
+        if self.lo == lo and self.hi == hi:
+            return self.coeffs
+        if self.exact or vec_leq(self.lo, lo) and vec_leq(hi, self.hi):
+            return {e: c for e, c in self.coeffs.items() if vec_leq(lo, e) and vec_leq(e, hi)}
+        return None
+
     def reader(self, lo, hi):
         """Coefficient lookup for the points of [lo, hi]: a read of the
         stored terms if this series knows the whole box, else `coeff`."""
-        if self.exact or vec_leq(self.lo, lo) and vec_leq(hi, self.hi):
-            zero = LaurentPoly.zero()
-            return lambda e: self.coeffs.get(e, zero)
-        return self.coeff
+        terms, zero = self.box_terms(lo, hi), LaurentPoly.zero()
+        return self.coeff if terms is None else lambda e: terms.get(e, zero)
 
     def __eq__(self, other):
         if not isinstance(other, MSeries):
@@ -277,6 +287,17 @@ class MSeries:
         )
 
 
+def _product_width(f, g):
+    """B of `mseries_mul`: the bit length of l1(f) l1(g), plus a sign bit,
+    with l1 the sum of |digit| over all coefficients of one series.  A
+    digit of a product coefficient sums products of a digit of f and one of
+    g, so l1(f) l1(g) bounds it.  As in `formulas._class_width`, only the
+    final digits must fit: the steps in between are ring operations of
+    Z[L] at L = 2^B, which hold for any B."""
+    l1 = (sum(sum(map(abs, c.terms.values())) for c in s.coeffs.values()) for s in (f, g))
+    return prod(l1).bit_length() + 1
+
+
 def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
     """Product, exact on the largest window the operands allow.
 
@@ -284,24 +305,20 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
     exponents whose every contribution from the exact factor's support
     lands in the windowed factor's known region.  windowed * windowed
     requires both operands floored; the floors bound the contributing
-    pairs to a finite box inside both windows.  The coefficients are
-    `polys.pmul` of the stored terms, kept on the window.
+    pairs to a finite box inside both windows.  Each Laurent coefficient,
+    divided by its operand's least L-power, is packed as one int at
+    L = 2^B (`_product_width`); `pmul` convolves the packed dicts, and each
+    product coefficient kept on the window is read back once (`unpack`).
     """
     if f.nvars != g.nvars:
         raise InvalidInput("cannot multiply series in different variable counts")
     n = f.nvars
-    if f.exact and g.exact:
-        return MSeries.polynomial(n, pmul(f.coeffs, g.coeffs))
-    if f.exact or g.exact:
+    lo = None  # the window [lo, hi]; exact * exact has none
+    if f.exact != g.exact:
         ex, w = (f, g) if f.exact else (g, f)
         if not ex.coeffs:
             return MSeries.polynomial(n, {})
-        supp = list(ex.coeffs)
-        smin = supp[0]
-        smax = supp[0]
-        for e in supp[1:]:
-            smin = vec_min(smin, e)
-            smax = vec_max(smax, e)
+        smin, smax = (tuple(map(m, zip(*ex.coeffs))) for m in (min, max))
         hi = vec_add(w.hi, smin)
         if w.floored:
             # every lookup at or below w.hi is determined (stored or floor-zero)
@@ -315,7 +332,7 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
                     "product of an unfloored window does not determine exponent 0"
                 )
             floored = False
-    else:
+    elif not f.exact:
         if not (f.floored and g.floored):
             raise InvalidInput(
                 "windowed*windowed product needs support floors on both operands"
@@ -323,14 +340,25 @@ def mseries_mul(f: MSeries, g: MSeries) -> MSeries:
         hi = vec_min(vec_add(f.hi, g.lo), vec_add(g.hi, f.lo))
         lo = vec_min(vec_add(f.lo, g.lo), zero_vec(n))
         floored = True
-    if not vec_leq(lo, hi):
+    if lo is not None and not vec_leq(lo, hi):
         raise OutsideWindow("empty safe window in product")
-    terms = {
-        e: c
-        for e, c in pmul(f.coeffs, g.coeffs).items()
-        if vec_leq(lo, e) and vec_leq(e, hi)
-    }
-    return MSeries(n, lo, hi, terms, floored=floored)
+    terms = {}
+    if f.coeffs and g.coeffs:
+        width = _product_width(f, g)
+        lows = [min(min(c.terms) for c in s.coeffs.values()) for s in (f, g)]
+        packed = (
+            {e: sum(x << width * (k - low) for k, x in c.terms.items()) for e, c in s.coeffs.items()}
+            for s, low in zip((f, g), lows)
+        )
+        for e, v in pmul(*packed).items():
+            if lo is None or vec_leq(lo, e) and vec_leq(e, hi):
+                terms[e] = LaurentPoly._trusted(unpack(v, width, sum(lows)))
+    if lo is None:
+        return MSeries.polynomial(n, terms)
+    # the constructor checks the window; the kept terms lie in it
+    out = MSeries(n, lo, hi, {}, floored=floored)
+    out.coeffs = terms
+    return out
 
 
 def expand_rational(numerator: MSeries, denominator_factors, hi) -> MSeries:
@@ -377,12 +405,17 @@ def expand_rational(numerator: MSeries, denominator_factors, hi) -> MSeries:
 def first_mismatch(f: MSeries, g: MSeries, lo, hi):
     """First exponent in [lo, hi] (lex order) where f and g differ, or None.
 
-    Both series must know every coefficient in the box.  Each series is
-    checked once: one that knows the whole box is read from its stored
-    terms, any other through `coeff`, which raises OutsideWindow at the
-    first point it does not know.  A mismatch is (e, f.coeff(e), g.coeff(e)).
+    Both series must know every coefficient in the box.  If both know the
+    whole box, their stored terms in it are compared with one ==, and the
+    box is walked only to name a mismatch.  Else one that knows the box is
+    read from its stored terms, any other through `coeff`, which raises
+    OutsideWindow at the first point it does not know.  A mismatch is
+    (e, f.coeff(e), g.coeff(e)).
     """
     lo, hi = tuple(lo), tuple(hi)
+    terms = f.box_terms(lo, hi)
+    if terms is not None and terms == g.box_terms(lo, hi):
+        return None
     a, b = f.reader(lo, hi), g.reader(lo, hi)
     for e in box(lo, hi):
         if a(e) != b(e):

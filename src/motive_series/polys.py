@@ -11,11 +11,13 @@ series {tuple: LaurentPoly} (`mseries`).  One kernel serves them all:
   ints;
 * `mul` is the one convolution loop, for int exponents, truncated on
   request (`umul` is its name for polynomials in the parameter);
-* `pmul` packs exponent tuples into ints and calls `mul`.
+* `pmul` packs exponent tuples into ints and calls `mul`;
+* `unpack` reads a Laurent coefficient packed as one int at L = 2^B back
+  into a dict (`mseries_mul`, and route A's class recursion in `formulas`).
 
 The coefficients only need +, * and truth; the kernel never adds a
 coefficient to an int 0, so LaurentPoly coefficients work as well.
-Windowed products of box-truncated series are `pmul` kept on a window.
+Products of box-truncated series are `pmul` of packed ints on a window.
 
 The one exact value that is no dict is `TaylorSeries`: the power series
 at tau = 0 of a branch's strict transform, read coefficient by
@@ -114,6 +116,23 @@ def pmul(p, q):
             e.append(x)
             key = (key - x) >> k
         out[tuple(e)] = c
+    return out
+
+
+def unpack(v, width, low=0):
+    """The kernel dict of L^low p, for the polynomial p with p(2^width) = v
+    whose coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced
+    digits in base 2^width, lowest first.  A negative digit c leaves v - c
+    one more than (v >> width) times 2^width: that is the carry."""
+    out, e, mask, half = {}, low, (1 << width) - 1, 1 << (width - 1)
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << width
+        if c:
+            out[e] = c
+        v = (v >> width) + (c < 0)
+        e += 1
     return out
 
 
@@ -255,6 +274,8 @@ class TaylorSeries:
         Requires order(self) >= cancel == order(other), so the result is
         again regular at 0; with s the quotient and a, b the operands,
         s_k = (a_(k+c) - sum_(i<k) s_i b_(k+c-i)) / b_c for c = cancel.
+        The sum walks only the j = k + c - i with b_j != 0, a list that grows
+        with b, so t^N / t costs O(N), not O(N^2).
         The quotient of the zero series is a new zero series that keeps no
         reference to the operands, so nested quotients of zero stay free.
         """
@@ -262,13 +283,18 @@ class TaylorSeries:
             return TaylorSeries.from_poly({})
         a, b, c = self._terms, other._terms, cancel
         lead = other.term(c)
+        nonzero = []  # the j in (c, k + c] with b_j != 0, ascending
 
         def next_term(s):
+            # called once for each k = len(s) in turn, with b filled to k + c
             k = len(s)
+            if k and b[k + c]:
+                nonzero.append(k + c)
             x = a[k + c]
             num, den = x.numerator, x.denominator
-            for y, z in zip(s, b[k + c : c : -1]):
-                if y and z:
+            for j in nonzero:
+                y, z = s[k + c - j], b[j]
+                if y:
                     pn, pd = y.numerator * z.numerator, y.denominator * z.denominator
                     g = gcd(den, pd)
                     num, den = num * (pd // g) - pn * (den // g), den // g * pd

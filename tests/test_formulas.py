@@ -21,7 +21,6 @@ from motive_series.formulas import (
     _nhats,
     _series,
     _subsets,
-    _unpack,
     curve_poincare_product,
     curve_series,
     divisorial_poincare_product,
@@ -53,7 +52,7 @@ from motive_series.mseries import (
     vec_add,
     zero_vec,
 )
-from motive_series.polys import mul
+from motive_series.polys import mul, unpack
 from motive_series.verify import _naive_curve_terms
 
 ONE = LaurentPoly.one()
@@ -953,8 +952,8 @@ def test_unpack_round_trips_extreme_digits(width):
     ]
     for digits in rows:
         v = sum(c << width * e for e, c in enumerate(digits))
-        assert _unpack(v, width) == {e: c for e, c in enumerate(digits) if c}
-    assert _unpack(0, width) == {}
+        assert unpack(v, width) == {e: c for e, c in enumerate(digits) if c}
+    assert unpack(0, width) == {}
 
 
 @DIFFERENTIAL

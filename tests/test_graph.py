@@ -214,6 +214,22 @@ def test_certify_inverse_on_given_rows():
             certify_inverse(g, tuple(tuple(-det * x for x in row) for row in adj), [i])
 
 
+def test_certify_inverse_on_given_rows_finds_a_wrong_entry_in_them():
+    # a chain -2, -2, -2, -1: rows i and i + 2 (mod 4) are never adjacent, so
+    # checking row i + 2 first passes and row i must then fail on its own
+    g = DualGraph((-2, -2, -2, -1), ((0, 1), (1, 2), (2, 3)))
+    M = build_intersection(g).M
+    for i in range(4):
+        for j in range(4):
+            bad = tuple(
+                tuple(x + (r == i and c == j) for c, x in enumerate(row)) for r, row in enumerate(M)
+            )
+            for rows in ([i], [i, (i + 1) % 4], [(i + 2) % 4, i]):
+                certify_inverse(g, M, rows)
+                with pytest.raises(NotUnimodular, match="row %d of A M" % i):
+                    certify_inverse(g, bad, rows)
+
+
 def test_certify_inverse_rejects():
     M = build_intersection(CUSP).M
     with pytest.raises(NotUnimodular):  # one entry off: A M is not -I

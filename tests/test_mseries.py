@@ -327,3 +327,126 @@ def test_first_mismatch_of_an_exact_polynomial_and_a_window():
     assert first_mismatch(exact, windowed, (-1,), (2,)) is None
     with pytest.raises(OutsideWindow, match=r"\(5,\)"):
         first_mismatch(exact, MSeries(1, (0,), (4,), {(0,): ONE, (1,): L}), (0,), (6,))
+
+
+def plain_product(f, g):
+    """The coefficients of f * g by the pairwise LaurentPoly convolution that
+    packed products replaced, kept as their reference."""
+    out = {}
+    for a, x in f.coeffs.items():
+        for b, y in g.coeffs.items():
+            e = tuple(i + j for i, j in zip(a, b))
+            out[e] = out[e] + x * y if e in out else x * y
+    return {e: c for e, c in out.items() if c}
+
+
+BIG = 2**64
+
+
+@st.composite
+def laurent_coeffs(draw):
+    """Laurent polynomials with L-powers in -4..4 and digits up to 2^64."""
+    digits = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)).filter(bool)
+    return LaurentPoly(draw(st.dictionaries(st.integers(-4, 4), digits, min_size=1, max_size=4)))
+
+
+@st.composite
+def product_operands(draw):
+    """(f, g) in one of the four window cases of `mseries_mul`."""
+    n = draw(st.integers(1, 2))
+    case = draw(st.sampled_from(["exact*exact", "exact*floored", "exact*unfloored", "windowed*windowed"]))
+
+    def terms(lo, hi):
+        exps = st.tuples(*(st.integers(a, b) for a, b in zip(lo, hi)))
+        return draw(st.dictionaries(exps, laurent_coeffs(), min_size=1, max_size=6))
+
+    def exact():
+        return MSeries.polynomial(n, terms((-2,) * n, (3,) * n))
+
+    def windowed(floored):
+        lo = tuple(draw(st.integers(-2, 0)) for _ in range(n))
+        hi = tuple(draw(st.integers(1, 4)) for _ in range(n))
+        return MSeries(n, lo, hi, terms(lo, hi), floored=floored)
+
+    if case == "exact*exact":
+        f, g = exact(), exact()
+    elif case == "windowed*windowed":
+        f, g = windowed(True), windowed(True)
+    else:
+        # an unfloored window needs an exact factor whose support lies at or below 0
+        f = MSeries.polynomial(n, terms((-2,) * n, (0,) * n)) if case == "exact*unfloored" else exact()
+        g = windowed(case == "exact*floored")
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(product_operands())
+def test_packed_products_match_the_plain_convolution(ops):
+    f, g = ops
+    try:
+        got = mseries_mul(f, g)
+    except (InvalidInput, OutsideWindow):
+        return  # a window that is empty or misses 0, as at the plain product
+    want = plain_product(f, g)
+    if not got.exact:
+        want = {e: c for e, c in want.items() if vec_leq(got.lo, e) and vec_leq(e, got.hi)}
+    assert got.coeffs == want
+    assert all(type(c.terms[k]) is int for c in got.coeffs.values() for k in c.terms)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_product_that_needs_every_bit_of_its_width(monkeypatch, sign):
+    # one digit (2^64 - 1)(2^64 + 1) = 2^128 - 1 = l1(f) l1(g): B = 129 bits
+    from motive_series import mseries
+
+    f = MSeries.polynomial(1, {(1,): LaurentPoly({-3: sign * (BIG - 1)})})
+    g = MSeries(1, (0,), (2,), {(0,): LaurentPoly({5: BIG + 1})})
+    want = {(1,): LaurentPoly({2: sign * (BIG * BIG - 1)})}
+    assert mseries._product_width(f, g) == 129
+    assert mseries_mul(f, g).coeffs == plain_product(f, g) == want
+    width = mseries._product_width
+    monkeypatch.setattr(mseries, "_product_width", lambda f, g: width(f, g) - 1)
+    assert mseries_mul(f, g).coeffs != want
+
+
+@st.composite
+def known_box_pairs(draw):
+    """Two series that often both know a box, differing at a few points of
+    it (corners included) or only outside it, with the box often equal to
+    a window: the cases where `first_mismatch` compares stored terms."""
+    n = draw(st.integers(1, 2))
+    lo = tuple(draw(st.integers(-2, 0)) for _ in range(n))
+    hi = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    coeffs = st.sampled_from([ONE, -ONE, L, Q, ONE - L])
+    exps = st.tuples(*(st.integers(a - 1, b + 1) for a, b in zip(lo, hi)))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+    other = dict(terms)
+    corners = st.tuples(*(st.sampled_from([a, b]) for a, b in zip(lo, hi)))
+    for e in draw(st.lists(st.one_of(exps, corners), min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            other.pop(e, None)
+        else:
+            other[e] = draw(coeffs)
+
+    def series(terms):
+        kind = draw(st.sampled_from(["exact", "box", "wider", "narrower"]))
+        if kind == "exact":
+            return MSeries.polynomial(n, terms)
+        grow = {"box": 0, "wider": 1, "narrower": -1}[kind]
+        wlo = tuple(min(a - grow, 0) for a in lo)
+        whi = tuple(max(b + grow, 0) for b in hi)
+        kept = {e: c for e, c in terms.items() if vec_leq(wlo, e) and vec_leq(e, whi)}
+        return MSeries(n, wlo, whi, kept, floored=draw(st.booleans()))
+
+    return series(terms), series(other), lo, hi
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(known_box_pairs())
+def test_first_mismatch_on_known_boxes_matches_the_per_point_walk(case):
+    f, g, lo, hi = case
+    assert outcome(first_mismatch, f, g, lo, hi) == outcome(per_point_mismatch, f, g, lo, hi)
+    for s in (f, g):
+        terms = s.box_terms(lo, hi)
+        if terms is not None:
+            assert terms == {e: s.coeff(e) for e in box(lo, hi) if s.coeff(e)}

@@ -133,6 +133,31 @@ def test_div_exact_with_negative_leads_and_zero_terms(na, nb, c):
     assert_recurrence(q, coefficients(na), coefficients(nb), c, 30)
 
 
+@st.composite
+def sparse_divisions(draw):
+    """(c, Na, Nb, Db): a divisor Nb/Db whose nonzero terms sit up to 40
+    apart, with ord Nb = c <= ord Na, and Db = 1 or 1 - d tau^p."""
+    c = draw(st.integers(0, 3))
+    gaps = st.dictionaries(st.integers(1, 3) | st.integers(4, 40), coeffs.filter(bool), max_size=3)
+    na = {e + c: v for e, v in draw(polys).items()}
+    nb = {c: draw(coeffs.filter(bool)), **{e + c: v for e, v in draw(gaps).items()}}
+    db = {0: Fraction(1)}
+    if draw(st.booleans()):
+        db[draw(st.integers(5, 30))] = -draw(coeffs.filter(bool))
+    return c, na, nb, db
+
+
+@SERIES
+@given(sparse_divisions())
+def test_div_exact_by_divisors_with_long_zero_runs_equals_the_fraction_recurrence(case):
+    # the quotient walks only the divisor's nonzero terms, so every term past
+    # a run of zeros must still meet each earlier nonzero term
+    c, na, nb, db = case
+    b = recurrence(coefficients(nb), coefficients(db), 0, 90 + c)
+    q = TaylorSeries.from_poly(na).div_exact(quotient(nb, db), c)
+    assert_recurrence(q, coefficients(na), b, c, 90)
+
+
 def test_a_chain_of_400_terms_over_mixed_denominators():
     # 1 / prod_d (1 - tau/d), one quotient at a time, each term an lcm of
     # the denominators 3, 5, 7, 9, 11 and their powers
