@@ -6,9 +6,10 @@ and the charts 2c + 1 and 2c + 2; the first, charts[2c + 1], is c's host:
 c is its axis {u = 0}, and its free points are visible there.  Corners
 (pairwise intersections) record a chart in which both components are
 coordinate axes through the origin; they are the edges of the dual
-graph.  M = -A^-1 is maintained incrementally, and certified after
-every step (`graph.certify_inverse`), on the rows the step changes when
-the modification was reached from the base.
+graph.  M = -A^-1 is maintained incrementally by the blow-up row rule
+(`graph.blown_up`), and certified after every step
+(`graph.certify_inverse`), on the rows the step changes when the
+modification was reached from the base.
 
 `DivisorialOracle` is route B for the divisorial filtration: a
 `jets.JetRankOracle` whose monomial images are their lifts to the host
@@ -33,14 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from operator import add
 
 from .curves import Curve
 from .errors import (
     CenterNotFound, CornerAmbiguous, InvalidInput, NonreducedInput, PrecisionExhausted,
     json_number,
 )
-from .graph import DualGraph, IntersectionData, certify_inverse
+from .graph import DualGraph, IntersectionData, blown_up, certify_inverse
 from .graph import build_intersection  # noqa: F401  (unused; perfbench/spans.py patches it here)
 from .jets import JetRankOracle
 from .polys import TaylorSeries, as_ints, clean, common_denominator, u_order_in_first
@@ -172,11 +172,7 @@ class Modification:
             corners.pop(tuple(sorted(lowered)), None)
         for c, axis in through:
             corners[(c, new)] = idx2 if axis == "u" else idx1
-        # a curvette at an old component misses the point: its row stays,
-        # and its multiplicity on the new component is the sum over through
-        row = [sum(col) for col in zip(*(self.M[c] for c, _ in through))]
-        row.append(1 + sum(row[c] for c, _ in through))
-        M = tuple(map(add, self.M, zip(row))) + (tuple(row),)  # old + (x,) per row
+        M = blown_up(self.M, lowered)
         out = Modification(charts, self_ints, corners, M)
         # a unimodular tree after every step.  The step changes only the
         # rows of A at the centre's components T and at the new one, and

@@ -35,11 +35,12 @@ class NonconvergentFactor(InvalidInput):
 
 
 class NotUnimodular(MotiveSeriesError):
-    """Intersection matrix determinant is not +-1."""
+    """A given M is not -A^{-1}: A M = -I fails, or M has the wrong shape."""
 
 
 class NotBlowupGraph(MotiveSeriesError):
-    """-A^{-1} is not entrywise positive integral."""
+    """No point blow-ups of (C^2, 0) give the graph: it does not blow down
+    to a point, or its M is not entrywise positive and symmetric."""
 
 
 class InternalInconsistency(MotiveSeriesError):

@@ -3,13 +3,13 @@
 A dual graph is a tree of exceptional components with negative
 self-intersections, plus optional arrows marking where strict transforms
 of curve branches attach.  Intersection data is M = -A^{-1}, A the
-intersection matrix (`intersection_matrix`), whose rows are the exponent
-vectors driving every closed formula downstream.
-``build_intersection`` certifies M in integer arithmetic: |det A| = 1,
-M = -det(A) adj(A), every entry positive, M symmetric.  ``certify_inverse`` certifies an integer M
-given with the graph (a blow-up sequence carries one) by A M = -I
-instead, in O(s^2) and without an elimination, or in O(s) on the rows
-that one blow-up changes.
+intersection matrix, whose rows are the exponent vectors driving every
+closed formula downstream.  M is made one way only, by the row rule of a
+point blow-up (`blown_up`): a blow-up sequence carries it step by step,
+and ``build_intersection`` blows a graph down to nothing and replays the
+blow-ups.  ``certify_inverse`` certifies an integer M by A M = -I, in
+O(s^2) and without an elimination, or in O(s) on the rows that one
+blow-up changes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from . import linalg
 from .errors import (
     InternalInconsistency, InvalidInput, NotBlowupGraph, NotUnimodular, json_number
 )
@@ -109,17 +108,17 @@ class IntersectionData:
         return self.M[i]
 
 
-def intersection_matrix(g: DualGraph) -> tuple:
-    """The intersection matrix A: self-intersections on the diagonal, 1 on
-    each edge."""
-    s = g.nvertices
-    A = [[0] * s for _ in range(s)]
-    for i in range(s):
-        A[i][i] = g.self_ints[i]
-    for (i, j) in g.edges:
-        A[i][j] = 1
-        A[j][i] = 1
-    return tuple(map(tuple, A))
+def blown_up(M, through) -> tuple:
+    """M after one more blow-up, at a point on the components `through`
+    (none, one or two), as a tuple of int row tuples.
+
+    A curvette at an old component misses the point: its row stays, and
+    its multiplicity on the new component is the sum over `through`.  The
+    new row is the sum of the rows in `through`, with
+    1 + sum(row[c] for c in through) on the diagonal."""
+    row = [sum(col) for col in zip(*(M[c] for c in through))]
+    row.append(1 + sum(row[c] for c in through))
+    return tuple(map(add, M, zip(row))) + (tuple(row),)  # old + (x,) per row
 
 
 def _check_positive_symmetric(M, rows=None):
@@ -134,20 +133,36 @@ def _check_positive_symmetric(M, rows=None):
 
 
 def build_intersection(g: DualGraph) -> IntersectionData:
-    """Intersection matrix and its certified positive integral -inverse.
+    """M = -A^-1 of a blow-up graph, by blowing it down and up again.
 
-    The certificate is integer arithmetic only: ``linalg.det_and_adjugate``
-    gives det A and adj A, and A must have |det A| = 1, so A^-1 = det A
-    adj A and M = -det A adj A.  M is then an integer matrix by
-    construction (there is no integrality check left to fail); it must
-    also be positive and symmetric.
+    Castelnuovo's criterion: a -1 vertex of degree at most 2 is contracted
+    (each neighbour's self-intersection rises by 1, and two neighbours are
+    joined) until nothing is left; a graph that stops before that is no
+    modification of (C^2, 0) and raises NotBlowupGraph.  The contractions,
+    replayed in reverse as blow-ups (`blown_up`), give M in g's labels,
+    which the whole `certify_inverse` then certifies.
     """
-    A = intersection_matrix(g)
-    det, adj = linalg.det_and_adjugate(A)
-    if adj is None or abs(det) != 1:
-        raise NotUnimodular("intersection determinant is %s, not +-1" % det)
-    M = tuple(tuple(-det * x for x in row) for row in adj)
-    _check_positive_symmetric(M)
+    self_ints, nbrs = list(g.self_ints), {i: [] for i in range(g.nvertices)}
+    for (i, j) in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    contracted = []  # (vertex, its neighbours when contracted)
+    while nbrs:
+        v = next((v for v in nbrs if self_ints[v] == -1 and len(nbrs[v]) <= 2), None)
+        if v is None:
+            raise NotBlowupGraph("graph does not blow down to a point; vertices left: %s"
+                                 % ", ".join(str(i + 1) for i in nbrs))
+        near = nbrs.pop(v)
+        for u in near:  # joined to the other neighbour, if there is one
+            nbrs[u] = [w for w in nbrs[u] + near if w not in (u, v)]
+            self_ints[u] += 1
+        contracted.append((v, near))
+    M, pos = (), [None] * g.nvertices  # pos[v]: v's row in the replay
+    for k, (v, near) in enumerate(reversed(contracted)):
+        M = blown_up(M, [pos[u] for u in near])
+        pos[v] = k
+    M = tuple(tuple(M[p][q] for q in pos) for p in pos)
+    certify_inverse(g, M)
     return IntersectionData(M)
 
 
@@ -157,8 +172,7 @@ def certify_inverse(g: DualGraph, M, rows=None) -> None:
     A M = -I is checked row by row over the sparse rows of A (its
     diagonal and the tree edges), O(s^2) in all; then every entry must be
     positive and M symmetric.  Integer A and M with A M = -I have
-    det A det M = (-1)^s, so |det A| = 1: the guarantee of
-    ``build_intersection``, without an elimination.
+    det A det M = (-1)^s, so |det A| = 1, with no elimination.
 
     With ``rows``, only those rows of A M = -I, and of M for positivity
     and symmetry, are checked: O(s) per row of bounded degree.  That

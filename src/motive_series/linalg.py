@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination: rank over Q, determinant and adjugate over Z.
+"""Exact Gaussian elimination: rank over Q, in integers.
 
 ``rank`` is the one exact elimination, for the rows of both jet-rank
 oracles: it eliminates by leading key on sparse dict rows, so it never
@@ -11,7 +11,6 @@ the rows as given; the oracles build their rows integral for that
 reason (see `jets`).  Each stored pivot is divided by its content, the
 gcd of its entries, which limits the growth of the entries.
 ``restrict`` derives the basis of the same rows on fewer columns.
-``det_and_adjugate`` never leaves the integers.
 """
 
 from __future__ import annotations
@@ -100,33 +99,3 @@ def restrict(pivots, lims, width) -> dict:
     for row in sorted(dropped, key=len):
         _insert(out, row, lims, width)
     return out
-
-
-def det_and_adjugate(matrix):
-    """(determinant, adjugate) of a square integer matrix, in integers.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss's method) on [A | I]:
-    each step replaces every other row r by (p r - r[k] row_k) / prev,
-    with p the new pivot and prev the one before it.  Every entry is then
-    a minor of [A | I] up to sign, so each division is exact.  At the end
-    the left half is p I and the right half p A^-1, with p = det A after
-    the row swaps, so the adjugate det(A) A^-1 is the right half times
-    the sign of the swaps.  Returns (0, None) when A is singular.
-    """
-    n = len(matrix)
-    rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
-    sign, prev = 1, 1
-    for k in range(n):
-        best = next((i for i in range(k, n) if rows[i][k]), None)
-        if best is None:
-            return 0, None
-        if best != k:
-            rows[k], rows[best] = rows[best], rows[k]
-            sign = -sign
-        pivot_row, p = rows[k], rows[k][k]
-        for i in range(n):
-            if i != k:
-                row, f = rows[i], rows[i][k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in rows]

@@ -31,6 +31,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import lshift
 
+from .errors import InternalInconsistency
+
 # -- the kernel ------------------------------------------------------------
 
 
@@ -124,6 +126,8 @@ def unpack(v, width, low=0):
     whose coefficients lie in [-2^(width-1), 2^(width-1)): v's balanced
     digits in base 2^width, lowest first.  A negative digit c leaves v - c
     one more than (v >> width) times 2^width: that is the carry."""
+    if width < 2:
+        raise InternalInconsistency("digit width %d is below 2: no room for a sign" % width)
     out, e, mask, half = {}, low, (1 << width) - 1, 1 << (width - 1)
     while v:
         c = v & mask

@@ -27,7 +27,7 @@ from motive_series.formulas import (
     semigroup_class_series,
 )
 from motive_series.graph import (
-    build_intersection, certify_inverse, hoskin_deligne, intersection_matrix, w_of_nhat,
+    DualGraph, build_intersection, certify_inverse, hoskin_deligne, w_of_nhat,
 )
 from motive_series.jets import HilbertOracle, JetRankOracle, series
 from motive_series.mseries import box, first_mismatch, zero_vec
@@ -35,6 +35,7 @@ from motive_series.polys import clean, pmul, poly2_compose, u_order_in_first
 from motive_series.verify import modification_fixtures
 from test_curves import assert_line_reads_match_point_reads, by_point
 from test_formulas import LONG_PARAMS, blowup_scripts
+from test_graph import eliminated_inverse, intersection_matrix
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -513,12 +514,22 @@ def test_every_step_certified():
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(blowup_scripts(max_steps=9, params=LONG_PARAMS))
-def test_carried_inverse_matches_build_intersection(script):
+@given(blowup_scripts(max_steps=9, params=LONG_PARAMS), st.data())
+def test_carried_inverse_matches_build_intersection(script, data):
     m = Modification.base()
     for step in script["steps"]:
         m = m.blow_up(step["center"])
-        assert m.intersection().M == build_intersection(m.graph()).M
+        g = m.graph()
+        assert m.intersection().M == build_intersection(g).M
+        # in any labelling the blow-down replay is the carried M, and elimination's
+        old = data.draw(st.permutations(range(g.nvertices)))  # new label k is old vertex old[k]
+        new = {v: k for k, v in enumerate(old)}
+        h = DualGraph(
+            tuple(g.self_ints[v] for v in old),
+            tuple(sorted(tuple(sorted((new[i], new[j]))) for i, j in g.edges)),
+        )
+        want = tuple(tuple(m.M[i][j] for j in old) for i in old)
+        assert build_intersection(h).M == eliminated_inverse(h) == want
 
 
 def _with(m, **fields):
@@ -563,13 +574,19 @@ def test_blow_ups_from_the_base_check_only_the_rows_they_change(monkeypatch):
 
 
 def test_blow_ups_make_no_elimination(monkeypatch):
-    from motive_series import linalg
+    from motive_series import blowup, graph
 
-    def refuse(matrix):
-        raise AssertionError("det_and_adjugate called")
+    checked = []
 
-    monkeypatch.setattr(linalg, "det_and_adjugate", refuse)
+    def spy(g, M, rows=None):
+        checked.append(rows)
+        certify_inverse(g, M, rows)
+
+    # build_intersection certifies its replay whole (rows None)
+    monkeypatch.setattr(blowup, "certify_inverse", spy)
+    monkeypatch.setattr(graph, "certify_inverse", spy)
     m = run_script(CUSP_SCRIPT)
+    assert len(checked) == 3 and None not in checked
     assert m.intersection().M == ((1, 1, 2), (1, 2, 3), (2, 3, 6))
     assert intersection_matrix(m.graph()) == ((-3, 0, 1), (0, -2, 1), (1, 1, -1))
 

@@ -233,12 +233,43 @@ def test_curve_p_on_a_graph_without_arrows(files, capsys):
     )
 
 
-def _count_eliminations(monkeypatch):
-    from motive_series import linalg
+E8_GRAPH = {
+    "vertices": [{"self_int": -2}] * 8,
+    "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [3, 8]],
+    "arrows": [{"attach": 8}],
+}
+
+
+@pytest.mark.parametrize(
+    "filtration, kind",
+    [("divisorial", "Pg"), ("divisorial", "Phat"), ("divisorial", "P"), ("curve", "Pg"),
+     ("curve", "P")],
+)
+def test_graph_that_does_not_blow_down_exits_2(tmp_path, capsys, filtration, kind):
+    # E8 is unimodular with a positive -A^-1, but has no -1 vertex
+    path = tmp_path / "e8.json"
+    path.write_text(json.dumps(E8_GRAPH))
+    argv = ["poincare", "--graph", str(path), "--filtration", filtration, "--kind", kind]
+    bound = ["--bound", "4"] if filtration == "curve" else ["--bound", ",".join(["2"] * 8)]
+    assert run(capsys, argv + bound) == (
+        2, "", "error: graph does not blow down to a point; vertices left: 1, 2, 3, 4, 5, 6, 7, 8\n"
+    )
+
+
+def _certified_rows(monkeypatch):
+    """The rows argument of every certify_inverse call from here on: None
+    for a whole certificate, as build_intersection makes of its replay."""
+    from motive_series import blowup, graph
 
     calls = []
-    eliminate = linalg.det_and_adjugate
-    monkeypatch.setattr(linalg, "det_and_adjugate", lambda a: calls.append(1) or eliminate(a))
+    certify = graph.certify_inverse
+
+    def spy(g, M, rows=None):
+        calls.append(rows)
+        certify(g, M, rows)
+
+    monkeypatch.setattr(blowup, "certify_inverse", spy)
+    monkeypatch.setattr(graph, "certify_inverse", spy)
     return calls
 
 
@@ -249,20 +280,20 @@ def test_budget_resolution_makes_no_elimination(tmp_path, capsys, monkeypatch):
         "ambient_dim": 2,
         "branches": [{"coords": [[[1, "1"]], []]}, {"coords": [[[2, "1"]], []]}],
     }))
-    calls = _count_eliminations(monkeypatch)
+    calls = _certified_rows(monkeypatch)
     code, out, err = run(capsys, ["resolve", "--curve", str(path), "--max-steps", "128"])
     assert (code, out) == (3, "")
     assert "within 128 blow-ups" in err
-    assert len(calls) == 0
+    assert len(calls) == 128 and None not in calls
 
 
 @pytest.mark.parametrize("kind", ["P", "Pg", "Phat"])
 def test_script_series_reuse_the_carried_inverse(files, capsys, monkeypatch, kind):
     argv = ["poincare", "--script", files["cusp_script.json"], "--kind", kind, "--bound", "6,6,8"]
     code, out, _ = run(capsys, argv)
-    calls = _count_eliminations(monkeypatch)
+    calls = _certified_rows(monkeypatch)
     assert run(capsys, argv) == (code, out, "")
-    assert code == 0 and len(calls) == 0
+    assert code == 0 and len(calls) == 3 and None not in calls
 
 
 def test_jet_cap_bounds_the_query_only(files, capsys):

@@ -956,6 +956,15 @@ def test_unpack_round_trips_extreme_digits(width):
     assert unpack(0, width) == {}
 
 
+@pytest.mark.parametrize("width", [1, 0])
+def test_unpack_refuses_a_width_below_2(width):
+    # width 1 has no room for a sign and a digit: unguarded, a positive
+    # value never leaves the digit loop
+    for v in (0, 1, -1, 5):
+        with pytest.raises(InternalInconsistency, match="digit width %d" % width):
+            unpack(v, width)
+
+
 @DIFFERENTIAL
 @given(blowup_scripts(), st.data())
 def test_nhats_walks_the_window_in_lex_order(script, data):

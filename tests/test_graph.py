@@ -12,14 +12,68 @@ from motive_series.graph import (
     chi_bullet,
     chi_open,
     hoskin_deligne,
-    intersection_matrix,
     w_of_nhat,
 )
-from motive_series.linalg import det_and_adjugate
 
 SINGLE = DualGraph((-1,), ())
 CHAIN = DualGraph((-2, -1), ((0, 1),))
 CUSP = DualGraph((-3, -2, -1), ((0, 2), (1, 2)), (2,))
+# eight -2 vertices, a branch at the third: unimodular with a positive
+# -A^-1, but with no -1 vertex no blow-up sequence gives it
+E8 = DualGraph((-2,) * 8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)))
+
+
+# -- the elimination reference: M = -det(A) adj(A) ------------------------------
+
+
+def intersection_matrix(g: DualGraph) -> tuple:
+    """The intersection matrix A: self-intersections on the diagonal, 1 on
+    each edge."""
+    s = g.nvertices
+    A = [[0] * s for _ in range(s)]
+    for i in range(s):
+        A[i][i] = g.self_ints[i]
+    for (i, j) in g.edges:
+        A[i][j] = 1
+        A[j][i] = 1
+    return tuple(map(tuple, A))
+
+
+def det_and_adjugate(matrix):
+    """(determinant, adjugate) of a square integer matrix, in integers.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss's method) on [A | I]:
+    each step replaces every other row r by (p r - r[k] row_k) / prev,
+    with p the new pivot and prev the one before it.  Every entry is then
+    a minor of [A | I] up to sign, so each division is exact.  At the end
+    the left half is p I and the right half p A^-1, with p = det A after
+    the row swaps, so the adjugate det(A) A^-1 is the right half times
+    the sign of the swaps.  Returns (0, None) when A is singular.
+    """
+    n = len(matrix)
+    rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    sign, prev = 1, 1
+    for k in range(n):
+        best = next((i for i in range(k, n) if rows[i][k]), None)
+        if best is None:
+            return 0, None
+        if best != k:
+            rows[k], rows[best] = rows[best], rows[k]
+            sign = -sign
+        pivot_row, p = rows[k], rows[k][k]
+        for i in range(n):
+            if i != k:
+                row, f = rows[i], rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+
+
+def eliminated_inverse(g: DualGraph) -> tuple:
+    """-A^-1 of a unimodular g by elimination, as a tuple of int row tuples."""
+    det, adj = det_and_adjugate(intersection_matrix(g))
+    assert abs(det) == 1
+    return tuple(tuple(-det * x for x in row) for row in adj)
 
 
 def test_single_vertex():
@@ -40,17 +94,40 @@ def test_cusp_rows():
 
 
 def test_not_unimodular():
-    with pytest.raises(NotUnimodular):
+    # determinants -2 and 0: neither blows down to a point
+    with pytest.raises(NotBlowupGraph, match="vertices left: 1$"):
         build_intersection(DualGraph((-2,), ()))
-    with pytest.raises(NotUnimodular):
-        # determinant 0
+    with pytest.raises(NotBlowupGraph, match="vertices left: 2$"):
         build_intersection(DualGraph((-1, -1), ((0, 1),)))
 
 
 def test_not_blowup_graph():
-    # unimodular tree whose inverse has a zero entry
-    with pytest.raises(NotBlowupGraph):
+    # unimodular tree whose inverse has a zero entry: vertex 2 ends at +1
+    with pytest.raises(NotBlowupGraph, match="vertices left: 2$"):
         build_intersection(DualGraph((-1, -1, -1), ((0, 1), (1, 2))))
+
+
+def test_e8_is_unimodular_and_positive_but_no_blowup_graph():
+    M = eliminated_inverse(E8)
+    assert min(map(min, M)) > 0
+    certify_inverse(E8, M)  # the certificate alone cannot tell E8 from a blow-up graph
+    with pytest.raises(NotBlowupGraph, match="vertices left: 1, 2, 3, 4, 5, 6, 7, 8$"):
+        build_intersection(E8)
+    # a -1 vertex on the end of the long arm blows that arm down, and the
+    # rest stops at the short arm's vertex
+    e8_and_one = DualGraph(E8.self_ints + (-1,), E8.edges + ((6, 8),))
+    with pytest.raises(NotBlowupGraph, match="vertices left: 8$"):
+        build_intersection(e8_and_one)
+
+
+def test_blow_down_joins_the_two_neighbours():
+    # blowing down vertex 2 of a -2, -1, -2 chain joins 1 and 3, as -1 and
+    # -1; then vertex 1 goes and leaves vertex 3 at 0.  A -3, -1, -2 chain
+    # blows down to a point
+    with pytest.raises(NotBlowupGraph, match="vertices left: 3$"):
+        build_intersection(DualGraph((-2, -1, -2), ((0, 1), (1, 2))))
+    g = DualGraph((-3, -1, -2), ((0, 1), (1, 2)))
+    assert build_intersection(g).M == eliminated_inverse(g) == ((1, 2, 1), (2, 6, 3), (1, 3, 2))
 
 
 def test_graph_validation():
