@@ -264,7 +264,7 @@ class DivisorialOracle(JetRankOracle):
 
     Conditions for w_i(g) >= w are linear in the jet of g: every
     coefficient of u^j (j < w_i) of the lift to the host chart of E_i
-    must vanish.  The orders of block i are (w_i(x), w_i(y)), so a
+    must vanish.  The u-orders of block i are (w_i(x), w_i(y)), so a
     monomial x^a y^b is a candidate when its exact lift order
     a w_i(x) + b w_i(y) is below w_i for some i.  The image of x^a y^b on
     block i is its lift to the host chart, truncated in u (exact, as no
@@ -279,7 +279,10 @@ class DivisorialOracle(JetRankOracle):
     u-order below t are the keys below t << s.  A candidate has
     a + b < max(v) <= max_jet, so the ve of its image is at most
     (max_jet - 1) V, V the largest v-exponent of the maps; s is the bit
-    length of max(max_jet, 1) V, for the `max_jet` given here.
+    length of max(max_jet, 1) V, for the `max_jet` given here.  The least
+    keys of block i are those of its two maps, so the running key of
+    x^a y^b there is the packed (ue, ve) of its image's leading term; on a
+    live block, a + b <= ue < w_i, so that ve is below 2^s too.
     """
 
     _blocks = "components"
@@ -291,13 +294,13 @@ class DivisorialOracle(JetRankOracle):
         top_v = max(ve for pair in maps for p in pair for _, ve in p)
         # before the base, which sizes the key blocks by it
         s = self._shift = (max(max_jet, 1) * top_v).bit_length()
-        super().__init__([tuple(map(u_order_in_first, p)) for p in maps], max_jet)
         dx, dy = (common_denominator(*p) for p in zip(*maps))
 
         def packed(p, d):
             return as_ints({(ue << s) + ve: c for (ue, ve), c in p.items()}, d)
 
         self._maps = [(packed(xm, dx), packed(ym, dy)) for xm, ym in maps]
+        super().__init__([tuple(map(min, pair)) for pair in self._maps], max_jet)
 
 
 # -- embedded resolution of parametrized plane curves ---------------------------

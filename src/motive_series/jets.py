@@ -9,17 +9,22 @@ is complete at jet order max(v): its rank is h(v) exactly, with no search
 for a stable rank, and `max_jet` caps max(v).  A curve is a finite
 C{x_j}-module for a coordinate x_j that vanishes on no branch, so only
 monomials of degree < sum_k ord_k(x_j) in the others need a row (see
-`_candidates`).  The base builds the sparse rows of a line from the
-monomial images on each block, truncated at that line, and ranks them
-with `linalg.rank`, the one exact kernel; a subclass gives only the
-images of the coordinates, as int-keyed dicts, and how a key holds a
-term's order.  Those maps are integral: substituting x_j -> D_j x_j,
-D_j a common denominator of coordinate j's images on every block,
-scales the row of x^alpha by prod_j D_j^alpha_j.  One nonzero factor
-per row changes no rank and no prefix of the leading keys, so every h is
-that of the unscaled rows, and no row holds a `Fraction`.  One echelon
-basis gives h along a whole line up to a horizon, and restricts to any
-line below it (see `hilbert_line`).
+`_candidates`).  The base ranks a line with `linalg.rank`, the one exact
+kernel, by leading key: the leading term of a monomial's image is the
+product of the maps' leading terms, so the candidate walk knows each
+row's leading key without building it.  Only the rows of candidates that
+share a leading key are built, in one pass over the monomial images on
+each block, truncated at that line; a lone candidate joins the echelon
+basis unbuilt, and its row is built only if a reduced row lands on its
+key.  A subclass gives only the images of the coordinates, as int-keyed
+dicts, their least keys, and how a key holds a term's order.  Those maps
+are integral: substituting x_j -> D_j x_j, D_j a common denominator of
+coordinate j's images on every block, scales the row of x^alpha by
+prod_j D_j^alpha_j.  One nonzero factor per row changes no rank and no
+prefix of the leading keys, so every h is that of the unscaled rows, and
+no row holds a `Fraction`.  One echelon basis gives h along a whole line
+up to a horizon, and restricts to any line below it (see `hilbert_line`),
+re-keying an unbuilt pivot from its least keys.
 `HilbertOracle` composes g with the branches of a curve;
 `blowup.DivisorialOracle` lifts g to the components of a modification.
 `series` reads P, Pg, Phat, L, Lg and H off a table of h on a box, a list
@@ -32,9 +37,10 @@ Delta = prod_k (1 - E_k), E_k the shift by e_k, R(x) = sum_{e < x} L^e).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import count
 from math import inf
-from operator import add, le, lt
+from operator import add, le
 
 from . import linalg
 from .curves import Curve
@@ -58,12 +64,30 @@ from .polys import as_ints, common_denominator, umul
 SERIES_KINDS = ("P", "Pg", "Phat", "L", "Lg", "H")
 
 
+def _image(table, maps, alpha, top):
+    """The image of x^alpha, truncated at top: that of alpha - e_j, j the
+    first nonzero index of alpha, times maps[j], truncated.  The nearest
+    prefix in the table is found first, and every image built on the way
+    up is kept there."""
+    chain, image = [], None
+    while image is None:
+        j = 0
+        while not alpha[j]:
+            j += 1
+        chain.append((alpha, j))
+        alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        image = table.get(alpha)
+    for alpha, j in reversed(chain):
+        image = table[alpha] = umul(image, maps[j], top)
+    return image
+
+
 class JetRankOracle:
     """The shape both jet-rank oracles share.
 
-    `orders[k][j]` is the order of coordinate j on block k (a branch of a
-    curve, or a component of a modification); None means identically
-    zero.  The base builds the rows (see `_rows`) and ranks them with
+    `leads[k][j]` is the least key of coordinate j's map on block k (a
+    branch of a curve, or a component of a modification); None means
+    identically zero.  The base ranks a line (see `_rank`) with
     `linalg.rank`.  A subclass gives three hooks: `_blocks`, what its
     blocks are called in error messages; `_maps[k][j]`, the image of
     coordinate j on block k, a dict {int key: int}, keys ascending (a
@@ -84,26 +108,32 @@ class JetRankOracle:
     _shift = 0
     _module = None  # (j, N): keep only a C{x_j}-module generating set (see `_candidates`)
 
-    def __init__(self, orders, max_jet: int = 64):
-        self.orders = orders
-        self.nvars = len(orders)
+    def __init__(self, leads, max_jet: int = 64):
+        self.leads = leads
+        self.nvars = len(leads)
         self.max_jet = max_jet
         self._hs = {}  # clamped p -> [h(p, t) for t in 0..top]
         self._width = (max(max_jet, 1) << self._shift).bit_length()
         self._horizon = 0  # the largest last coordinate asked so far
         self._lines = []  # (line, echelon basis), each line <= the one before
+        self._build = None  # candidates' rows at _lines[0] (see `_rank`)
 
     def _candidates(self, v):
-        """(alpha, acc) of the monomials x^alpha whose image can be
-        nonzero, in lex order; acc[k] < v_k exactly when the image on
-        block k is nonzero below v_k.
+        """(cands, keys): the (alpha, acc) of the monomials x^alpha whose
+        image can be nonzero, in lex order, and the leading key of each
+        one's row, (k << _width) + acc[k], k its first live block.  Block k
+        is live when acc[k] < v_k << _shift, exactly when the image there
+        is nonzero below v_k, and acc[k] is then that image's least key.
 
-        acc[k] is the exact order sum_j alpha_j orders[k][j], except that
-        an identically-zero coordinate steps by v_k, so it is
-        >= v_k once that coordinate enters.  Every order is at least 1, so
-        the set is finite (of degree below max(v)) and down-closed.  Each
-        qualifying prefix is extended one exponent at a time; orders only
-        grow along the way, so the first failing exponent ends the prefix.
+        acc[k] is the running sum_j alpha_j leads[k][j]: the leading term
+        of a product of maps is the product of their leading terms (keys
+        add, and Z is a domain), and a truncation above it keeps it.  An
+        identically-zero coordinate steps by v_k << _shift, so acc[k] is
+        past the block's bound once that coordinate enters.  Every order
+        is at least 1, so the set is finite (of degree below max(v)) and
+        down-closed.  Each qualifying prefix is extended one exponent at a
+        time; keys only grow along the way, so the first exponent with no
+        live block ends the prefix.
 
         With `_module` = (j, N) only the x^alpha with sum_{l != j} alpha_l < N
         are kept; they span the same rows.  O is a C{x_j}-submodule of
@@ -112,47 +142,86 @@ class JetRankOracle:
         < N in the other coordinates generate O over C{x_j}: each dropped row
         is a finite combination of kept rows x_j^a m.
         """
-        cut, cap = self._module or (len(self.orders[0]), inf)
-        level = [((), (0,) * self.nvars)]
-        for j in range(len(self.orders[0])):
-            step = [v[k] if ords[j] is None else ords[j] for k, ords in enumerate(self.orders)]
-            nxt = []
+        r, width = self.nvars, self._width
+        cut, cap = self._module or (len(self.leads[0]), inf)
+        bounds = [x << self._shift for x in v]
+        level, keys = [((), (0,) * r)], []
+        for j in range(len(self.leads[0])):
+            step = [b if lead[j] is None else lead[j] for b, lead in zip(bounds, self.leads)]
+            nxt, keys = [], []
             for alpha, acc in level:
                 e, room = 0, inf if j == cut else cap - sum(alpha[:cut]) - sum(alpha[cut + 1:])
-                while e < room and any(map(lt, acc, v)):
+                while e < room:
+                    k = 0
+                    while k < r and acc[k] >= bounds[k]:
+                        k += 1
+                    if k == r:
+                        break
                     nxt.append((alpha + (e,), acc))
+                    keys.append((k << width) + acc[k])
                     e += 1
                     acc = tuple(map(add, acc, step))
             level = nxt
-        return level
+        return level, keys
 
-    def _rows(self, cands, v):
-        """The candidates' dict rows: their images' terms of order < v_k on
-        every block k where that image is nonzero below v_k.
+    def _tables(self, v):
+        """(k, table, maps, lim, top) for each block k with v_k > 0: its
+        images are truncated at top = (k << _width) + lim, lim = v_k << _shift,
+        and kept in table, from x^0 = {k << _width: 1}, so every key keeps
+        the block's offset."""
+        zero, width = (0,) * len(self.leads[0]), self._width
+        return [
+            (k, {zero: {k << width: 1}}, self._maps[k], x << self._shift, (k << width) + (x << self._shift))
+            for k, x in enumerate(v)
+            if x
+        ]
 
-        Block k's images are built for this line alone, truncated at v_k,
-        from x^0 = {k << _width: 1}, so every key keeps the block's offset.
-        cands is sorted and down-closed, and alpha - e_j (j the first
-        nonzero index of alpha) has no larger order, so its image is built
-        before alpha's, and one product with the map of coordinate j,
-        truncated, extends it."""
+    @staticmethod
+    def _rows(cands, blocks):
+        """The dict rows of a lex-sorted list of candidates of a line v:
+        their images' terms of order < v_k on every block k where that
+        image is nonzero below v_k, built a block at a time in the line's
+        tables (blocks, from `_tables(v)`).  In a pass over every candidate
+        each image extends its prefix's, built just before; in a pass over
+        some of them, a prefix not in the table yet is built on the way
+        (`_image`)."""
         rows = [{} for _ in cands]
-        for k, bound in enumerate(v):
-            if not bound:
-                continue
-            table, maps = {(0,) * len(self.orders[k]): {k << self._width: 1}}, self._maps[k]
-            top = (k << self._width) + (bound << self._shift)
+        for k, table, maps, lim, top in blocks:
             for row, (alpha, acc) in zip(rows, cands):
-                if acc[k] < bound:
+                if acc[k] < lim:
                     image = table.get(alpha)
                     if image is None:
                         j = 0
                         while not alpha[j]:
                             j += 1
                         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                        image = table[alpha] = umul(table[prev], maps[j], top)
+                        image = table.get(prev)
+                        if image is None:
+                            image = _image(table, maps, prev, top)
+                        image = table[alpha] = umul(image, maps[j], top)
                     row.update(image)
         return rows
+
+    def _rank(self, line):
+        """An echelon basis of the candidates' rows at the line, built only
+        where two candidates share a leading key, (k << _width) + acc[k], k
+        the first live block: a lone candidate joins the basis unbuilt, as
+        its (alpha, acc), until a reduced row lands on its key (see
+        `linalg.rank`).  The line's image tables are kept: `_build` gives
+        the rows of such candidates at this line, for it and the lines
+        below it."""
+        cands, keys = self._candidates(line)
+        lone, shared = dict(zip(keys, cands)), []
+        if len(lone) < len(cands):
+            count = Counter(keys)
+            shared = [cand for cand, key in zip(cands, keys) if count[key] > 1]
+            for key, n in count.items():
+                if n > 1:
+                    del lone[key]
+        # the builder holds the tables, not the oracle: no reference cycle
+        blocks, rows = self._tables(line), self._rows
+        self._build = lambda pivots: rows(sorted(pivots), blocks)
+        return linalg.rank(rows(shared, blocks), lone, self._build)
 
     # -- the Hilbert function ------------------------------------------------
 
@@ -172,7 +241,10 @@ class JetRankOracle:
         of (p, top) that is none of (p, t) has no term there).  For p' <= p,
         (p', top) drops block k's keys from (k << _width) + (p'_k << _shift)
         on: the basis of the nearest kept line above is restricted
-        (`linalg.restrict`), so a sweep from the top of its box ranks once."""
+        (`linalg.restrict`), so a sweep from the top of its box ranks once.
+        Every kept line lies below the last line ranked afresh, whose image
+        tables build (`_build`) the rows of unbuilt pivots that a
+        restriction needs."""
         p = vec_clamp0(p)
         if len(p) + 1 != self.nvars:
             raise InvalidInput("query length != number of %s" % self._blocks)
@@ -188,9 +260,9 @@ class JetRankOracle:
                 lines.pop()
             if lines:
                 lims = [(k << width) + (x << shift) for k, x in enumerate(line)]
-                basis = linalg.restrict(lines[-1][1], lims, width)
+                basis = linalg.restrict(lines[-1][1], lims, width, self._build)
             else:
-                basis = linalg.rank(self._rows(self._candidates(line), line)) if any(line) else {}
+                basis = self._rank(line) if any(line) else {}
             lines.append((line, basis))
             keys, last = sorted(basis), (self.nvars - 1) << width
             hs = self._hs[p] = [bisect_left(keys, last + (t << shift)) for t in range(top + 1)]
@@ -203,7 +275,7 @@ class HilbertOracle(JetRankOracle):
 
     Block k is branch k: the image of x^alpha is its composition with the
     branch, a polynomial in the parameter t, keyed by the power of t
-    (`_shift` 0).  D_j, the lcm of the denominators of coordinate j over
+    (`_shift` 0), so a map's least key is its coordinate's order.  D_j, the lcm of the denominators of coordinate j over
     all branches, makes every map integral: the map of coordinate j on
     branch k is D_j times that coordinate.
     """

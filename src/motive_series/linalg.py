@@ -1,23 +1,28 @@
 """Exact Gaussian elimination: rank over Q, in integers.
 
 ``rank`` is the one exact elimination, for the rows of both jet-rank
-oracles: it eliminates by leading key on sparse dict rows, so it never
-touches a zero, and returns its echelon basis {leading key: pivot row}.
-It stays in the integers: a rational row is first scaled by the lcm of
-its denominators, and rows are reduced fraction-free.  Scaling a row by a
-nonzero number changes neither its keys nor the rank of any set of
-columns, so the rank and every prefix of the leading keys are those of
-the rows as given; the oracles build their rows integral for that
-reason (see `jets`).  Each stored pivot is divided by its content, the
-gcd of its entries, which limits the growth of the entries.
-``restrict`` derives the basis of the same rows on fewer columns.
+oracles: it eliminates by leading key on sparse int dict rows, so it
+never touches a zero, and returns its echelon basis {leading key: pivot}.
+It takes the keys smallest first: the rows that share a key are reduced,
+fraction-free, against one pivot there, and each reduced row leads by a
+larger key, so a key's rows are all in when that key comes up.  A row
+alone at its key joins the basis untouched, and needs no terms at all: a
+pivot can be left *unbuilt*, a tuple whose last entry holds its least key
+on each block, and is built (by the caller's ``build``) only if a reduced
+row lands on its key.  Scaling a row by a nonzero number changes neither
+its keys nor the rank of any set of columns, so the rank and every
+prefix of the leading keys are those of the rows over Q; the oracles
+build their rows integral for that reason (see `jets`).  A pivot that
+reduces is first divided by its content, the gcd of its entries, which
+limits the growth of the entries.
+``restrict`` derives the basis of the same rows on fewer columns; it
+re-keys an unbuilt pivot from its least keys, without building it.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd
-
-from .polys import as_ints, common_denominator
 
 
 def _primitive(row):
@@ -31,71 +36,104 @@ def _live(row, lims, width):
     return {key: c for key, c in row.items() if key < lims[key >> width]}
 
 
-def _insert(pivots, row, lims=None, width=0):
-    """Reduce the int row against the pivot under its smallest key until
-    that key is new, and store it there primitive; a sparser row swaps
-    places with the pivot.  A reduction, on a copy, is fraction-free:
-    row <- (a/g) row - (b/g) piv, with a = piv[key], b = row[key] and
-    g = gcd(a, b); with lims, it drops the dead keys it brings in."""
-    while row:
-        key = min(row)
-        piv = pivots.get(key)
-        if piv is None:
-            pivots[key] = _primitive(row)
-            return
-        if len(row) < len(piv):
-            piv, row = _primitive(row), piv
-            pivots[key] = piv
-        a, b = piv[key], row[key]
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        row = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
-        for k, c in piv.items():
-            c = row.get(k, 0) - b * c
-            if c:
-                row[k] = c
+def _eliminate(basis, rows, build, lims=None, width=0):
+    """Land each row at its smallest key, then reduce by key, smallest
+    first.  A row lands as the pivot of a free key, or waits there.  At a
+    key with rows waiting, the sparsest of them and the pivot there (built
+    if unbuilt; with lims, cleaned of its dead keys) becomes the primitive
+    pivot, and each other row lands again, reduced: row <- (a/g) row -
+    (b/g) piv, with a = piv[key], b = row[key] and g = gcd(a, b).  A row
+    given here is reduced on a copy, and a row made here in place.  Rows
+    are clean of dead keys, so a reduced row is too."""
+    waiting, heap, given = {}, [], set(map(id, rows))  # the rows given stay alive
+    while True:
+        for row in rows:
+            if not row:
+                continue
+            key = min(row)
+            if key in waiting:
+                waiting[key].append(row)
+            elif key in basis:
+                waiting[key] = [row]
+                heappush(heap, key)
             else:
-                del row[k]
+                basis[key] = row
+        if not heap:
+            return basis
+        key = heappop(heap)
+        group, piv = waiting.pop(key), basis[key]
+        if type(piv) is not dict:
+            piv = build([piv])[0]
         if lims is not None:
-            row = _live(row, lims, width)
+            piv = _live(piv, lims, width)
+        group.append(piv)
+        group.sort(key=len)
+        piv = basis[key] = _primitive(group[0])
+        a, rows = piv[key], group[1:]
+        for i, row in enumerate(rows):
+            b = row[key]
+            g = gcd(a, b)
+            a_g, b = a // g, b // g
+            if id(row) in given:
+                row = rows[i] = {k: a_g * c for k, c in row.items()} if a_g != 1 else dict(row)
+            elif a_g != 1:
+                for k in row:
+                    row[k] *= a_g
+            for k, c in piv.items():
+                c = row.get(k, 0) - b * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
 
 
-def rank(rows) -> dict:
-    """An echelon basis {leading key: pivot row} of dict rows {column key:
-    int or Fraction}; its size is the rank over Q.
+def rank(rows, unbuilt=(), build=None) -> dict:
+    """An echelon basis {leading key: pivot} of the int dict rows {column
+    key: int}, and of the unbuilt pivots {leading key: pivot}, each alone
+    at its key; its size is the rank over Q.  build(pivots) gives the rows
+    of a list of unbuilt pivots.
 
-    A row with an entry that is not an int (the sum of its entries is
-    then not an int) is first multiplied by the lcm of its denominators.
-    Rows are inserted sparsest first (see `_insert`).  The pivots span the
-    rows and have distinct smallest keys, so for any column key c the
-    rank of the columns below c is the number of leading keys below c
-    (the prefix property).  The input rows are never modified."""
-    rows = [
-        row if type(sum(row.values())) is int else as_ints(row, common_denominator(row))
-        for row in rows
-    ]
-    pivots = {}
-    for row in sorted(rows, key=len):
-        _insert(pivots, row)
-    return pivots
+    The pivots span the rows and have distinct smallest keys, so for any
+    column key c the rank of the columns below c is the number of leading
+    keys below c (the prefix property).  The input rows are never
+    modified."""
+    return _eliminate(dict(unbuilt), rows, build)
 
 
-def restrict(pivots, lims, width) -> dict:
+def restrict(pivots, lims, width, build=None) -> dict:
     """An echelon basis, as `rank` gives, of the rows that pivots span,
     restricted to the live keys, key < lims[key >> width] (block k's keys
-    lie in [k << width, (k + 1) << width)), with no elimination.
+    lie in [k << width, (k + 1) << width)); build(pivots) gives unbuilt
+    pivots' rows at a line at or above this one, cleaned here.
 
     The restricted pivots span the restricted rows.  A pivot led by a live
-    key keeps it, with its dead entries, which can never lead.  Only a
-    pivot led by a dead key is cleaned and inserted again, sparsest first.
-    Dead entries never change live ones, so the result can be restricted
-    again by lims no larger.  The input basis is not modified."""
-    out, dropped = {}, []
+    key keeps it, with its dead entries, which can never lead; they are
+    cleaned away only if it reduces a row.  A built pivot led by a dead
+    key is cleaned and lands again (see `_eliminate`).  An unbuilt pivot
+    led by a dead key is re-keyed at its first live block, from its least
+    keys, and stays unbuilt unless that key is taken (those are built
+    together); with no live block its row is zero.  Dead entries never
+    change live ones, so the result can be restricted again by lims no
+    larger.  The input basis is not modified."""
+    out, dropped, rows = {}, [], []
     for key, piv in pivots.items():
         if key < lims[key >> width]:
             out[key] = piv
+        elif type(piv) is dict:
+            rows.append(_live(piv, lims, width))
         else:
-            dropped.append(_live(piv, lims, width))
-    for row in sorted(dropped, key=len):
-        _insert(out, row, lims, width)
-    return out
+            dropped.append((key >> width, piv))
+    taken = []
+    for k, piv in dropped:  # once every kept pivot is in out
+        acc = piv[-1]
+        for k in range(k + 1, len(lims)):
+            key = (k << width) + acc[k]
+            if key < lims[k]:
+                if key in out:
+                    taken.append(piv)
+                else:
+                    out[key] = piv
+                break
+    if taken:
+        rows += [_live(row, lims, width) for row in build(taken)]
+    return _eliminate(out, rows, build, lims, width) if rows else out

@@ -173,8 +173,8 @@ def check_curve_formula_vs_oracle():
     for name, (curve, hi) in curve_fixtures().items():
         if curve.ambient_dim != 2:
             continue
-        _, g, _ = resolved(name)
-        formula = formulas.curve_series(g, hi)
+        m, g, _ = resolved(name)
+        formula = formulas.curve_series(g, hi, m.intersection())
         oracle = oracle_series(name, "Pg")
         mm = mser.first_mismatch(
             formula, oracle, mser.zero_vec(curve.nbranches), hi
@@ -202,7 +202,7 @@ def check_divisorial_formula_vs_oracle():
         if name == "cusp-mod-extra":
             continue  # heavier; validated through hoskin-deligne below
         g = m.graph()
-        formula = formulas.divisorial_series(g, hi)
+        formula = formulas.divisorial_series(g, hi, m.intersection())
         oracle = formulas.hilbert_ie_series(
             divisorial_oracle(name).hilbert, g.nvertices, hi
         )
@@ -217,11 +217,11 @@ def check_class_series_products():
     """Class series at L=1 equals both product forms of the classical series."""
     out = []
     for name, (m, hi) in modification_fixtures().items():
-        g = m.graph()
+        g, d = m.graph(), m.intersection()
         zero = mser.zero_vec(len(hi))
-        t3 = formulas.semigroup_class_series(g, hi)
-        e10 = formulas.divisorial_poincare_product(g, hi)
-        e11 = formulas.divisorial_poincare_product_edges(g, hi)
+        t3 = formulas.semigroup_class_series(g, hi, d)
+        e10 = formulas.divisorial_poincare_product(g, hi, d)
+        e11 = formulas.divisorial_poincare_product_edges(g, hi, d)
         mm1 = mser.first_mismatch(t3.at_one(), e10, zero, hi)
         mm2 = mser.first_mismatch(e10, e11, zero, hi)
         out.append(("class-series-at-1/%s" % name, mm1 is None, repr(mm1)))
@@ -233,10 +233,10 @@ def check_divisorial_at_one():
     """Divisorial series at q=1 equals the component product form."""
     out = []
     for name, (m, hi) in modification_fixtures().items():
-        g = m.graph()
+        g, d = m.graph(), m.intersection()
         zero = mser.zero_vec(len(hi))
-        t2 = formulas.divisorial_series(g, hi).at_one()
-        e10 = formulas.divisorial_poincare_product(g, hi)
+        t2 = formulas.divisorial_series(g, hi, d).at_one()
+        e10 = formulas.divisorial_poincare_product(g, hi, d)
         mm = mser.first_mismatch(t2, e10, zero, hi)
         out.append(("divisorial-at-1/%s" % name, mm is None, repr(mm)))
     return out
@@ -246,8 +246,7 @@ def check_hoskin_deligne():
     """Closed codimension formula vs the jet-rank divisorial oracle."""
     out = []
     for name, (m, hi) in modification_fixtures().items():
-        g = m.graph()
-        d = graph.build_intersection(g)
+        g, d = m.graph(), m.intersection()
         oracle = divisorial_oracle(name)
         s = g.nvertices
         bad = None
@@ -298,10 +297,11 @@ def check_graph_invariants():
 def check_coefficient_shapes():
     """Generalized series use only q-powers; class series only L-powers."""
     out = []
-    cuspg = blowup.run_script(CUSP_SCRIPT).graph()
-    t2 = formulas.divisorial_series(cuspg, (6, 6, 6))
+    m, _ = modification_fixtures()["cusp-mod"]
+    cuspg, d = m.graph(), m.intersection()
+    t2 = formulas.divisorial_series(cuspg, (6, 6, 6), d)
     ok_q = all(c.only_nonpos_powers() for c in t2.coeffs.values())
-    t3 = formulas.semigroup_class_series(cuspg, (6, 6, 6))
+    t3 = formulas.semigroup_class_series(cuspg, (6, 6, 6), d)
     ok_l = all(c.only_nonneg_powers() for c in t3.coeffs.values())
     pg = oracle_series("space-curve-C", "Pg")
     ok_q2 = all(c.only_nonpos_powers() for c in pg.coeffs.values())
@@ -316,8 +316,7 @@ def check_exponent_nonnegative():
     """The q-exponent of every enumerated term is nonnegative."""
     out = []
     for name, (m, hi) in modification_fixtures().items():
-        g = m.graph()
-        d = graph.build_intersection(g)
+        g, d = m.graph(), m.intersection()
         bad = None
         for term in formulas.enumerate_terms(g, d, hi, "divisorial"):
             expo = formulas.term_codimension(term, d, g) - sum(term.n) - len(term.edges)

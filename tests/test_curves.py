@@ -1,3 +1,5 @@
+import json
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import inf
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_series import Branch, Curve, linalg, valuation
+from motive_series import Branch, Curve, cli, linalg, valuation
 from motive_series.blowup import DivisorialOracle, run_script
 from motive_series.errors import InvalidInput, PrecisionExhausted, UndefinedValuation
 from motive_series.formulas import h_lines
@@ -119,19 +121,24 @@ def test_candidates_match_brute_force(case):
         for alpha in product(range(max(v)), repeat=len(orders[0]))
         if any(_exact_order(ords, alpha) < vk for ords, vk in zip(orders, v))
     ]
-    cands = JetRankOracle(orders)._candidates(v)
+    cands, keys = JetRankOracle(orders)._candidates(v)
     assert [alpha for alpha, _ in cands] == want
-    # the running orders filter each block exactly, None coordinates included
-    for alpha, acc in cands:
+    # the running orders filter each block exactly, None coordinates included,
+    # and a row leads by its exact order on its first live block
+    width = JetRankOracle(orders)._width
+    for (alpha, acc), key in zip(cands, keys):
         for k, ords in enumerate(orders):
             assert (acc[k] < v[k]) == (_exact_order(ords, alpha) < v[k])
-    assert JetRankOracle(orders)._candidates((0,) * len(orders)) == []
+        k = next(k for k, ords in enumerate(orders) if _exact_order(ords, alpha) < v[k])
+        assert key == (k << width) + _exact_order(orders[k], alpha)
+    assert len(keys) == len(cands)
+    assert JetRankOracle(orders)._candidates((0,) * len(orders)) == ([], [])
     # a module generating set (j, N) keeps the x^alpha with sum_{l != j}
     # alpha_l < N, in the same lex order and with the same exact orders
     for j, cap in product(range(len(orders[0])), (1, 2, 4)):
         oracle = JetRankOracle(orders)
         oracle._module = (j, cap)
-        capped = oracle._candidates(v)
+        capped, _ = oracle._candidates(v)
         assert [alpha for alpha, _ in capped] == [alpha for alpha in want if sum(alpha) - alpha[j] < cap]
         for alpha, acc in capped:
             for k, ords in enumerate(orders):
@@ -203,7 +210,7 @@ def _pruned_and_full(curve, hi):
         with pytest.MonkeyPatch.context() as mp:
             if not prune:
                 mp.setattr(oracle, "_module", None)
-            keys = sorted(linalg.rank(oracle._rows(oracle._candidates(top), top)))
+            keys = sorted(linalg.rank(oracle._rows(oracle._candidates(top)[0], oracle._tables(top))))
             out.append((keys, h_lines(oracle.hilbert_line, (0,) * len(hi), top)))
     return out
 
@@ -233,7 +240,7 @@ def test_cusp_ranks_a_module_generating_set():
     # (t^2, t^3) is free over C{x} on 1, y: only x^a y^b with b < 2 is a row
     oracle = HilbertOracle(Curve(2, [Branch([{2: ONE}, {3: ONE}])]))
     assert oracle._module == (0, 2)
-    cands = oracle._candidates((40,))
+    cands, _ = oracle._candidates((40,))
     assert len(cands) == sum(1 for a, b in product(range(40), range(2)) if 2 * a + 3 * b < 40)
     assert oracle.hilbert((40,)) == 39  # the values 0, 2, 3, ..., 39 of <2, 3>
 
@@ -241,11 +248,11 @@ def test_cusp_ranks_a_module_generating_set():
 def _assert_keys_in_their_blocks(oracle, v):
     """_width is the bit length of max_jet << _shift, and every key of a
     row built on block k alone lies in [k << _width, (k + 1) << _width)."""
-    width, cands = oracle._width, oracle._candidates(v)
+    width, (cands, _) = oracle._width, oracle._candidates(v)
     assert width == (oracle.max_jet << oracle._shift).bit_length()
     for k in range(oracle.nvars):
         only = tuple(x if i == k else 0 for i, x in enumerate(v))
-        keys = [key for row in oracle._rows(cands, only) for key in row]
+        keys = [key for row in oracle._rows(cands, oracle._tables(only)) for key in row]
         assert keys and all(key >> width == k for key in keys), k
 
 
@@ -284,6 +291,173 @@ def test_branch_terms_in_any_order():
     for v in ((6,), (9,), (14,)):
         # a cusp: the values below v[0] of the semigroup <2, 3>
         assert HilbertOracle(down).hilbert(v) == HilbertOracle(up).hilbert(v) == v[0] - 1, v
+
+
+# -- leading keys, and rows built only where two of them meet ---------------
+
+
+def assert_running_keys_exact(oracle, v):
+    """Each candidate's running key on each block is the least key of its
+    image there, built on that block alone, exactly when the block is
+    live; and the leading keys are those of the full rows."""
+    cands, keys = oracle._candidates(v)
+    width, shift = oracle._width, oracle._shift
+    for k in range(oracle.nvars):
+        only = tuple(x if i == k else 0 for i, x in enumerate(v))
+        for (alpha, acc), row in zip(cands, oracle._rows(cands, oracle._tables(only))):
+            assert bool(row) == (acc[k] < v[k] << shift), (alpha, k)
+            if row:
+                assert min(row) == (k << width) + acc[k], (alpha, k)
+    assert [min(row) for row in oracle._rows(cands, oracle._tables(v))] == keys
+
+
+@st.composite
+def curves_with_unsorted_terms(draw):
+    """1-3 distinct branches in 2 or 3 coordinates, each coordinate zero or
+    1-3 terms tau^a, a in 1..7, with coefficients that are not all 1,
+    written with their exponents descending."""
+    n = draw(st.integers(2, 3))
+    terms = st.lists(
+        st.tuples(st.integers(1, 7), st.sampled_from((1, -1, 3, Fraction(1, 2), Fraction(-2, 3)))),
+        max_size=3,
+        unique_by=lambda term: term[0],
+    )
+    rows = st.lists(terms, min_size=n, max_size=n).filter(any)
+    branches = draw(st.lists(rows, min_size=1, max_size=3, unique_by=lambda cs: tuple(map(tuple, cs))))
+    return Curve(n, [
+        Branch([{a: Fraction(c) for a, c in sorted(cs, reverse=True)} for cs in coords])
+        for coords in branches
+    ])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates() | curves_with_unsorted_terms(), st.data())
+def test_running_keys_are_exact_on_random_curves(curve, data):
+    v = tuple(data.draw(st.integers(1, 9)) for _ in range(curve.nbranches))
+    assert_running_keys_exact(HilbertOracle(curve), v)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=4), st.data())
+def test_running_keys_are_exact_on_random_scripts(script, data):
+    # packed keys (ue << _shift) + ve: a leading term's ve carries into
+    # the sum, so an exact running key tells (ue, ve) apart
+    oracle = DivisorialOracle(run_script(script))
+    v = tuple(data.draw(st.integers(1, 7)) for _ in range(oracle.nvars))
+    assert_running_keys_exact(oracle, v)
+
+
+def test_running_keys_are_exact_on_packed_keys():
+    # E1, E2 through a free point, E3 at their corner: least keys u^ue v^ve
+    # with ve > 0 on E1 and E3
+    oracle = DivisorialOracle(run_script(HSCRIPT00))
+    assert [[lead % (1 << oracle._shift) for lead in pair] for pair in oracle.leads] == [[0, 1], [0, 0], [1, 1]]
+    for v in ((9, 2, 3), (4, 4, 4), (1, 1, 7)):
+        assert_running_keys_exact(oracle, v)
+
+
+def assert_new_line_matches_eager(oracle):
+    """The newest kept line has the leading keys of the eager elimination of
+    every row of `_candidates` at it.  A built pivot leads by its key among
+    its live entries; an unbuilt one, (alpha, acc), at its first live block,
+    as its row at that line does.  Returns the number of unbuilt pivots."""
+    line, basis = oracle._lines[-1]
+    cands, _ = oracle._candidates(line)
+    assert sorted(basis) == sorted(linalg.rank(oracle._rows(cands, oracle._tables(line)))), line
+    width = oracle._width
+    lims = [(k << width) + (x << oracle._shift) for k, x in enumerate(line)]
+    unbuilt = [piv for piv in basis.values() if type(piv) is not dict]
+    for key, piv in basis.items():
+        if type(piv) is dict:
+            assert min(k for k in piv if k < lims[k >> width]) == key
+        else:
+            alpha, acc = piv
+            k = next(k for k, lim in enumerate(lims) if (k << width) + acc[k] < lim)
+            assert (k << width) + acc[k] == key == min(oracle._rows([piv], oracle._tables(line))[0])
+    return len(unbuilt)
+
+
+def ask_box_in_order(oracle, points):
+    """Ask the points in order, checking each line the oracle ranks or
+    restricts (`assert_new_line_matches_eager`); returns the unbuilt
+    pivots counted on fresh lines and on restricted lines."""
+    unbuilt = [0, 0]
+    for v in points:
+        newest = oracle._lines[-1] if oracle._lines else None
+        oracle.hilbert(v)
+        if oracle._lines[-1] is not newest:
+            unbuilt[len(oracle._lines) > 1] += assert_new_line_matches_eager(oracle)
+    return unbuilt
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(curves_with_zero_coordinates(), st.data())
+def test_lazy_lines_match_eager_elimination_on_random_curves(curve, data):
+    r = curve.nbranches
+    hi = tuple(data.draw(st.integers(0, {1: 8, 2: 4, 3: 2}[r])) for _ in range(r))
+    ask_box_in_order(HilbertOracle(curve), data.draw(st.permutations(list(box((0,) * r, hi)))))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(blowup_scripts(max_steps=4), st.data())
+def test_lazy_lines_match_eager_elimination_on_random_scripts(script, data):
+    oracle = DivisorialOracle(run_script(script))
+    s = oracle.nvars
+    hi = tuple(data.draw(st.integers(0, {2: 4, 3: 3, 4: 2}[s])) for _ in range(s))
+    ask_box_in_order(oracle, data.draw(st.permutations(list(box((0,) * s, hi)))))
+
+
+def test_fresh_and_restricted_lines_hold_unbuilt_pivots():
+    # a scrambled box: the horizon rises, so lines are ranked afresh, and
+    # the lines below them are restricted, each keeping unbuilt pivots
+    points = sorted(box((0, 0, 0), (5, 4, 4)), key=lambda v: (v[0] * 7 + v[1] * 3 + v[2] * 5) % 13)
+    fresh, restricted = ask_box_in_order(DivisorialOracle(run_script(HSCRIPT00)), points)
+    assert fresh > 0 and restricted > 0
+
+
+@pytest.mark.parametrize("make", (
+    lambda: HilbertOracle(Curve(2, [Branch([{2: ONE}, {3: ONE}]), Branch([{1: ONE}, {}])])),
+    lambda: DivisorialOracle(run_script(HSCRIPT00)),
+))
+def test_an_oracle_is_freed_with_its_last_reference(make):
+    # its kept line tables and bases hold no reference back to it, so it
+    # goes at once, not at the next run of the cycle collector
+    oracle = make()
+    series(oracle, "P", (3,) * oracle.nvars)
+    assert oracle._build is not None and len(oracle._lines) > 1
+    ref = weakref.ref(oracle)
+    del oracle
+    assert ref() is None
+
+
+HSCRIPT00 = {"steps": [{"center": "origin"}, {"center": {"on": 1, "param": "-4"}}, {"center": {"corner": [1, 2]}}]}
+
+
+@pytest.mark.parametrize("script, at, cands, built, h", (
+    # led by E1: every candidate leads alone, and no row is built
+    (HSCRIPT00, (47, 4, 8), 1128, 0, 1128),
+    (
+        {"steps": [{"center": "origin"}, {"center": {"on": 1, "param": "9/2"}}, {"center": {"on": 1, "param": "6"}}]},
+        (25, 10, 26), 351, 26, 326,
+    ),
+))
+def test_cold_query_builds_only_rows_that_share_a_key(monkeypatch, tmp_path, capsys, script, at, cands, built, h):
+    # the rows built (in one pass, or later for a lone pivot that a reduced
+    # row lands on) are counted at the builder, from the CLI
+    rows, count = JetRankOracle._rows, [0]
+
+    def counted_rows(cands, blocks):
+        count[0] += len(cands)
+        return rows(cands, blocks)
+
+    monkeypatch.setattr(JetRankOracle, "_rows", staticmethod(counted_rows))
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    argv = ["hilbert", "--script", str(path), "--at", ",".join(map(str, at)), "--max-jet", "128"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": h}
+    assert len(DivisorialOracle(run_script(script), max_jet=128)._candidates(at)[0]) == cands
+    assert count[0] == built < cands
 
 
 def test_kept_compositions_match_fresh_oracles(curve_c, transverse_lines):

@@ -54,8 +54,11 @@ def sparse_matrices(draw):
 
 
 def dict_rows(rows):
-    """Dense rows as dict rows {(0, column): entry}, zeros left out."""
-    return [{(0, j): x for j, x in enumerate(r) if x} for r in rows]
+    """Dense rows as int dict rows {(0, column): entry}, zeros left out.
+    `rank` takes int rows, so each row is first multiplied by the lcm of its
+    entries' denominators, which changes no rank and no leading key."""
+    scaled = [[x * lcm(*(Fraction(y).denominator for y in r)) for x in r] for r in rows]
+    return [{(0, j): int(x) for j, x in enumerate(r) if x} for r in scaled]
 
 
 def leading_keys(rows):
